@@ -35,7 +35,7 @@ re-run against the same store is pure cache hits)::
     repro-pns boundary --path supply.power_w --lo 0.8 --hi 8 \
         --supply constant-power --governors power-neutral,ondemand
 
-Compact a long-lived store (drop superseded records, write the O(1)-open
+Compact a long-lived store (drop superseded records, rebuild the SQLite
 index sidecar)::
 
     repro-pns store compact --store campaign.jsonl
@@ -421,18 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="maintain JSONL result stores (compact, merge shards, stats)",
         description=(
             "Store maintenance. 'compact' rewrites the JSONL keeping only the "
-            "newest record per scenario id and writes the key-to-offset index "
-            "sidecar (<store>.idx.json) that lets later opens skip parsing "
-            "record payloads entirely. 'merge DEST SRC [SRC ...]' unions shard "
-            "stores into DEST (creating it if needed): successful records "
-            "always supersede failures, later sources win ties, legacy v1 "
-            "records are upgraded and re-keyed, and DEST is compacted with a "
-            "fresh sidecar — ready for sweep --resume, boundary, or "
+            "newest record per scenario id and rebuilds the store's SQLite "
+            "index sidecar (<store>.sqlite), stamping the compacted size as "
+            "the baseline 'stats' measures growth against. 'merge DEST SRC "
+            "[SRC ...]' unions shard stores into DEST (creating it if "
+            "needed): successful records always supersede failures, later "
+            "sources win ties, legacy v1 records are upgraded and re-keyed, "
+            "and DEST is compacted — ready for sweep --resume, boundary, or "
             "aggregation. 'stats [PATH]' prints the store inventory — record "
-            "counts by status and schema version, bytes appended since the "
-            "last compact, the last run's cache-hit ratio — served entirely "
-            "from the idx/SQLite/metrics sidecars, without materialising a "
-            "single record."
+            "counts by status and schema version, bytes and records appended "
+            "since the last compact, the last run's cache-hit ratio — served "
+            "entirely from the SQLite and metrics sidecars, without "
+            "materialising a single record."
         ),
     )
     store.add_argument(
@@ -1170,11 +1170,9 @@ def _open_store(
     store_path = Path(args.store)
     if store_path.exists() and args.fresh:
         store_path.unlink()
-        # The compaction sidecar indexes the file just deleted; left behind
-        # it would resurrect phantom records on the next open.
-        index_path = Path(str(store_path) + ".idx.json")
-        if index_path.exists():
-            index_path.unlink()
+        # The index sidecar is derived from the file just deleted; drop it
+        # (and its compaction baseline) with the store.
+        sweep_module.sqlite_index_path(store_path).unlink(missing_ok=True)
         print(f"starting fresh campaign (deleted existing {store_path})")
     store = sweep_module.ResultStore(store_path, telemetry=telemetry)
     if len(store):
@@ -1495,7 +1493,7 @@ def _command_shard(args: argparse.Namespace) -> int:
     telemetry = _telemetry_for(
         args, worker=f"shard-{plan.shard_index}", campaign=plan.campaign_hash
     )
-    store = _open_store(args, telemetry=telemetry)  # honours --fresh for store + idx
+    store = _open_store(args, telemetry=telemetry)  # honours --fresh for store + index
 
     if manifest_path.exists():
         # Compare the stamped identity fields only — the snapshot behind

@@ -46,6 +46,9 @@ __all__ = ["CampaignService", "ServiceThread", "run_service", "route_template"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_LINES = 100
+#: Seconds a client has to send its whole request (line, headers, body); a
+#: connection that idles past it is closed, so it cannot pin a handler.
+_REQUEST_READ_TIMEOUT_S = 30.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -285,7 +288,9 @@ class CampaignService:
         self._in_flight += 1
         self.metrics.gauge("http_requests_in_flight", self._in_flight)
         try:
-            request = await self._read_request(reader)
+            request = await asyncio.wait_for(
+                self._read_request(reader), _REQUEST_READ_TIMEOUT_S
+            )
             if request is None:
                 return
             if isinstance(request, JsonResponse):  # parse-level error
@@ -318,8 +323,13 @@ class CampaignService:
                 else:
                     self._write_json(writer, response)
                 await writer.drain()
-        except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-request/stream
+        except (
+            asyncio.IncompleteReadError,
+            ConnectionResetError,
+            BrokenPipeError,
+            asyncio.TimeoutError,
+        ):
+            pass  # client went away mid-request/stream, or idled past the deadline
         finally:
             self._in_flight -= 1
             self.metrics.gauge("http_requests_in_flight", self._in_flight)

@@ -19,8 +19,8 @@ registry-backed scenario components:
 * :mod:`repro.sweep.store`    — an append-only JSONL store keyed by config
   hash, giving cache hits, resume-after-interrupt and schema-version
   tolerance;
-* :mod:`repro.sweep.sqlindex` — the read-optimised SQLite sidecar behind
-  :meth:`ResultStore.query`: scenario ids, statuses and searchable axis
+* :mod:`repro.sweep.sqlindex` — the store's one index, a SQLite sidecar
+  behind :meth:`ResultStore.query`: scenario ids, statuses and searchable axis
   columns mapped to JSONL byte offsets, so filtered/aggregate reads over
   100k+-record stores never replay the file;
 * :mod:`repro.sweep.runner`   — serial or multiprocessing execution with
@@ -124,7 +124,7 @@ from .spec import (
     SweepSpec,
     resolve_axis_path,
 )
-from .sqlindex import SQLITE_AVAILABLE, SqliteIndex, sqlite_index_path
+from .sqlindex import SqliteIndex, sqlite_index_path
 from .store import (
     VOLATILE_RECORD_FIELDS,
     ResultStore,
@@ -174,7 +174,6 @@ __all__ = [
     "store_stats",
     "SqliteIndex",
     "sqlite_index_path",
-    "SQLITE_AVAILABLE",
     "VOLATILE_RECORD_FIELDS",
     "strip_volatile",
     "SweepReport",

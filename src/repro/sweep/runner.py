@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import collections
 import multiprocessing
+import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -81,6 +82,19 @@ class SweepReport:
             "retried": self.retried,
             "elapsed_s": self.elapsed_s,
         }
+
+
+def _reset_inherited_signals() -> None:
+    """Pool-worker initializer: drop the signal wiring a forked worker inherits.
+
+    Forked from an asyncio process (``repro serve``), a worker keeps the
+    loop's signal wake-up fd and its SIGTERM/SIGINT handlers, so the
+    ``pool.terminate()`` at campaign end would write the worker's SIGTERM
+    into the parent's loop, which then shuts itself down.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
 def _execute_payload(payload: "tuple[dict, int, bool] | tuple") -> dict:
@@ -355,7 +369,11 @@ class SweepRunner:
         # now; a worker's measured wait is the time its cell spent queued
         # behind earlier cells (plus pool dispatch latency).
         enqueued_wall = time.time()
-        pool = ctx.Pool(processes=n_slots)
+
+        def new_pool():
+            return ctx.Pool(processes=n_slots, initializer=_reset_inherited_signals)
+
+        pool = new_pool()
         active: dict = {}  # async handle -> (config, deadline or None)
         hung = 0
         try:
@@ -402,7 +420,7 @@ class SweepRunner:
                     # the pool and start a fresh one for the remaining cells.
                     pool.terminate()
                     pool.join()
-                    pool = ctx.Pool(processes=n_slots)
+                    pool = new_pool()
                     hung = 0
                 elif not expired:
                     time.sleep(0.02)

@@ -1,4 +1,4 @@
-"""Read-optimised SQLite index sidecar for :class:`~repro.sweep.store.ResultStore`.
+"""The SQLite index sidecar of :class:`~repro.sweep.store.ResultStore`.
 
 The JSONL store is the source of truth — append-only, human-greppable,
 mergeable — but answering *filtered* questions against it ("the ok records of
@@ -9,7 +9,7 @@ length** in the JSONL plus its status, schema version and the searchable axis
 columns (governor / supply / weather / seed / capacitance / duration /
 workload / survived).  Queries run against the index and only the *matching*
 lines are seek-loaded from the JSONL — a 100k-record store answers a
-filtered query without parsing 100k lines.
+filtered query without parsing 100k lines.  It is the store's only index.
 
 The sidecar is purely derived state and maintains itself lazily:
 
@@ -23,43 +23,40 @@ The sidecar is purely derived state and maintains itself lazily:
 * Callers that seek-load records through the index verify each line's
   scenario id and fall back to :meth:`rebuild` on any mismatch — the JSONL
   always wins.
+* :meth:`SqliteIndex.mark_compacted` (called by ``ResultStore.compact``)
+  rebuilds the sidecar and stamps the compacted size as ``compacted_bytes``
+  in the ``meta`` table — the baseline ``store stats`` measures growth
+  against.  Tail scans keep the baseline; any other rebuild drops it.
 
-Deleting ``<store>.sqlite`` is always safe; the next query rebuilds it.
+Deleting ``<store>.sqlite`` is always safe; the next query rebuilds it
+(without a compaction baseline).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import threading
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
-
-try:  # pragma: no cover - sqlite3 ships with CPython; guarded for exotic builds
-    import sqlite3
-except ImportError:  # pragma: no cover
-    sqlite3 = None  # type: ignore[assignment]
 
 from .. import faults
 from ..obs.telemetry import DISABLED, Telemetry
 
 __all__ = [
-    "SQLITE_AVAILABLE",
     "SIDECAR_ERRORS",
     "FILTER_COLUMNS",
     "SqliteIndex",
     "sqlite_index_path",
 ]
 
-#: Whether the interpreter can back stores with a SQLite sidecar at all.
-SQLITE_AVAILABLE = sqlite3 is not None
-
 #: What a sidecar operation may raise; callers catch these and fall back to
 #: a linear scan of the JSONL (the sidecar is an accelerator, never a gate).
-SIDECAR_ERRORS: tuple = (sqlite3.Error, OSError) if sqlite3 is not None else (OSError,)
+SIDECAR_ERRORS: tuple = (sqlite3.Error, OSError)
 
 #: Sidecar layout version (bumped on any schema change; mismatches rebuild).
-_SQLITE_INDEX_VERSION = 1
+_LAYOUT_VERSION = 1
 
 #: The columns a store query may filter on (axis columns + record identity).
 FILTER_COLUMNS: tuple[str, ...] = (
@@ -182,8 +179,6 @@ class SqliteIndex:
         db_path: "str | os.PathLike | None" = None,
         telemetry: Optional[Telemetry] = None,
     ):
-        if sqlite3 is None:  # pragma: no cover
-            raise RuntimeError("sqlite3 is not available in this interpreter")
         self.store_path = Path(store_path)
         self.db_path = Path(db_path) if db_path is not None else sqlite_index_path(store_path)
         self.telemetry = telemetry if telemetry is not None else DISABLED
@@ -225,7 +220,7 @@ class SqliteIndex:
         conn.executemany(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             [
-                ("version", str(_SQLITE_INDEX_VERSION)),
+                ("version", str(_LAYOUT_VERSION)),
                 ("data_bytes", str(int(data_bytes))),
                 ("mtime_ns", str(int(mtime_ns))),
             ],
@@ -255,6 +250,7 @@ class SqliteIndex:
             if not self.store_path.exists():
                 if conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]:
                     conn.execute("DELETE FROM records")
+                conn.execute("DELETE FROM meta")
                 self._write_meta(conn, 0, 0)
                 conn.commit()
                 return "empty"
@@ -267,7 +263,7 @@ class SqliteIndex:
                 indexed_mtime = int(meta.get("mtime_ns", -1))
             except ValueError:
                 version, indexed, indexed_mtime = -1, -1, -1
-            if version != _SQLITE_INDEX_VERSION or indexed < 0 or indexed > size:
+            if version != _LAYOUT_VERSION or indexed < 0 or indexed > size:
                 return self._rebuild_locked(conn)
             if indexed == size:
                 if indexed_mtime == mtime_ns:
@@ -313,9 +309,29 @@ class SqliteIndex:
         timer = self.telemetry.metrics.timer("store.sqlite_build_s")
         with timer:
             conn.execute("DELETE FROM records")
+            conn.execute("DELETE FROM meta")  # drops the compaction baseline too
             self._scan(conn, start=0)
         self.telemetry.metrics.counter("store.sqlite_build")
         return "rebuild"
+
+    def mark_compacted(self) -> None:
+        """Rebuild from a just-compacted JSONL and stamp its size as the
+        compaction baseline (``compacted_bytes``)."""
+        with self._lock:
+            conn = self._connect()
+            self._rebuild_locked(conn)
+            conn.execute(
+                "INSERT INTO meta (key, value) "
+                "SELECT 'compacted_bytes', value FROM meta WHERE key = 'data_bytes'"
+            )
+            conn.commit()
+
+    def compacted_bytes(self) -> Optional[int]:
+        """The store size at the last compaction, or None without a baseline."""
+        with self._lock:
+            self.ensure()
+            value = self._meta(self._connect()).get("compacted_bytes")
+            return None if value is None else int(value)
 
     def _scan(self, conn, start: int) -> None:
         """Index complete lines from byte ``start``; later lines supersede.

@@ -20,27 +20,20 @@ kept, reported via :attr:`ResultStore.legacy_count` /
 configs instead of failing opaquely.
 
 Large stores: :meth:`ResultStore.compact` rewrites the JSONL keeping only the
-newest record per scenario id and persists a key→offset **index sidecar**
-(``<store>.idx.json``).  A store with a valid sidecar opens in O(index) —
-record payloads are seek-loaded lazily on first access, so cache-hit checks
-over a 100k-cell store never parse a line.  Appending after a compaction
-leaves the sidecar in place; the next open replays only the appended tail on
-top of the indexed portion.  A sidecar that no longer matches its store (the
-store was rewritten or truncated) is ignored and the store is fully parsed.
+newest record per scenario id, then rebuilds the SQLite sidecar (below) and
+stamps the compacted size in it as the baseline :func:`store_stats` measures
+later growth against.  Opening a store always parses the JSONL.
 
 Sharded campaigns: :meth:`ResultStore.merge` / :func:`merge_stores` union the
 shard stores a partitioned campaign produced (see :mod:`repro.sweep.dist`)
-into one.  The idx sidecars make the union cheap — conflicts are adjudicated
-from the O(index) key/status inventory and only winning records are read —
-with **last-complete-record-wins** semantics: a successful record always
-supersedes a failure/timeout, and among equals the later source wins.  Legacy
-v1 records are upgraded (config re-composed, record re-keyed under the
-current content hash) on the way through, and the merged store is compacted
-so its own sidecar is rewritten.
+into one, with **last-complete-record-wins** semantics: a successful record
+always supersedes a failure/timeout, and among equals the later source wins.
+Legacy v1 records are upgraded (config re-composed, record re-keyed under the
+current content hash) on the way through, and the merged store is compacted.
 
 Filtered reads: :meth:`ResultStore.query` answers "the ok records of these
 scenario ids", "every timeout under the powersave governor" and similar
-questions through a second, read-optimised sidecar — the SQLite index of
+questions through the store's one index sidecar — the SQLite database of
 :mod:`repro.sweep.sqlindex` (``<store>.sqlite``), which maps scenario ids and
 searchable axis columns to byte offsets so only the *matching* JSONL lines
 are seek-loaded.  The sidecar is derived state, (re)built lazily on first
@@ -48,8 +41,8 @@ query and kept consistent with ``append``/``compact``/``merge`` through
 mtime/length staleness checks; a query served through it counts a
 ``store.idx_hit`` metric, a fallback linear scan counts ``store.idx_miss``.
 :func:`store_stats` serves store-level inventories (counts by status and
-schema version, bytes appended since the last compact) from the sidecars
-alone, without materialising a single record.
+schema version, bytes and records appended since the last compact) from the
+sidecar alone, without materialising a single record.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ import os
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .. import faults
 from ..obs.metrics import metrics_sidecar_path
@@ -75,9 +68,6 @@ __all__ = [
     "VOLATILE_RECORD_FIELDS",
     "strip_volatile",
 ]
-
-#: Index sidecar layout version.
-_INDEX_VERSION = 1
 
 #: Record fields that legitimately differ between two executions of the same
 #: scenario (timing, worker identity, retry/chaos accounting): strip them
@@ -122,17 +112,6 @@ def _upgrade_record(record: dict) -> tuple[str, dict, bool]:
     return config.scenario_id, upgraded, True
 
 
-class _LazyRecord:
-    """Placeholder for an indexed record not yet read from disk."""
-
-    __slots__ = ("offset", "status", "schema_version")
-
-    def __init__(self, offset: int, status: str, schema_version: int):
-        self.offset = int(offset)
-        self.status = str(status)
-        self.schema_version = int(schema_version)
-
-
 class ResultStore:
     """Append-only JSONL store of sweep records, indexed by scenario id.
 
@@ -143,8 +122,8 @@ class ResultStore:
     def __init__(self, path: str | os.PathLike, telemetry: Optional[Telemetry] = None):
         self.path = Path(path)
         self.telemetry = telemetry if telemetry is not None else DISABLED
-        #: scenario_id -> record dict, or _LazyRecord for indexed-but-unread.
-        self._entries: dict[str, Union[dict, _LazyRecord]] = {}
+        #: scenario_id -> latest record.
+        self._entries: dict[str, dict] = {}
         self._skipped_lines = 0
         self._version_counts: Counter = Counter()
         self._sqlite: "Optional[sqlindex.SqliteIndex]" = None
@@ -152,29 +131,12 @@ class ResultStore:
         if self.path.exists():
             self._repair_torn_tail()
             load_t0 = time.perf_counter()
-            via_index = self._load()
+            self._scan_lines()
             load_s = time.perf_counter() - load_t0
             self.telemetry.metrics.observe("store.load_s", load_s)
-            self.telemetry.metrics.counter(
-                "store.idx_hit" if via_index else "store.idx_miss"
-            )
             self.telemetry.tracer.span_event(
-                "store.load",
-                load_s,
-                store=str(self.path),
-                records=len(self._entries),
-                via_index=via_index,
+                "store.load", load_s, store=str(self.path), records=len(self._entries)
             )
-        elif self.index_path.exists():
-            # The data file is gone (e.g. a fresh restart deleted it); the
-            # sidecar indexes nothing and would poison a future reopen once
-            # new records grow the file past its recorded size.
-            self.index_path.unlink()
-
-    @property
-    def index_path(self) -> Path:
-        """The sidecar written by :meth:`compact` (``<store>.idx.json``)."""
-        return Path(str(self.path) + ".idx.json")
 
     @property
     def quarantine_path(self) -> Path:
@@ -255,15 +217,13 @@ class ResultStore:
         """The read-optimised SQLite sidecar (``<store>.sqlite``)."""
         return sqlindex.sqlite_index_path(self.path)
 
-    def sqlite_index(self) -> "Optional[sqlindex.SqliteIndex]":
-        """The lazily-created SQLite sidecar, or None without sqlite3.
+    def sqlite_index(self) -> "sqlindex.SqliteIndex":
+        """The lazily-created SQLite sidecar.
 
         Creating the object is cheap; the database itself is only built (or
         refreshed) when a :meth:`query`/:meth:`count`/:meth:`stats` call
-        first touches it.
+        first touches it, or when :meth:`compact` rewrites the store.
         """
-        if not sqlindex.SQLITE_AVAILABLE:
-            return None
         if self._sqlite is None:
             self._sqlite = sqlindex.SqliteIndex(self.path, telemetry=self.telemetry)
         return self._sqlite
@@ -271,13 +231,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def _load(self) -> bool:
-        """Load the store; True when the idx sidecar served the open."""
-        if self._load_from_index():
-            return True
-        self._scan_lines()
-        return False
-
     def _scan_lines(self) -> None:
         """Parse every line of the data file, tolerating a torn tail.
 
@@ -310,53 +263,12 @@ class ResultStore:
             return
         self._set_entry(scenario_id, record)
 
-    def _set_entry(self, scenario_id: str, entry: Union[dict, _LazyRecord]) -> None:
+    def _set_entry(self, scenario_id: str, record: dict) -> None:
         previous = self._entries.get(scenario_id)
         if previous is not None:
             self._version_counts[self._version_of(previous)] -= 1
-        self._entries[scenario_id] = entry
-        self._version_counts[self._version_of(entry)] += 1
-
-    def _load_from_index(self) -> bool:
-        """Open via the compaction sidecar, if present and still valid."""
-        try:
-            index = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return False
-        entries = index.get("entries")
-        data_bytes = index.get("data_bytes")
-        if (
-            index.get("version") != _INDEX_VERSION
-            or not isinstance(entries, dict)
-            or not isinstance(data_bytes, int)
-        ):
-            return False
-        size = self.path.stat().st_size
-        if size < data_bytes:
-            # The store shrank since the index was written: the offsets no
-            # longer point at line starts.  Fall back to a full parse.
-            return False
-        for scenario_id, entry in entries.items():
-            try:
-                offset, status, version = entry
-                self._set_entry(scenario_id, _LazyRecord(offset, status, version))
-            except (TypeError, ValueError):
-                return self._full_reload()
-        if size > data_bytes:
-            # Records appended after the compaction: replay just the tail.
-            with self.path.open("rb") as fh:
-                fh.seek(data_bytes)
-                for raw in fh:
-                    self._ingest_line(raw.decode("utf-8", errors="replace"))
-        return True
-
-    def _full_reload(self) -> bool:
-        """Discard any index-derived state and parse the whole file."""
-        self._entries.clear()
-        self._version_counts.clear()
-        self._skipped_lines = 0
-        self._scan_lines()
-        return True
+        self._entries[scenario_id] = record
+        self._version_counts[self._version_of(record)] += 1
 
     @staticmethod
     def _read_at(fh, scenario_id: str, offset: int) -> Optional[dict]:
@@ -370,55 +282,10 @@ class ResultStore:
             return None
         return record
 
-    def _materialise(self, scenario_id: str) -> Optional[dict]:
-        """Turn a lazy index entry into the record dict, reading one line."""
-        entry = self._entries.get(scenario_id)
-        if not isinstance(entry, _LazyRecord):
-            return entry
-        record = None
-        try:
-            with self.path.open("rb") as fh:
-                record = self._read_at(fh, scenario_id, entry.offset)
-        except OSError:
-            record = None
-        if record is None:
-            # Stale or corrupt index: recover by parsing the whole store.
-            self._full_reload()
-            entry = self._entries.get(scenario_id)
-            return entry if isinstance(entry, dict) else None
-        # Replace in place: the version count is unchanged by materialisation.
-        self._entries[scenario_id] = record
-        return record
-
-    def _materialise_all(self) -> None:
-        """Load every lazy entry in one sequential pass over the file."""
-        lazy = sorted(
-            (entry.offset, key)
-            for key, entry in self._entries.items()
-            if isinstance(entry, _LazyRecord)
-        )
-        if not lazy:
-            return
-        stale = False
-        try:
-            with self.path.open("rb") as fh:
-                for offset, key in lazy:
-                    record = self._read_at(fh, key, offset)
-                    if record is None:
-                        stale = True
-                        break
-                    self._entries[key] = record
-        except OSError:
-            stale = True
-        if stale:
-            self._full_reload()
-
     @staticmethod
-    def _version_of(entry: Union[Mapping, _LazyRecord]) -> int:
+    def _version_of(record: Mapping) -> int:
         """The config schema version a record was written under (v1 if unstamped)."""
-        if isinstance(entry, _LazyRecord):
-            return entry.schema_version
-        return int(entry.get("schema_version", 1))
+        return int(record.get("schema_version", 1))
 
     @property
     def skipped_lines(self) -> int:
@@ -481,14 +348,13 @@ class ResultStore:
 
     def compact(self) -> dict:
         """Rewrite the store keeping only the newest record per scenario id,
-        and persist the key→offset index sidecar.
+        then rebuild the SQLite sidecar and stamp the compaction baseline.
 
         The rewrite is atomic (written beside the store, then renamed over
-        it); the sidecar is written after the data file, so a crash between
-        the two leaves a valid store with, at worst, a stale sidecar — which
-        the next open detects and ignores.  Returns a stats dict
-        (``records``, ``dropped_lines``, ``bytes_before``, ``bytes_after``,
-        ``index_path``).
+        it).  The sidecar is derived state: if its rebuild fails the store is
+        still valid, and the next query rebuilds it (without a baseline).
+        Returns a stats dict (``records``, ``dropped_lines``,
+        ``bytes_before``, ``bytes_after``).
         """
         compact_t0 = time.perf_counter()
         lines_before = 0
@@ -497,43 +363,29 @@ class ResultStore:
             bytes_before = self.path.stat().st_size
             with self.path.open("rb") as fh:
                 lines_before = sum(1 for _ in fh)
-        self._materialise_all()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".compact.tmp")
-        index_entries: dict[str, list] = {}
         offset = 0
         with tmp.open("wb") as fh:
-            for scenario_id, record in self._entries.items():
-                assert isinstance(record, dict)
+            for record in self._entries.values():
                 payload = (
                     json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
                 ).encode("utf-8")
-                index_entries[scenario_id] = [
-                    offset,
-                    record.get("status", "?"),
-                    self._version_of(record),
-                ]
                 fh.write(payload)
                 offset += len(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
-        index = {
-            "version": _INDEX_VERSION,
-            "data_bytes": offset,
-            "records": len(index_entries),
-            "entries": index_entries,
-        }
-        index_tmp = self.index_path.with_name(self.index_path.name + ".tmp")
-        index_tmp.write_text(json.dumps(index, separators=(",", ":")), encoding="utf-8")
-        os.replace(index_tmp, self.index_path)
+        try:
+            self.sqlite_index().mark_compacted()
+        except sqlindex.SIDECAR_ERRORS:
+            pass
         self._skipped_lines = 0
         stats = {
-            "records": len(index_entries),
-            "dropped_lines": max(0, lines_before - len(index_entries)),
+            "records": len(self._entries),
+            "dropped_lines": max(0, lines_before - len(self._entries)),
             "bytes_before": bytes_before,
             "bytes_after": offset,
-            "index_path": str(self.index_path),
         }
         compact_s = time.perf_counter() - compact_t0
         self.telemetry.metrics.observe("store.compact_s", compact_s)
@@ -550,7 +402,7 @@ class ResultStore:
     # Merging (distributed campaigns: union shard stores into one)
     # ------------------------------------------------------------------
     @staticmethod
-    def _merge_wins(incoming_status: Optional[str], existing) -> bool:
+    def _merge_wins(incoming_status: Optional[str], existing: Optional[Mapping]) -> bool:
         """Last-complete-record-wins: does an incoming record supersede?
 
         A complete (``status == "ok"``) incoming record always wins — later
@@ -559,32 +411,23 @@ class ResultStore:
         also incomplete (or absent): a shard's timeout must never clobber
         another shard's success.
         """
-        if existing is None:
+        if existing is None or incoming_status == "ok":
             return True
-        if incoming_status == "ok":
-            return True
-        existing_status = (
-            existing.status if isinstance(existing, _LazyRecord) else existing.get("status")
-        )
-        return existing_status != "ok"
+        return existing.get("status") != "ok"
 
     def merge(self, *sources, compact: bool = True) -> dict:
         """Union other stores' records into this one, newest-complete wins.
 
         ``sources`` are :class:`ResultStore` instances or paths, consumed in
-        order (so on ties the *last* source wins).  Conflicts are decided
-        from each source's O(index) key/status/version inventory where
-        possible — a source record that loses to an existing complete record
-        is skipped without ever being read from disk.  Legacy (v1) source
+        order (so on ties the *last* source wins).  Legacy (v1) source
         records are upgraded and re-keyed on the way through (see
         :func:`_upgrade_record`).  By default the merged store is compacted
-        afterwards, rewriting the data file and its idx sidecar; pass
+        afterwards, rewriting the data file and its SQLite sidecar; pass
         ``compact=False`` to keep accumulating in memory across several
         merge calls (the caller must then compact explicitly to persist).
 
         Returns a stats dict (``sources``, ``scanned``, ``merged``,
-        ``skipped``, ``upgraded``, plus ``records``/``index_path`` when
-        compacting).
+        ``skipped``, ``upgraded``, plus ``records`` when compacting).
         """
         merge_t0 = time.perf_counter()
         stats = {"sources": 0, "scanned": 0, "merged": 0, "skipped": 0, "upgraded": 0}
@@ -594,33 +437,18 @@ class ResultStore:
             if src.path.resolve() == own:
                 raise ValueError(f"cannot merge store {self.path} into itself")
             stats["sources"] += 1
-            for key in list(src._entries):
+            for record in src.records():
                 stats["scanned"] += 1
-                entry = src._entries.get(key)
-                status = (
-                    entry.status if isinstance(entry, _LazyRecord) else entry.get("status")
-                )
-                if self._version_of(entry) >= SCHEMA_VERSION and not self._merge_wins(
-                    status, self._entries.get(key)
-                ):
-                    stats["skipped"] += 1
-                    continue
-                record = src.get(key)  # materialises lazy entries (one seek)
-                if record is None:
-                    stats["skipped"] += 1
-                    continue
-                new_key, record, upgraded = _upgrade_record(record)
+                key, record, upgraded = _upgrade_record(record)
                 if upgraded:
                     stats["upgraded"] += 1
-                if not self._merge_wins(record.get("status"), self._entries.get(new_key)):
+                if not self._merge_wins(record.get("status"), self._entries.get(key)):
                     stats["skipped"] += 1
                     continue
-                self._set_entry(new_key, dict(record))
+                self._set_entry(key, dict(record))
                 stats["merged"] += 1
         if compact:
-            compact_stats = self.compact()
-            stats["records"] = compact_stats["records"]
-            stats["index_path"] = compact_stats["index_path"]
+            stats["records"] = self.compact()["records"]
         merge_s = time.perf_counter() - merge_t0
         self.telemetry.metrics.observe("store.merge_s", merge_s)
         self.telemetry.tracer.span_event(
@@ -644,27 +472,16 @@ class ResultStore:
 
     def get(self, key) -> Optional[dict]:
         """The latest record for a scenario id / config, or None."""
-        scenario_id = self._key(key)
-        entry = self._entries.get(scenario_id)
-        if isinstance(entry, _LazyRecord):
-            return self._materialise(scenario_id)
-        return entry
+        return self._entries.get(self._key(key))
 
     def is_complete(self, key) -> bool:
-        """Whether the scenario already has a successful (cached) record.
-
-        O(1) even for index-backed entries — the sidecar carries each
-        record's status, so no line is read to answer a cache-hit check.
-        """
-        entry = self._entries.get(self._key(key))
-        if isinstance(entry, _LazyRecord):
-            return entry.status == "ok"
-        return entry is not None and entry.get("status") == "ok"
+        """Whether the scenario already has a successful (cached) record."""
+        record = self._entries.get(self._key(key))
+        return record is not None and record.get("status") == "ok"
 
     def records(self) -> Iterator[dict]:
         """All loaded records (latest per scenario id), insertion-ordered."""
-        self._materialise_all()
-        return iter([e for e in self._entries.values() if isinstance(e, dict)])
+        return iter(list(self._entries.values()))
 
     def ok_records(self) -> list[dict]:
         """Only the successful records — what aggregation consumes."""
@@ -710,22 +527,19 @@ class ResultStore:
         if status is not None:
             filters["status"] = status
         self._validate_filters(filters)
-        index = self.sqlite_index()
-        if index is not None:
-            try:
-                records = self._query_via_sqlite(index, filters, scenario_ids, limit, offset)
-            except sqlindex.SIDECAR_ERRORS:
-                records = None
-            if records is not None:
-                self.telemetry.metrics.counter("store.idx_hit")
-                return records
+        try:
+            records = self._query_via_sqlite(filters, scenario_ids, limit, offset)
+        except sqlindex.SIDECAR_ERRORS:
+            records = None
+        if records is not None:
+            self.telemetry.metrics.counter("store.idx_hit")
+            return records
         self.telemetry.metrics.counter("store.idx_miss")
         return self._query_linear(filters, scenario_ids, limit, offset)
 
-    def _query_via_sqlite(
-        self, index, filters, scenario_ids, limit, offset
-    ) -> Optional[list[dict]]:
+    def _query_via_sqlite(self, filters, scenario_ids, limit, offset) -> Optional[list[dict]]:
         """Seek-load the sidecar's matches; None when it cannot be trusted."""
+        index = self.sqlite_index()
         for attempt in range(2):
             rows = index.query(
                 filters or None, scenario_ids=scenario_ids, limit=limit, offset=offset
@@ -751,7 +565,7 @@ class ResultStore:
         return None
 
     def _query_linear(self, filters, scenario_ids, limit, offset) -> list[dict]:
-        """The no-sidecar path: materialise everything, filter in Python."""
+        """The broken-sidecar path: filter the loaded records in Python."""
         wanted = (
             {str(s) for s in scenario_ids} if scenario_ids is not None else None
         )
@@ -793,17 +607,13 @@ class ResultStore:
         if status is not None:
             filters["status"] = status
         self._validate_filters(filters)
-        index = self.sqlite_index()
-        if index is not None:
-            try:
-                n = index.count(filters or None, scenario_ids=scenario_ids)
-            except sqlindex.SIDECAR_ERRORS:
-                n = None
-            if n is not None:
-                self.telemetry.metrics.counter("store.idx_hit")
-                return n
-        self.telemetry.metrics.counter("store.idx_miss")
-        return len(self._query_linear(filters, scenario_ids, None, 0))
+        try:
+            n = self.sqlite_index().count(filters or None, scenario_ids=scenario_ids)
+        except sqlindex.SIDECAR_ERRORS:
+            self.telemetry.metrics.counter("store.idx_miss")
+            return len(self._query_linear(filters, scenario_ids, None, 0))
+        self.telemetry.metrics.counter("store.idx_hit")
+        return n
 
     def stats(self) -> dict:
         """Store inventory (see :func:`store_stats`)."""
@@ -854,9 +664,7 @@ def merge_stores(
         partial = store.merge(source, compact=False)
         for key in ("sources", "scanned", "merged", "skipped", "upgraded"):
             stats[key] += partial[key]
-    compact_stats = store.compact()
-    stats["records"] = compact_stats["records"]
-    stats["index_path"] = compact_stats["index_path"]
+    stats["records"] = store.compact()["records"]
     stats["dest"] = str(store.path)
     return stats
 
@@ -869,12 +677,11 @@ def store_stats(
     """A store's inventory, served from its sidecars without record reads.
 
     Behind ``python -m repro store stats``: counts by status and schema
-    version come from the SQLite sidecar (built/refreshed on demand), the
-    compaction baseline from the idx sidecar, and the cache-hit ratio from
-    the ``<store>.metrics.json`` sidecar the last campaign run wrote —
-    no JSONL record is materialised on this path.  Only when sqlite3 is
-    unavailable does it fall back to opening the store (idx-sidecar-lazy,
-    so a compacted store still answers from index metadata).
+    version and the compaction baseline come from the SQLite sidecar
+    (built/refreshed on demand), and the cache-hit ratio from the
+    ``<store>.metrics.json`` sidecar the last campaign run wrote — no JSONL
+    record is materialised on this path.  Only a broken SQLite sidecar
+    makes it fall back to opening the store, and then no baseline is shown.
     """
     path = Path(store_path)
     telemetry = telemetry if telemetry is not None else DISABLED
@@ -884,46 +691,28 @@ def store_stats(
         "exists": exists,
         "bytes": path.stat().st_size if exists else 0,
     }
-    by_status: Optional[dict] = None
-    by_version: Optional[dict] = None
-    idx: "Optional[sqlindex.SqliteIndex]" = None
-    if sqlindex.SQLITE_AVAILABLE:
-        try:
-            idx = index if index is not None else sqlindex.SqliteIndex(path, telemetry=telemetry)
-            idx.ensure()
-            by_status = idx.status_counts()
-            by_version = idx.version_counts()
-        except sqlindex.SIDECAR_ERRORS:
-            idx = None
-    if by_status is None:
-        # No sqlite3 (or a broken sidecar): fall back to the store itself.
+    # Compaction baseline: the size compact() stamped, vs what grew since.
+    baseline: dict = {}
+    try:
+        idx = index if index is not None else sqlindex.SqliteIndex(path, telemetry=telemetry)
+        by_status = idx.status_counts()
+        by_version = idx.version_counts()
+        compacted_bytes = idx.compacted_bytes()
+        if compacted_bytes is not None:
+            baseline = {
+                "compacted_bytes": compacted_bytes,
+                "appended_bytes_since_compact": max(0, stats["bytes"] - compacted_bytes),
+                "appended_records_since_compact": idx.records_beyond(compacted_bytes),
+            }
+    except sqlindex.SIDECAR_ERRORS:
         store = ResultStore(path, telemetry=telemetry)
-        counts: Counter = Counter()
-        for entry in store._entries.values():
-            status = entry.status if isinstance(entry, _LazyRecord) else entry.get("status")
-            counts[status] += 1
+        counts = Counter(record.get("status") for record in store.records())
         by_status = dict(sorted(counts.items(), key=lambda kv: str(kv[0])))
         by_version = store.version_counts()
     stats["records"] = sum(by_status.values())
     stats["by_status"] = by_status
     stats["by_schema_version"] = by_version
-    # Compaction baseline: what the idx sidecar froze, vs what grew since.
-    compacted_bytes: Optional[int] = None
-    idx_json = Path(str(path) + ".idx.json")
-    try:
-        data = json.loads(idx_json.read_text(encoding="utf-8"))
-        if data.get("version") == _INDEX_VERSION and isinstance(data.get("data_bytes"), int):
-            compacted_bytes = data["data_bytes"]
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        pass
-    if compacted_bytes is not None:
-        stats["compacted_bytes"] = compacted_bytes
-        stats["appended_bytes_since_compact"] = max(0, stats["bytes"] - compacted_bytes)
-        if idx is not None:
-            try:
-                stats["appended_records_since_compact"] = idx.records_beyond(compacted_bytes)
-            except sqlindex.SIDECAR_ERRORS:
-                pass
+    stats.update(baseline)
     # Cache economics of the most recent campaign against this store, from
     # the metrics sidecar (cache_hits / executed counters).
     try:

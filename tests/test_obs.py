@@ -125,11 +125,11 @@ class TestDisabledTelemetry:
         store.compact()
         assert DISABLED.write_metrics(store.path) is None
         DISABLED.close()
-        # Only the store and its compaction sidecar exist — no trace files,
-        # no metrics sidecar, nothing else.
+        # Only the store and its index sidecar exist — no trace files, no
+        # metrics sidecar, nothing else.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "campaign.jsonl",
-            "campaign.jsonl.idx.json",
+            "campaign.jsonl.sqlite",
         ]
 
     def test_records_identical_with_and_without_telemetry(self, tmp_path):

@@ -693,3 +693,67 @@ class TestServiceAlerting:
             assert doc == {"count": 0, "firing": 0, "alerts": []}
             # no rules -> no evaluation task was started
             assert service.service._alert_task is None
+
+
+import os  # noqa: E402
+import re  # noqa: E402
+import select  # noqa: E402
+import socket  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import repro.serve.app as app_module  # noqa: E402
+from repro.sweep.spec import ScenarioConfig, SweepSpec  # noqa: E402
+
+
+class TestServiceRobustness:
+    def test_worker_pool_does_not_stop_the_service(self, tmp_path):
+        """Terminating the campaign pool must not hand SIGTERM to the service:
+        forked workers used to inherit its signal wake-up fd."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2",
+                "--store", str(tmp_path / "store.jsonl"), "--data-dir", str(tmp_path / "data"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "no banner within 60 s"
+            banner = proc.stdout.readline()
+            match = re.search(r"listening on (\S+)", banner)
+            assert match, banner
+            client = ServeClient(ServeConfig(base_url=match.group(1)))
+            for power_w in (6.0, 6.1, 6.2):
+                spec = SweepSpec(
+                    base=ScenarioConfig(
+                        governor="power-neutral",
+                        supply={"kind": "constant-power", "power_w": power_w},
+                        duration_s=2.0,
+                    )
+                )
+                done = client.submit_and_wait(spec, timeout_s=120)
+                assert done["state"] == "done" and done["result"]["executed"] == 1
+            time.sleep(0.5)  # let a stray wake-up byte reach the loop
+            assert client.health()["status"] == "ok"
+            assert proc.poll() is None
+        finally:
+            proc.terminate()
+            proc.communicate(timeout=60)
+
+    def test_idle_connection_is_closed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(app_module, "_REQUEST_READ_TIMEOUT_S", 0.3)
+        with ServiceThread(store_path=tmp_path / "store.jsonl", port=0, workers=1) as service:
+            host, port = service.base_url.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                assert sock.recv(1) == b""  # closed by the service, not by us
+            deadline = time.monotonic() + 10
+            while service.service._in_flight and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.service._in_flight == 0
+            gauges = service.service.metrics.to_dict()["gauges"]
+            assert gauges["http_requests_in_flight"] == 0

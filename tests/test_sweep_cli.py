@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sweep.store import store_stats
 
 
 class TestParser:
@@ -440,13 +441,12 @@ class TestBoundaryExecution:
         ]
         assert main(argv) == 0
         assert main(["store", "compact", "--store", str(store)]) == 0
-        index = tmp_path / "boundary.jsonl.idx.json"
-        assert index.exists()
-        # --fresh must drop the sidecar with the store, or the next open
-        # would resurrect phantom records from stale offsets.
+        assert "compacted_bytes" in store_stats(store)
+        # --fresh must drop the sidecar with the store, or the recomputed
+        # store would report growth against the deleted store's baseline.
         assert main(argv + ["--fresh"]) == 0
         capsys.readouterr()
-        assert not index.exists()
+        assert "compacted_bytes" not in store_stats(store)
 
     def test_preset_rejects_inapplicable_axis_override(self, tmp_path):
         with pytest.raises(SystemExit, match="does not take"):
@@ -538,8 +538,8 @@ class TestExportAndStoreMaintenance:
         assert main(self._tiny_sweep_argv(store)) == 0
         assert main(["store", "compact", "--store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "Compacted" in out
-        assert (tmp_path / "campaign.jsonl.idx.json").exists()
+        assert "Compacted" in out and "index_path" not in out
+        assert (tmp_path / "campaign.jsonl.sqlite").exists()
         # The compacted store still serves the campaign entirely from cache.
         assert main(self._tiny_sweep_argv(store)) == 0
         out = capsys.readouterr().out

@@ -235,7 +235,6 @@ class TestDistRunner:
         store_path = tmp_path / "dist.jsonl"
         DistRunner(ResultStore(store_path), n_shards=2).run(spec)
         store_path.unlink()
-        (tmp_path / "dist.jsonl.idx.json").unlink(missing_ok=True)
 
         report = DistRunner(ResultStore(store_path), n_shards=2).run(spec)
         assert report.executed == 0

@@ -9,14 +9,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import NULL_TRACER
 from repro.sweep.spec import SCHEMA_VERSION, ScenarioConfig
-from repro.sweep.sqlindex import (
-    SQLITE_AVAILABLE,
-    SqliteIndex,
-    sqlite_index_path,
-)
+from repro.sweep.sqlindex import SqliteIndex, sqlite_index_path
 from repro.sweep.store import ResultStore, store_stats
-
-pytestmark = pytest.mark.skipif(not SQLITE_AVAILABLE, reason="sqlite3 missing")
 
 
 def make_record(config: ScenarioConfig, status: str = "ok", survived=True, **extra) -> dict:
@@ -207,19 +201,6 @@ class TestQueries:
             configs[2].scenario_id,
         ]
 
-    def test_query_does_not_materialise_the_store(self, tmp_path):
-        """Sidecar-served reads must leave the lazy index entries lazy."""
-        from repro.sweep.store import _LazyRecord
-
-        path = tmp_path / "store.jsonl"
-        store = ResultStore(path)
-        fill(store)
-        store.compact()
-        indexed = ResultStore(path)
-        assert indexed.query(status="ok")
-        lazy = [e for e in indexed._entries.values() if isinstance(e, _LazyRecord)]
-        assert len(lazy) == len(indexed._entries)
-
     def test_stale_sidecar_never_serves_wrong_records(self, tmp_path):
         """A sidecar pointing at rewritten bytes rebuilds and still answers."""
         path = tmp_path / "store.jsonl"
@@ -248,15 +229,12 @@ class TestQueries:
                 make_record(config, status="ok" if i % 10 else "error", survived=i % 2)
             )
         reopened, metrics = metrics_store(path)
-        # The open itself may count an idx miss (no idx.json before the first
-        # compact) — what matters is that the *queries* below add only hits.
-        misses_at_open = metrics.to_dict()["counters"].get("store.idx_miss", 0)
         ok = reopened.query(status="ok")
         assert len(ok) == 900
         assert reopened.count(status="error") == 100
         counters = metrics.to_dict()["counters"]
         assert counters["store.idx_hit"] == 2
-        assert counters.get("store.idx_miss", 0) == misses_at_open
+        assert "store.idx_miss" not in counters
 
 
 class TestStats:
@@ -268,16 +246,54 @@ class TestStats:
         assert stats["records"] == 6
         assert stats["by_status"] == {"error": 1, "ok": 5}
         assert stats["by_schema_version"] == {SCHEMA_VERSION: 6}
+        assert "compacted_bytes" not in stats  # never compacted: no baseline
 
     def test_store_stats_tracks_compaction_baseline(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
         fill(store, n=4)
-        store.compact()
+        compacted = store.compact()["bytes_after"]
         store.append(make_record(ScenarioConfig(governor="ondemand", seed=50)))
         stats = store_stats(path)
+        assert stats["compacted_bytes"] == compacted
         assert stats["appended_records_since_compact"] == 1
-        assert stats["appended_bytes_since_compact"] > 0
+        assert stats["appended_bytes_since_compact"] == path.stat().st_size - compacted
+        # Tail scans keep the baseline across further appends and reads.
+        store.append(make_record(ScenarioConfig(governor="ondemand", seed=51)))
+        assert store.count() == 6
+        assert store_stats(path)["appended_records_since_compact"] == 2
+
+    def test_rewrite_in_place_drops_the_baseline(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        fill(store, n=4)
+        store.compact()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:2]), encoding="utf-8")
+        stats = store_stats(path)
+        assert stats["records"] == 2
+        assert "compacted_bytes" not in stats
+        assert "appended_records_since_compact" not in stats
+
+    def test_deleted_store_drops_the_baseline(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        fill(store, n=2)
+        store.compact()
+        path.unlink()
+        assert SqliteIndex(path).compacted_bytes() is None
+        ResultStore(path).append(make_record(ScenarioConfig(governor="ondemand")))
+        assert "compacted_bytes" not in store_stats(path)
+
+    def test_deleted_sidecar_drops_the_baseline(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        fill(store, n=3)
+        store.compact()
+        sqlite_index_path(path).unlink()
+        stats = store_stats(path)
+        assert stats["records"] == 3
+        assert "compacted_bytes" not in stats
 
     def test_store_stats_reads_metrics_sidecar(self, tmp_path):
         from repro.obs.telemetry import metrics_sidecar_path

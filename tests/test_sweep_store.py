@@ -7,7 +7,7 @@ import pytest
 
 from repro.sim.result import SimulationResult
 from repro.sweep.spec import SCHEMA_VERSION, ScenarioConfig
-from repro.sweep.store import ResultStore, merge_stores
+from repro.sweep.store import ResultStore, merge_stores, store_stats
 
 
 def make_record(config: ScenarioConfig, status: str = "ok", **extra) -> dict:
@@ -264,28 +264,10 @@ class TestCompaction:
         assert stats["dropped_lines"] == 4
         assert stats["bytes_after"] < stats["bytes_before"]
         assert len(path.read_text().splitlines()) == 4
-        assert store.index_path.exists()
-        assert stats["index_path"] == str(store.index_path)
+        assert store.sqlite_path.exists()
+        assert "index_path" not in stats
         # The compacted store is still fully queryable in-process.
         assert all(store.is_complete(c) for c in configs)
-
-    def test_indexed_open_is_lazy_and_complete(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        store, configs = self._filled_store(path)
-        store.compact()
-
-        reloaded = ResultStore(path)
-        assert len(reloaded) == 4
-        # Cache-hit checks answer from the index without parsing any record.
-        from repro.sweep.store import _LazyRecord
-
-        assert all(isinstance(e, _LazyRecord) for e in reloaded._entries.values())
-        assert all(reloaded.is_complete(c) for c in configs)
-        assert all(isinstance(e, _LazyRecord) for e in reloaded._entries.values())
-        # Materialisation on demand returns the real payload.
-        record = reloaded.get(configs[0])
-        assert record["summary"]["instructions"] == 1e9
-        assert len(reloaded.ok_records()) == 4
 
     def test_appends_after_compaction_replay_as_tail(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -300,8 +282,8 @@ class TestCompaction:
         assert all(reloaded.is_complete(c) for c in configs)
 
     def test_stale_index_is_ignored(self, tmp_path):
-        """A store rewritten to be shorter than its sidecar claims must fall
-        back to a full parse instead of seeking at dead offsets."""
+        """A store rewritten to be shorter than its sidecar claims must be
+        read for what it holds instead of seeking at dead offsets."""
         path = tmp_path / "store.jsonl"
         store, _ = self._filled_store(path)
         store.compact()
@@ -311,16 +293,7 @@ class TestCompaction:
         reloaded = ResultStore(path)
         assert len(reloaded) == 1
         assert len(reloaded.ok_records()) == 1
-
-    def test_corrupt_index_is_ignored(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        store, configs = self._filled_store(path)
-        store.compact()
-        store.index_path.write_text("{not json")
-
-        reloaded = ResultStore(path)
-        assert len(reloaded) == 4
-        assert all(reloaded.is_complete(c) for c in configs)
+        assert len(reloaded.query(status="ok")) == 1
 
     def test_compact_preserves_schema_version_accounting(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -352,7 +325,7 @@ class TestMerge:
         dest = ResultStore(tmp_path / "merged.jsonl")
         stats = dest.merge(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
         assert stats["merged"] == 2 and stats["records"] == 2
-        assert dest.index_path.exists()  # merged idx rewritten
+        assert dest.sqlite_path.exists()  # merged index rebuilt
         reloaded = ResultStore(tmp_path / "merged.jsonl")
         assert reloaded.is_complete(a) and reloaded.is_complete(b)
 
@@ -418,17 +391,17 @@ class TestMerge:
         assert "feedc0de" in dest
 
     def test_source_without_idx_sidecar_merges(self, tmp_path):
-        """A never-compacted source (no sidecar) is fully parsed and merged."""
+        """A never-queried source (no sidecar) is fully parsed and merged."""
         config = ScenarioConfig(governor="power-neutral")
         src = self._store_with(tmp_path / "plain.jsonl", [make_record(config)])
-        assert not src.index_path.exists()
+        assert not src.sqlite_path.exists()
         dest = ResultStore(tmp_path / "merged.jsonl")
         assert dest.merge(tmp_path / "plain.jsonl")["merged"] == 1
         assert dest.is_complete(config)
 
     def test_stale_source_idx_falls_back_to_full_reload(self, tmp_path):
         """A source whose sidecar lies about its contents (store rewritten
-        shorter) must merge what the file really holds, not seek into it."""
+        shorter) must merge what the file really holds."""
         configs = [ScenarioConfig(governor="power-neutral", seed=i) for i in range(3)]
         src = self._store_with(tmp_path / "src.jsonl", [make_record(c) for c in configs])
         src.compact()
@@ -450,12 +423,12 @@ class TestMerge:
         dest = ResultStore(tmp_path / "merged.jsonl")
         dest.merge(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
         after_merge = (tmp_path / "merged.jsonl").read_bytes()
-        index_after_merge = dest.index_path.read_bytes()
+        assert store_stats(dest.path)["compacted_bytes"] == len(after_merge)
 
         stats = ResultStore(tmp_path / "merged.jsonl").compact()
         assert stats["records"] == 2 and stats["dropped_lines"] == 0
         assert (tmp_path / "merged.jsonl").read_bytes() == after_merge
-        assert dest.index_path.read_bytes() == index_after_merge
+        assert store_stats(dest.path)["compacted_bytes"] == len(after_merge)
 
     def test_merge_into_itself_is_rejected(self, tmp_path):
         store = self._store_with(
@@ -467,25 +440,6 @@ class TestMerge:
     def test_merge_stores_requires_sources_to_exist(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="ghost.jsonl"):
             merge_stores(tmp_path / "merged.jsonl", [tmp_path / "ghost.jsonl"])
-
-    def test_losing_source_records_are_never_read(self, tmp_path):
-        """Conflict adjudication uses the O(index) inventory: a compacted
-        source record that loses to an existing complete record stays lazy
-        (never materialised from disk)."""
-        from repro.sweep.store import _LazyRecord
-
-        config = ScenarioConfig(governor="power-neutral")
-        src = self._store_with(
-            tmp_path / "src.jsonl", [make_record(config, status="error", error="late")]
-        )
-        src.compact()
-        dest = self._store_with(tmp_path / "dest.jsonl", [make_record(config)])
-
-        source = ResultStore(tmp_path / "src.jsonl")
-        assert isinstance(source._entries[config.scenario_id], _LazyRecord)
-        stats = dest.merge(source)
-        assert stats["skipped"] == 1
-        assert isinstance(source._entries[config.scenario_id], _LazyRecord)
 
 
 class TestSeriesRoundTrip:
