@@ -1,13 +1,14 @@
-"""Fast-path simulation core: speedup and parity measurement harness.
+"""Tabulated vs Lambert-W supply: speedup and parity measurement harness.
 
 Times representative closed-loop scenarios — PV / controlled-voltage /
 constant-power supplies crossed with interrupt- and tick-driven governors —
-with the fast engine (tabulated I-V surface, event-driven load power,
-allocation-free recording; the default) against the exact reference engine
-(per-step Lambert-W solves, eager MPP lookups, kwargs recording), asserts
-that the summary metrics agree, and writes the measurements to
-``BENCH_sim.json`` so the performance trajectory is tracked from PR 4
-onward.
+on the one simulator loop twice: "fast" answers the PV supply from the
+tabulated I-V surface (the default), "exact" solves the single-diode
+equation (Lambert-W) per step on the same loop (``build_system(fast=False)``).
+It asserts that the summary metrics agree and writes the measurements to
+``BENCH_sim.json``.  The speedup is therefore the cost of per-step Lambert-W
+solves over table lookups; supplies without an I-V equation run identically
+in both modes.
 
 Run as a script::
 
@@ -31,7 +32,7 @@ from _bench_utils import append_ledger, emit, print_header, provenance
 from repro.sweep.build import build_system
 from repro.sweep.spec import ScenarioConfig
 
-#: Continuous summary metrics compared between the fast and exact engines.
+#: Continuous summary metrics compared between the tabulated and exact supply.
 PARITY_METRICS = ("total_instructions", "harvested_energy_j", "consumed_energy_j")
 
 
@@ -40,8 +41,7 @@ def scenarios(duration_s: float) -> list[tuple[str, ScenarioConfig]]:
     return [
         (
             # The default rig: PV array + the paper's interrupt-driven
-            # governor.  This is the scenario the >=5x acceptance criterion
-            # is measured on.
+            # governor.
             "pv-interrupt",
             ScenarioConfig(governor="power-neutral", supply="pv-array", duration_s=duration_s),
         ),
@@ -75,7 +75,7 @@ def _metrics(result) -> dict:
 
 
 def _time_engine(config: ScenarioConfig, fast: bool, repeats: int) -> dict:
-    """Build + warm + time one engine; returns timings and summary metrics."""
+    """Build + warm + time one supply mode; returns timings and summary metrics."""
     t0 = time.perf_counter()
     built = build_system(config, fast=fast)
     cold_build_s = time.perf_counter() - t0
@@ -129,8 +129,8 @@ def run_bench(duration_s: float, repeats: int, max_drift: float) -> dict:
             }
         )
         emit(
-            f"{name:22s}  fast {fast['warm_run_s'] * 1e3:8.1f} ms   "
-            f"exact {exact['warm_run_s'] * 1e3:8.1f} ms   "
+            f"{name:22s}  table {fast['warm_run_s'] * 1e3:8.1f} ms   "
+            f"lambert-w {exact['warm_run_s'] * 1e3:8.1f} ms   "
             f"speedup {speedup:5.2f}x   drift {drift:.2e}   "
             f"brownouts {fast['metrics']['brownout_count']}/"
             f"{exact['metrics']['brownout_count']}"
@@ -157,12 +157,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--duration", type=float, default=None, help="simulated seconds per scenario"
     )
-    parser.add_argument("--repeats", type=int, default=None, help="timed repetitions per engine")
+    parser.add_argument(
+        "--repeats", type=int, default=None, help="timed repetitions per supply mode"
+    )
     parser.add_argument(
         "--max-drift",
         type=float,
         default=0.01,
-        help="fail when any continuous fast-vs-exact metric drifts more than this fraction",
+        help="fail when any continuous table-vs-Lambert-W metric drifts more than this fraction",
     )
     parser.add_argument(
         "--out",
@@ -176,8 +178,8 @@ def main(argv=None) -> int:
     repeats = args.repeats if args.repeats is not None else (2 if args.quick else 4)
 
     print_header(
-        "Fast-path simulation core: speedup and fast-vs-exact parity",
-        "PR 4 performance tentpole (no direct paper figure)",
+        "Tabulated vs Lambert-W supply on one simulator loop: speedup and parity",
+        "none (performance harness)",
     )
     record = run_bench(duration, repeats, args.max_drift)
 
@@ -185,7 +187,6 @@ def main(argv=None) -> int:
     emit(f"\nwrote {args.out}")
 
     pv = next(r for r in record["scenarios"] if r["scenario"] == "pv-interrupt")
-    emit(f"pv-interrupt speedup: {pv['speedup']:.2f}x (acceptance target >= 5x)")
 
     ledger = append_ledger(
         args.out,

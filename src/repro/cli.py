@@ -49,9 +49,10 @@ other subcommand consumes::
     repro-pns store merge campaign.jsonl shard-0.jsonl shard-1.jsonl
     repro-pns sweep --preset table2-pv --store campaign.jsonl --resume   # executed: 0
 
-Any campaign or boundary search can run on the exact reference engine
-instead of the fast core (``--exact``); the engine is not part of the
-scenario identity, so both engines share one store::
+Any campaign or boundary search can solve the PV supply exactly (Lambert-W
+per step, on the same simulator loop) instead of interpolating the tabulated
+I-V surface (``--exact``); the engine is not part of the scenario identity,
+so both engines share one store::
 
     repro-pns sweep --preset table2-pv --exact --store campaign.jsonl
 
@@ -833,9 +834,10 @@ def _add_exact_flag(parser: argparse.ArgumentParser) -> None:
         "--exact",
         action="store_true",
         help=(
-            "run the exact reference simulation engine (build_system(fast=False)) "
-            "instead of the fast core; an execution detail only — stores stay "
-            "comparable because the engine is not part of the scenario hash"
+            "solve the PV supply exactly (Lambert-W per step, build_system(fast=False)) "
+            "instead of interpolating the tabulated I-V surface; same simulator loop, "
+            "an execution detail only — stores stay comparable because the engine "
+            "is not part of the scenario hash"
         ),
     )
 

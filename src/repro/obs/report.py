@@ -38,8 +38,10 @@ __all__ = [
     "merged_sidecar_histograms",
 ]
 
-#: The per-scenario phases a scenario span carries (worker + runner timings).
-SCENARIO_PHASES = ("queue_wait_s", "build_s", "simulate_s", "record_write_s")
+#: The per-scenario busy phases a scenario span carries (worker + runner
+#: timings).  The span's ``queue_wait_s`` is time spent *waiting* for a
+#: worker, so it is summarised separately as ``queue_wait`` quantiles.
+SCENARIO_PHASES = ("build_s", "simulate_s", "record_write_s")
 
 
 def trace_files(source: "str | Path") -> list[Path]:
@@ -331,8 +333,8 @@ def build_report(
         round(len(cached) / len(scenarios), 4) if scenarios else None
     )
 
-    # Per-scenario phase totals (worker-side build/simulate, runner-side
-    # queue-wait/record-write) folded into the breakdown as sub-phases.
+    # Per-scenario busy totals (worker-side build/simulate, runner-side
+    # record-write) folded into the breakdown as sub-phases.
     scenario_phases: dict[str, float] = {}
     for span in executed:
         attrs = span.get("attrs", {})
@@ -351,6 +353,8 @@ def build_report(
     ]
     report["queue_wait"] = {
         "mean_s": round(sum(waits) / len(waits), 6) if waits else None,
+        "p50_s": round(exact_quantile(waits, 0.50), 6) if waits else None,
+        "p95_s": round(exact_quantile(waits, 0.95), 6) if waits else None,
         "max_s": round(max(waits), 6) if waits else None,
     }
 
@@ -567,6 +571,9 @@ def format_report(report: dict, title: str = "Campaign telemetry") -> str:
         blocks.append(
             format_kv(scenario_phases, title="Per-scenario phase totals (busy seconds)")
         )
+    queue_wait = report.get("queue_wait") or {}
+    if queue_wait.get("max_s") is not None:
+        blocks.append(format_kv(queue_wait, title="Queue wait per scenario (seconds)"))
 
     workers = report.get("workers") or {}
     if workers:

@@ -23,26 +23,20 @@ Each step the simulator:
 The recorded time series and summary metrics are returned as a
 :class:`~repro.sim.result.SimulationResult`.
 
-Two engines implement that loop:
-
-* the **fast engine** (``SimulationConfig.fast = True``, the default) caches
-  the load power between platform actuation events (it only changes at OPP
-  transitions, brown-outs, reboots and transition boundaries — see
-  :attr:`repro.soc.platform.SoCPlatform.actuation_epoch`), evaluates the
-  supply's available (MPP) power lazily on actual record ticks, and records
-  into preallocated NumPy ring buffers written positionally; together with
-  the tabulated I-V surface of
-  :class:`~repro.sim.supplies.PVArraySupply` this makes a PV scenario several
-  times faster than the reference at bounded accuracy loss;
-* the **reference engine** (``fast=False``) keeps the original
-  straight-line implementation — per-step supply solves and eager MPP
-  lookups — and is the baseline ``benchmarks/bench_perf_sim.py`` measures
-  and asserts metric parity against.
+The loop caches the load power between platform actuation events (it only
+changes at OPP transitions, brown-outs, reboots and transition boundaries —
+see :attr:`repro.soc.platform.SoCPlatform.actuation_epoch`), evaluates the
+supply's available (MPP) power only on record ticks, and records into a
+preallocated NumPy buffer.  How accurately the supply answers is the
+supply's business: :class:`~repro.sim.supplies.PVArraySupply` interpolates a
+tabulated I-V surface by default and solves the single-diode equation
+(Lambert-W) per call with ``exact=True`` — what ``build_system(fast=False)``
+selects.  Both run through this one loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,10 +82,6 @@ class SimulationConfig:
     #: Constant CPU utilisation presented to utilisation-driven governors
     #: (the ray-tracing workload is CPU bound, so 1.0).
     utilization: float = 1.0
-    #: Use the fast engine (event-driven load power, lazy available-power
-    #: evaluation, allocation-free recording).  ``False`` selects the
-    #: reference engine, the parity/measurement baseline.
-    fast: bool = True
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -110,7 +100,7 @@ class SimulationConfig:
             raise ValueError("utilization must lie in [0, 1]")
 
 
-#: Column order of the recorders' sample rows.
+#: Column order of the recorder's sample rows.
 _RECORD_COLUMNS = (
     "times",
     "voltage",
@@ -193,67 +183,6 @@ class _Recorder:
         }
 
 
-class _ListRecorder:
-    """The reference engine's recorder (per-step kwargs, Python lists).
-
-    Kept verbatim as the measurement baseline for the allocation-free
-    recorder above.
-    """
-
-    def __init__(self, record_interval_s: float):
-        self.record_interval_s = record_interval_s
-        self.next_record_time = 0.0
-        self.times: list[float] = []
-        self.voltage: list[float] = []
-        self.harvested: list[float] = []
-        self.available: list[float] = []
-        self.consumed: list[float] = []
-        self.frequency: list[float] = []
-        self.n_little: list[int] = []
-        self.n_big: list[int] = []
-        self.running: list[float] = []
-        self.instructions: list[float] = []
-        self.v_low: list[float] = []
-        self.v_high: list[float] = []
-
-    def maybe_record(self, t: float, **signals) -> None:
-        if t + 1e-12 < self.next_record_time:
-            return
-        self.record(t, **signals)
-        while self.next_record_time <= t + 1e-12:
-            self.next_record_time += self.record_interval_s
-
-    def record(self, t: float, **signals) -> None:
-        self.times.append(t)
-        self.voltage.append(signals["voltage"])
-        self.harvested.append(signals["harvested"])
-        self.available.append(signals["available"])
-        self.consumed.append(signals["consumed"])
-        self.frequency.append(signals["frequency"])
-        self.n_little.append(signals["n_little"])
-        self.n_big.append(signals["n_big"])
-        self.running.append(signals["running"])
-        self.instructions.append(signals["instructions"])
-        self.v_low.append(signals["v_low"])
-        self.v_high.append(signals["v_high"])
-
-    def to_arrays(self) -> dict:
-        return {
-            "times": np.array(self.times),
-            "voltage": np.array(self.voltage),
-            "harvested": np.array(self.harvested),
-            "available": np.array(self.available),
-            "consumed": np.array(self.consumed),
-            "frequency": np.array(self.frequency),
-            "n_little": np.array(self.n_little),
-            "n_big": np.array(self.n_big),
-            "running": np.array(self.running),
-            "instructions": np.array(self.instructions),
-            "v_low": np.array(self.v_low),
-            "v_high": np.array(self.v_high),
-        }
-
-
 class EnergyHarvestingSimulation:
     """Couples a supply, a buffer capacitor, the monitor, a governor and the SoC.
 
@@ -311,18 +240,11 @@ class EnergyHarvestingSimulation:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        if self.config.fast:
-            return self._run_fast()
-        return self._run_reference()
+        """Run the simulation to ``duration_s`` (or the first brown-out).
 
-    def _run_fast(self) -> SimulationResult:
-        """The fast engine.
-
-        Numerically it performs the same adaptive Heun integration and the
-        same event handling as the reference engine; it differs in *when*
-        derived quantities are evaluated — load power per actuation epoch
-        instead of per step, available power per record tick instead of per
-        step — and in recording into preallocated buffers.
+        Derived quantities are evaluated only when they can change: the load
+        power per platform actuation epoch, the available power per record
+        tick.  Recording goes into a preallocated buffer.
         """
         cfg = self.config
         platform = self.platform
@@ -562,174 +484,6 @@ class EnergyHarvestingSimulation:
                         monitor.v_high,
                     )
                 next_record = recorder.next_record_time
-
-        return self._finalise(
-            recorder.to_arrays(),
-            events,
-            t,
-            instructions,
-            harvested_energy,
-            consumed_energy,
-            first_brownout,
-        )
-
-    def _run_reference(self) -> SimulationResult:
-        """The reference engine: the original straight-line implementation.
-
-        Per-step supply solves, eager available-power lookups and the
-        kwargs-based recorder, kept as the baseline the fast engine is
-        measured and parity-checked against (``bench_perf_sim.py``).
-        """
-        cfg = self.config
-        platform = self.platform
-        governor = self.governor
-        supply = self.supply
-
-        platform.reset()
-        governor.reset_accounting()
-
-        t = 0.0
-        vc = self._initial_voltage()
-        self.capacitor.reset(min(vc, self.capacitor.max_voltage))
-
-        governor.initialise(platform, t, vc)
-        if governor.uses_voltage_monitor:
-            self._program_monitor(vc)
-
-        recorder = _ListRecorder(cfg.record_interval_s)
-        events: list[SimulationEvent] = []
-
-        instructions = 0.0
-        harvested_energy = 0.0
-        consumed_energy = 0.0
-        first_brownout: Optional[float] = None
-        was_running = platform.running
-
-        next_tick = 0.0 if governor.sampling_interval_s else float("inf")
-        next_monitor_rearm = cfg.monitor_rearm_interval_s
-        monitor_power = self.monitor.power_w if cfg.include_monitor_power else 0.0
-
-        while t < cfg.duration_s:
-            # --------------------------------------------------------------
-            # 1. Evaluate currents at the present node voltage
-            # --------------------------------------------------------------
-            board_power = platform.power(t)
-            load_power = board_power + monitor_power
-            v_safe = max(vc, 0.5)
-            i_load = load_power / v_safe
-
-            if supply.is_voltage_source:
-                dt = min(cfg.max_step_s, cfg.duration_s - t)
-                t_new = t + dt
-                vc_new = supply.voltage(t_new)
-                harvested_power = load_power
-            else:
-                i_supply = supply.current(vc, t)
-                dvdt = self.capacitor.derivative(i_supply - i_load, vc)
-                # Adaptive step: keep the per-step voltage change small, never
-                # step past the end of the run or the next governor tick.
-                dt = cfg.target_dv_per_step / max(abs(dvdt), 1e-9)
-                dt = min(max(dt, cfg.min_step_s), cfg.max_step_s, cfg.duration_s - t)
-                if next_tick > t:
-                    dt = min(dt, max(next_tick - t, cfg.min_step_s))
-                # Heun (explicit trapezoidal) step.
-                vc_pred = vc + dvdt * dt
-                vc_pred = min(max(vc_pred, 0.0), self.capacitor.max_voltage)
-                i_supply_pred = supply.current(vc_pred, t + dt)
-                i_load_pred = load_power / max(vc_pred, 0.5)
-                dvdt_pred = self.capacitor.derivative(i_supply_pred - i_load_pred, vc_pred)
-                vc_new = vc + 0.5 * (dvdt + dvdt_pred) * dt
-                vc_new = min(max(vc_new, 0.0), self.capacitor.max_voltage)
-                t_new = t + dt
-                harvested_power = i_supply * vc
-                self.capacitor.voltage = vc_new
-
-            # --------------------------------------------------------------
-            # 2. Accounting over the step
-            # --------------------------------------------------------------
-            instructions += platform.instruction_rate() * dt
-            harvested_energy += harvested_power * dt
-            consumed_energy += load_power * dt
-
-            t = t_new
-            vc = vc_new
-
-            # --------------------------------------------------------------
-            # 3. Platform state machine: transitions, brown-out, reboot
-            # --------------------------------------------------------------
-            platform.advance(t, vc)
-            if was_running and not platform.running:
-                events.append(SimulationEvent(t, "brownout", f"V_C={vc:.3f}V"))
-                if first_brownout is None:
-                    first_brownout = t
-                if cfg.stop_on_brownout:
-                    was_running = platform.running
-                    recorder.record(
-                        t,
-                        voltage=vc,
-                        harvested=harvested_power,
-                        available=supply.available_power(t),
-                        consumed=load_power,
-                        frequency=platform.current_opp.frequency_hz if platform.running else 0.0,
-                        n_little=platform.current_opp.config.n_little if platform.running else 0,
-                        n_big=platform.current_opp.config.n_big if platform.running else 0,
-                        running=1.0 if platform.running else 0.0,
-                        instructions=instructions,
-                        v_low=self.monitor.v_low,
-                        v_high=self.monitor.v_high,
-                    )
-                    break
-            elif not was_running and platform.running:
-                events.append(SimulationEvent(t, "reboot", f"V_C={vc:.3f}V"))
-                governor.initialise(platform, t, vc)
-                if governor.uses_voltage_monitor:
-                    self._program_monitor(vc)
-            was_running = platform.running
-
-            # --------------------------------------------------------------
-            # 4. Voltage monitor -> governor interrupts (see _run_fast)
-            # --------------------------------------------------------------
-            if governor.uses_voltage_monitor and platform.running and not platform.is_transitioning:
-                if t >= next_monitor_rearm:
-                    # Periodic re-poll of a persistently asserted comparator.
-                    self.monitor.prime(vc)
-                    next_monitor_rearm = t + cfg.monitor_rearm_interval_s
-                for crossing in self.monitor.sample(vc):
-                    events.append(SimulationEvent(t, crossing.value, f"V_C={vc:.3f}V"))
-                    thresholds_before = self.monitor.v_low, self.monitor.v_high
-                    decision = governor.on_interrupt(crossing, t, vc, platform)
-                    self._apply_decision(decision, t, events)
-                    self._program_monitor(vc)
-                    thresholds_after = self.monitor.v_low, self.monitor.v_high
-                    if decision is None and thresholds_after == thresholds_before:
-                        self.monitor.acknowledge(vc)
-
-            # --------------------------------------------------------------
-            # 5. Periodic governor tick (Linux-style governors)
-            # --------------------------------------------------------------
-            if governor.sampling_interval_s and t >= next_tick:
-                if platform.running:
-                    decision = governor.on_tick(t, vc, cfg.utilization, platform)
-                    self._apply_decision(decision, t, events)
-                next_tick += governor.sampling_interval_s
-
-            # --------------------------------------------------------------
-            # 6. Record
-            # --------------------------------------------------------------
-            recorder.maybe_record(
-                t,
-                voltage=vc,
-                harvested=harvested_power,
-                available=supply.available_power(t),
-                consumed=load_power if platform.running else monitor_power,
-                frequency=platform.current_opp.frequency_hz if platform.running else 0.0,
-                n_little=platform.current_opp.config.n_little if platform.running else 0,
-                n_big=platform.current_opp.config.n_big if platform.running else 0,
-                running=1.0 if platform.running else 0.0,
-                instructions=instructions,
-                v_low=self.monitor.v_low,
-                v_high=self.monitor.v_high,
-            )
 
         return self._finalise(
             recorder.to_arrays(),

@@ -226,9 +226,9 @@ class PVArraySupply(Supply):
     pays the tabulation cost), and its interpolation error is checked against
     the exact solve at build time, before any lookup is answered.
     ``exact=True`` bypasses tabulation and solves the single-diode equation
-    (Lambert-W) on every call, with MPP/Voc answered from the original
-    ``np.interp`` cache — the reference engine's numerics, preserved
-    verbatim; the flag can also be toggled on a built supply.
+    (Lambert-W) on every call, with MPP/Voc answered by ``np.interp`` over a
+    dedicated cache (built at the first exact-mode lookup, so fast mode
+    never pays for it); the flag can also be toggled on a built supply.
 
     Parameters
     ----------
@@ -237,9 +237,10 @@ class PVArraySupply(Supply):
     irradiance:
         Irradiance trace in W/m^2; times outside the trace clamp to its ends.
     mpp_cache_points:
-        The available-power curve (P_mpp vs irradiance) is pre-computed on a
-        grid of this many irradiance values and interpolated, because locating
-        the MPP exactly at every simulation step would dominate the run time.
+        In exact mode the available-power curve (P_mpp vs irradiance) and
+        the open-circuit voltage are computed once on a grid of this many
+        irradiance values and interpolated, because locating the MPP exactly
+        at every record tick would dominate the run time.
     exact:
         Solve the I-V equation exactly per call instead of interpolating the
         tabulated surface.
@@ -265,11 +266,9 @@ class PVArraySupply(Supply):
             raise ValueError("mpp_cache_points must be at least 2")
         self.array = array
         self.irradiance = irradiance
-        g_max = max(float(irradiance.maximum()), 1.0)
-        self._cache_irradiances = np.linspace(0.0, g_max, mpp_cache_points)
-        self._cache_mpp_power = array.mpp_power_array(self._cache_irradiances)
-        self._cache_voc = array.open_circuit_voltage_array(self._cache_irradiances)
-        self._g_max = g_max
+        self._mpp_cache_points = int(mpp_cache_points)
+        self._mpp_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._g_max = max(float(irradiance.maximum()), 1.0)
         self._g_cursor = TraceCursor(irradiance)
         self._table_voltage_points = int(table_voltage_points)
         self._table_irradiance_points = int(table_irradiance_points)
@@ -285,6 +284,17 @@ class PVArraySupply(Supply):
             irradiance_points=self._table_irradiance_points,
             rel_tol=self._table_rel_tol,
         )
+
+    def _exact_cache(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(irradiances, mpp_power, voc)`` grid of the exact-mode channels."""
+        if self._mpp_cache is None:
+            irradiances = np.linspace(0.0, self._g_max, self._mpp_cache_points)
+            self._mpp_cache = (
+                irradiances,
+                self.array.mpp_power_array(irradiances),
+                self.array.open_circuit_voltage_array(irradiances),
+            )
+        return self._mpp_cache
 
     @property
     def exact(self) -> bool:
@@ -420,20 +430,21 @@ class PVArraySupply(Supply):
         """MPP power at time ``t`` — the record-tick "available power" channel.
 
         In fast mode this samples the table's 1-D MPP curve (pure float
-        operations); in exact mode the original ``np.interp`` over the
-        dedicated MPP cache is preserved verbatim, keeping the reference
-        engine's numerics untouched.
+        operations); in exact mode it is ``np.interp`` over the exact-mode
+        MPP cache.
         """
         g = self.irradiance_at(t)
         if not self._exact:
             return self.iv_table.mpp_power(g)
-        return float(np.interp(g, self._cache_irradiances, self._cache_mpp_power))
+        irradiances, mpp_power, _ = self._exact_cache()
+        return float(np.interp(g, irradiances, mpp_power))
 
     def open_circuit_voltage(self, t: float) -> float:
         g = self.irradiance_at(t)
         if not self._exact:
             return self.iv_table.open_circuit_voltage(g)
-        return float(np.interp(g, self._cache_irradiances, self._cache_voc))
+        irradiances, _, voc = self._exact_cache()
+        return float(np.interp(g, irradiances, voc))
 
 
 class ControlledVoltageSupply(Supply):

@@ -136,15 +136,15 @@ def build_system(
     record_interval_s / max_step_s:
         Override the supply kind's registered simulation step defaults.
     fast:
-        Run the simulator's fast engine (the default for every campaign and
-        experiment).  ``fast=False`` selects the exact reference path: the
-        straight-line simulator loop *and* per-call Lambert-W supply solves
+        Answer supply currents from the tabulated I-V surface (the default
+        for every campaign and experiment).  ``fast=False`` selects the exact
+        path: the same simulator loop with per-call Lambert-W supply solves
         (the ``exact`` flag of the supply built here is set to ``not fast``;
-        a pre-built ``supply=`` instance is never mutated).  The choice
-        is an execution detail — it is not part of the scenario identity, so
-        stored campaign results remain comparable across both engines (the
-        fast path's accuracy loss is bounded well inside the metric
-        tolerances the parity suite enforces).
+        a pre-built ``supply=`` instance is never mutated).  The choice is
+        an execution detail — it is not part of the scenario identity, so
+        stored campaign results remain comparable across both (the table's
+        accuracy loss is bounded well inside the metric tolerances the
+        parity suite enforces).
     sim_overrides:
         Any further :class:`~repro.sim.simulator.SimulationConfig` fields.
     """
@@ -181,7 +181,6 @@ def build_system(
         initial_voltage=initial_voltage,
         monitor_quantised=config.monitor_quantised,
         utilization=workload.utilization,
-        fast=fast,
         **sim_defaults,
         **sim_overrides,
     )

@@ -178,8 +178,9 @@ class SweepRunner:
     progress:
         Optional ``progress(done, total, record, cached)`` callback.
     fast:
-        Engine choice threaded into every scenario: ``True`` (default) runs
-        the fast simulation core, ``False`` the exact reference engine
+        Engine choice threaded into every scenario: ``True`` (default)
+        answers supply currents from the tabulated I-V surface, ``False``
+        solves them exactly (Lambert-W) on the same simulator loop
         (``build_system(fast=False)``).  An execution detail only — it is
         not part of the scenario identity, so records computed under either
         engine share one store and cache-hit each other.

@@ -153,10 +153,11 @@ def run_scenario(
     ``config`` (composed schema), ``status``, ``summary``, ``engine`` and
     ``elapsed_s``; when ``series_samples`` > 0 it also carries the full
     :meth:`SimulationResult.to_dict` payload decimated to that many samples
-    under ``"series"``.  ``fast=False`` runs the exact reference engine
-    (``build_system(fast=False)``); the choice is stamped into the record as
-    ``"engine"`` for post-mortems but is *not* part of the scenario identity,
-    so stores stay comparable across engines.
+    under ``"series"``.  ``fast=False`` runs the exact path
+    (``build_system(fast=False)``: Lambert-W supply solves on the same
+    simulator loop); the choice is stamped into the record as ``"engine"``
+    for post-mortems but is *not* part of the scenario identity, so stores
+    stay comparable across engines.
 
     Telemetry stamps (all additive, all outside the scenario hash):
     ``wall_time_s`` (Unix completion time), ``worker`` (pid, shard index

@@ -254,6 +254,13 @@ class TestReport:
             assert doc["workers"][label]["busy_s"] > 0
         phases = doc["scenario_phases"]
         assert phases["simulate_s"] > 0 and phases["build_s"] > 0
+        # Queue wait is waiting, not busy time: it has its own quantiles.
+        assert "queue_wait_s" not in phases
+        wait = doc["queue_wait"]
+        assert wait["p50_s"] is not None
+        assert 0.0 <= wait["p50_s"] <= wait["p95_s"] <= wait["max_s"]
+        text = format_report(doc)
+        assert "Queue wait per scenario" in text
         assert doc["counters"]["dist.workers_spawned"] == 2
 
     def test_empty_event_stream_reports_zeroes(self):

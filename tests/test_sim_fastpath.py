@@ -1,14 +1,14 @@
-"""Fast-path vs exact parity suite (PR 4 tentpole).
+"""Tabulated vs exact supply parity suite.
 
-Covers the three layers of the fast simulation core:
+Covers the layers of the fast path:
 
 * the tabulated bilinear I-V surface against the exact Lambert-W solve
   (grid parity within the declared tolerance, ``exact=True`` bypass),
 * the vectorised building blocks it rests on (``current_array``,
   ``open_circuit_voltage_array``, ``TraceCursor``, ``state_at``),
-* the fast simulator engine end-to-end against the reference engine on the
-  Table II seed scenarios (summary metrics within 1%, brown-out counts
-  exactly equal).
+* the simulator end-to-end with the tabulated supply against the same loop
+  with the exact (Lambert-W) supply on the Table II seed scenarios (summary
+  metrics within 1%, brown-out counts exactly equal).
 """
 
 import math
@@ -135,8 +135,7 @@ class TestTabulatedAuxiliaryCurves:
 
     The record-tick channels are answered from the table's 1-D MPP and Voc
     rows in fast mode (pure float operations) and must agree with both the
-    exact per-irradiance solve and the reference engine's ``np.interp``
-    cache, which exact mode preserves verbatim.
+    exact per-irradiance solve and exact mode's ``np.interp`` cache.
     """
 
     def _ramp_supply(self, **kwargs) -> PVArraySupply:
@@ -178,20 +177,45 @@ class TestTabulatedAuxiliaryCurves:
                 exact.open_circuit_voltage(t), rel=2e-2, abs=1e-3
             )
 
-    def test_exact_mode_keeps_the_interp_cache_path(self):
-        """The reference engine's numerics must be untouched: in exact mode
-        the channels answer from the np.interp cache and never build the
-        table."""
-        supply = self._ramp_supply(exact=True)
+    @staticmethod
+    def _assert_interp_channels(supply, points=64):
+        """Exact-mode channels are np.interp over the 0..g_max cache grid."""
+        array = paper_pv_array()
+        grid = np.linspace(0.0, 1000.0, points)
+        mpp = array.mpp_power_array(grid)
+        voc = array.open_circuit_voltage_array(grid)
         for t in (2.0, 8.0):
             g = supply.irradiance_at(t)
-            assert supply.available_power(t) == float(
-                np.interp(g, supply._cache_irradiances, supply._cache_mpp_power)
-            )
-            assert supply.open_circuit_voltage(t) == float(
-                np.interp(g, supply._cache_irradiances, supply._cache_voc)
-            )
+            assert supply.available_power(t) == float(np.interp(g, grid, mpp))
+            assert supply.open_circuit_voltage(t) == float(np.interp(g, grid, voc))
+
+    def test_exact_mode_keeps_the_interp_cache_path(self):
+        """In exact mode the channels answer from the np.interp cache and
+        never build the table."""
+        supply = self._ramp_supply(exact=True)
+        self._assert_interp_channels(supply)
         assert supply._table is None
+
+    def test_exact_cache_honours_cache_points(self):
+        supply = self._ramp_supply(exact=True, mpp_cache_points=9)
+        self._assert_interp_channels(supply, points=9)
+
+    def test_exact_cache_after_toggling_a_built_supply(self):
+        supply = self._ramp_supply()
+        supply.available_power(5.0)  # fast lookup: builds the table only
+        assert supply._mpp_cache is None
+        supply.exact = True
+        self._assert_interp_channels(supply)
+        assert supply._mpp_cache is not None
+
+    def test_fast_scenario_never_builds_the_exact_cache(self):
+        built = build_system(
+            ScenarioConfig(governor="power-neutral", supply="pv-array", duration_s=2.0)
+        )
+        built.run()
+        supply = built.simulation.supply
+        assert supply._table is not None
+        assert supply._mpp_cache is None
 
     def test_fast_channels_answer_from_the_table(self):
         supply = self._ramp_supply()
@@ -378,9 +402,7 @@ class TestEndToEndParity:
         config = ScenarioConfig(governor="power-neutral", supply="pv-array", duration_s=5.0)
         fast_system = build_system(config, fast=True)
         exact_system = build_system(config, fast=False)
-        assert fast_system.simulation.config.fast is True
         assert fast_system.simulation.supply.exact is False
-        assert exact_system.simulation.config.fast is False
         assert exact_system.simulation.supply.exact is True
         # The exact system must never have paid for (or built) the table.
         assert exact_system.simulation.supply._table is None
