@@ -41,7 +41,7 @@ __all__ = [
 #: The per-scenario busy phases a scenario span carries (worker + runner
 #: timings).  The span's ``queue_wait_s`` is time spent *waiting* for a
 #: worker, so it is summarised separately as ``queue_wait`` quantiles.
-SCENARIO_PHASES = ("build_s", "simulate_s", "record_write_s")
+SCENARIO_PHASES = ("build_s", "tabulate_s", "simulate_s", "record_write_s")
 
 
 def trace_files(source: "str | Path") -> list[Path]:

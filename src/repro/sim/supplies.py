@@ -16,15 +16,19 @@ simulator.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 
 import numpy as np
 
 from ..energy.pv_array import PVArray
+from ..energy.solar_cell import SolarCellParameters
 from ..energy.traces import IrradianceTrace, Trace, TraceCursor
 
 __all__ = [
     "Supply",
     "IVSurfaceTable",
+    "TABLE_CACHE_SIZE",
+    "shared_iv_table",
     "PVArraySupply",
     "ControlledVoltageSupply",
     "ConstantPowerSupply",
@@ -90,6 +94,11 @@ class IVSurfaceTable:
     vs irradiance — on the same irradiance grid, so :meth:`mpp_power` and
     :meth:`open_circuit_voltage` are a couple of float operations instead of
     a ``np.interp`` dispatch each.
+
+    A table is read-only once built.  A :class:`PVArraySupply`'s table is
+    built lazily, shared per process by content key (see
+    :func:`shared_iv_table`): supplies over the same array, ``g_max`` and
+    grid settings point at one object.
     """
 
     __slots__ = (
@@ -107,6 +116,9 @@ class IVSurfaceTable:
 
     #: Hard cap on grid refinement (per axis) before construction fails.
     _MAX_REFINEMENTS = 3
+    #: Voltage rows per Lambert-W evaluation: bounds the solver's temporaries
+    #: without changing a value (every element is solved independently).
+    _BLOCK_ROWS = 64
 
     def __init__(
         self,
@@ -130,7 +142,9 @@ class IVSurfaceTable:
         for refinement in range(self._MAX_REFINEMENTS + 1):
             voltages = np.linspace(0.0, self.v_max, nv)
             irradiances = np.linspace(0.0, self.g_max, ng)
-            surface = array.current_surface(voltages, irradiances)
+            surface = np.empty((nv, ng))
+            for rows in self._row_blocks(nv):
+                surface[rows] = array.current_surface(voltages[rows], irradiances)
             error = self._midpoint_error(array, voltages, irradiances, surface)
             if error <= rel_tol or refinement == self._MAX_REFINEMENTS:
                 break
@@ -146,24 +160,34 @@ class IVSurfaceTable:
         self._ng = ng
         self._inv_dv = (nv - 1) / self.v_max
         self._inv_dg = (ng - 1) / self.g_max
+        # The 1-D curves first: the MPP scan's temporaries are freed before
+        # the (much larger) list-of-lists surface exists.
+        self._mpp_row = array.mpp_power_array(irradiances).tolist()
+        self._voc_row = array.open_circuit_voltage_array(irradiances).tolist()
         # Nested Python lists: element access beats numpy scalar indexing in
         # the per-step lookup by a wide margin.
         self._rows = surface.tolist()
-        self._mpp_row = array.mpp_power_array(irradiances).tolist()
-        self._voc_row = array.open_circuit_voltage_array(irradiances).tolist()
         self.max_rel_error = float(error)
 
-    @staticmethod
-    def _midpoint_error(array, voltages, irradiances, surface) -> float:
+    @classmethod
+    def _row_blocks(cls, n: int) -> list[slice]:
+        return [slice(lo, lo + cls._BLOCK_ROWS) for lo in range(0, n, cls._BLOCK_ROWS)]
+
+    @classmethod
+    def _midpoint_error(cls, array, voltages, irradiances, surface) -> float:
         """Worst full-scale-relative bilinear error at grid-cell midpoints."""
         v_mid = 0.5 * (voltages[:-1] + voltages[1:])
         g_mid = 0.5 * (irradiances[:-1] + irradiances[1:])
-        exact = array.current_surface(v_mid, g_mid)
-        interp = 0.25 * (
-            surface[:-1, :-1] + surface[1:, :-1] + surface[:-1, 1:] + surface[1:, 1:]
-        )
+        worst = 0.0
+        for rows in cls._row_blocks(len(v_mid)):
+            exact = array.current_surface(v_mid[rows], g_mid)
+            corners = surface[rows.start : rows.stop + 1]
+            interp = 0.25 * (
+                corners[:-1, :-1] + corners[1:, :-1] + corners[:-1, 1:] + corners[1:, 1:]
+            )
+            worst = max(worst, float(np.max(np.abs(interp - exact))))
         full_scale = max(float(np.max(surface)), 1e-12)
-        return float(np.max(np.abs(interp - exact))) / full_scale
+        return worst / full_scale
 
     def current(self, voltage: float, irradiance: float) -> float:
         """Bilinearly interpolated clipped current (clamped to the grid)."""
@@ -215,20 +239,50 @@ class IVSurfaceTable:
         return self._sample_irradiance_row(self._voc_row, irradiance)
 
 
+#: Most I-V tables one process keeps (least recently used evicted first).  A
+#: campaign's tables differ only by weather trace, and the paper's grids use
+#: three weathers.
+TABLE_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def shared_iv_table(
+    parameters: SolarCellParameters,
+    topology,
+    g_max: float,
+    voltage_points: int,
+    irradiance_points: int,
+    rel_tol: float,
+) -> IVSurfaceTable:
+    """The process's :class:`IVSurfaceTable` for this content, built once.
+
+    The key is the array's cell parameters and topology (frozen dataclasses),
+    the exact ``g_max`` and the grid settings, and the table is built from
+    the key alone: only truly identical tables are reused, so sharing changes
+    no simulated value.  A build that raises is not cached.
+    ``shared_iv_table.cache_clear()`` empties the cache.
+    """
+    array = PVArray(parameters, topology.cells_in_series, topology.strings_in_parallel)
+    return IVSurfaceTable(array, g_max, voltage_points, irradiance_points, rel_tol)
+
+
 class PVArraySupply(Supply):
     """A PV array illuminated by an irradiance trace.
 
     By default the supply answers :meth:`current` — and, on record ticks,
     :meth:`available_power` / :meth:`open_circuit_voltage` — from a tabulated
     :class:`IVSurfaceTable` (the bilinear I-V surface plus its 1-D MPP/Voc
-    curves): the simulator's fast path.  The table is built lazily, at the
-    first fast lookup (so a supply immediately switched to ``exact`` never
-    pays the tabulation cost), and its interpolation error is checked against
-    the exact solve at build time, before any lookup is answered.
-    ``exact=True`` bypasses tabulation and solves the single-diode equation
-    (Lambert-W) on every call, with MPP/Voc answered by ``np.interp`` over a
-    dedicated cache (built at the first exact-mode lookup, so fast mode
-    never pays for it); the flag can also be toggled on a built supply.
+    curves): the simulator's fast path.  The table is built lazily, shared
+    per process by content key: at the first fast lookup (so a supply
+    immediately switched to ``exact`` never pays the tabulation cost), and
+    only if :func:`shared_iv_table` holds no table for the same array
+    parameters, ``g_max`` and grid settings.  Its interpolation error is
+    checked against the exact solve at build time, before any lookup is
+    answered.  ``exact=True`` bypasses tabulation — and the shared cache —
+    and solves the single-diode equation (Lambert-W) on every call, with
+    MPP/Voc answered by ``np.interp`` over a dedicated cache (built at the
+    first exact-mode lookup, so fast mode never pays for it); the flag can
+    also be toggled on a built supply.
 
     Parameters
     ----------
@@ -277,13 +331,16 @@ class PVArraySupply(Supply):
         self._exact = bool(exact)
 
     def _build_table(self) -> IVSurfaceTable:
-        return IVSurfaceTable(
-            self.array,
+        grid = (
             self._g_max,
-            voltage_points=self._table_voltage_points,
-            irradiance_points=self._table_irradiance_points,
-            rel_tol=self._table_rel_tol,
+            self._table_voltage_points,
+            self._table_irradiance_points,
+            self._table_rel_tol,
         )
+        if type(self.array) is not PVArray:
+            # A subclass may model more than its parameters say: not shared.
+            return IVSurfaceTable(self.array, *grid)
+        return shared_iv_table(self.array.cell.parameters, self.array.topology, *grid)
 
     def _exact_cache(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(irradiances, mpp_power, voc)`` grid of the exact-mode channels."""

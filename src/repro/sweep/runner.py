@@ -320,7 +320,10 @@ class SweepRunner:
                     status=status,
                     cached=False,
                     record_write_s=round(write_s, 6),
-                    **{k: timings.get(k) for k in ("queue_wait_s", "build_s", "simulate_s")},
+                    **{
+                        k: timings.get(k)
+                        for k in ("queue_wait_s", "build_s", "tabulate_s", "simulate_s")
+                    },
                 )
                 done += 1
                 self._notify(done, report.total, record, cached=False)
