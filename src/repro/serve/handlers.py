@@ -176,7 +176,7 @@ class Api:
                 if request.method == "GET":
                     return self._list_campaigns()
                 if request.method == "POST":
-                    return self._submit(request)
+                    return await self._submit(request)
                 return JsonResponse(405, {"error": f"{request.method} not allowed here"})
             campaign = self.scheduler.get(parts[1])
             if campaign is None:
@@ -232,10 +232,10 @@ class Api:
         campaigns = [c.to_dict() for c in self.scheduler.list()]
         return JsonResponse(200, {"count": len(campaigns), "campaigns": campaigns})
 
-    def _submit(self, request: Request) -> JsonResponse:
+    async def _submit(self, request: Request) -> JsonResponse:
         try:
             payload = request.json()
-            campaign, created = self.scheduler.submit(payload)
+            campaign, created = await self.scheduler.submit(payload)
         except ValueError as exc:
             return JsonResponse(400, {"error": str(exc)})
         except RuntimeError as exc:  # draining: shutting down, try elsewhere

@@ -35,7 +35,7 @@ from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES, RollingWindow
 from ..sweep.adaptive import BoundaryQuery, BoundarySearch
 from ..sweep.presets import build_preset
 from ..sweep.runner import SweepRunner
-from ..sweep.spec import SweepSpec
+from ..sweep.spec import SweepSpec, campaign_hash_of
 from ..sweep.store import ResultStore
 
 __all__ = [
@@ -114,7 +114,9 @@ def parse_submission(payload: Mapping) -> tuple[str, dict, str, tuple]:
     Returns ``(kind, canonical_snapshot, campaign_id, scenario_ids)``; raises
     :class:`ValueError` on anything unparseable (the handler maps that to a
     400).  The id is the *content hash* of the canonical snapshot, so any two
-    spellings of the same campaign collapse to one.
+    spellings of the same campaign collapse to one.  A sweep is expanded
+    once: its scenario ids are computed and the campaign hash is taken over
+    them (the same hash :meth:`SweepSpec.campaign_hash` gives).
     """
     if not isinstance(payload, Mapping):
         raise ValueError("submission must be a JSON object")
@@ -140,7 +142,8 @@ def parse_submission(payload: Mapping) -> tuple[str, dict, str, tuple]:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} snapshot: {exc}") from None
     if isinstance(spec, SweepSpec):
-        return "sweep", spec.to_dict(), spec.campaign_hash(), tuple(spec.scenario_ids())
+        ids = tuple(spec.scenario_ids())
+        return "sweep", spec.to_dict(), campaign_hash_of(ids), ids
     return "boundary", spec.to_dict(), spec.query_hash(), ()
 
 
@@ -203,17 +206,24 @@ class CampaignScheduler:
     # ------------------------------------------------------------------
     # Submission / lookup (event-loop side)
     # ------------------------------------------------------------------
-    def submit(self, payload: Mapping) -> tuple[Campaign, bool]:
+    async def submit(self, payload: Mapping) -> tuple[Campaign, bool]:
         """Register (or dedupe) a submission; returns ``(campaign, created)``.
 
         An identical spec maps to an identical campaign id, so resubmission
         returns the existing campaign — whatever its state — without
         queueing anything.  Only a *failed* campaign is re-queued on
         resubmission (that is the retry path).
+
+        Parsing expands the whole grid, so :func:`parse_submission` runs in
+        a thread: a large submission does not stall the event loop's other
+        requests.  Dedupe and registration stay on the loop, and draining
+        is checked both before the parse and again at registration.
         """
-        if self.draining:
-            raise RuntimeError("service is draining; not accepting campaigns")
-        kind, snapshot, campaign_id, scenario_ids = parse_submission(payload)
+        self._refuse_if_draining()
+        kind, snapshot, campaign_id, scenario_ids = await asyncio.to_thread(
+            parse_submission, payload
+        )
+        self._refuse_if_draining()  # a drain may have begun during the parse
         existing = self.campaigns.get(campaign_id)
         if existing is not None and existing.state != FAILED:
             existing.submissions += 1
@@ -230,6 +240,10 @@ class CampaignScheduler:
         self.campaigns[campaign_id] = campaign
         self._queue.put_nowait(campaign)
         return campaign, True
+
+    def _refuse_if_draining(self) -> None:
+        if self.draining:
+            raise RuntimeError("service is draining; not accepting campaigns")
 
     def get(self, campaign_id: str) -> Optional[Campaign]:
         return self.campaigns.get(campaign_id)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping, Optional, Sequence
@@ -294,11 +293,36 @@ class ScenarioConfig:
 
         # Canonicalise: validate kinds/params and fold registry defaults in,
         # so equivalent sparse and explicit spellings share one scenario_id.
-        object.__setattr__(self, "governor", GOVERNORS.canonical(governor_spec))
-        object.__setattr__(self, "supply", SUPPLIES.canonical(supply_spec))
-        object.__setattr__(self, "platform", PLATFORMS.canonical(platform_spec))
-        object.__setattr__(self, "capacitor", CAPACITORS.canonical(capacitor_spec))
-        object.__setattr__(self, "workload", WORKLOADS_REGISTRY.canonical(workload_spec))
+        self._assign(
+            governor=GOVERNORS.canonical(governor_spec),
+            supply=SUPPLIES.canonical(supply_spec),
+            platform=PLATFORMS.canonical(platform_spec),
+            capacitor=CAPACITORS.canonical(capacitor_spec),
+            workload=WORKLOADS_REGISTRY.canonical(workload_spec),
+            duration_s=duration_s,
+            monitor_quantised=monitor_quantised,
+        )
+
+    def _assign(
+        self,
+        governor: ComponentSpec,
+        supply: ComponentSpec,
+        platform: ComponentSpec,
+        capacitor: ComponentSpec,
+        workload: ComponentSpec,
+        duration_s: float,
+        monitor_quantised: bool,
+    ) -> None:
+        """Set the fields from canonical components and check the invariants.
+
+        Shared by :meth:`__init__` and :meth:`with_value`, so scenario
+        validation lives in one place.
+        """
+        object.__setattr__(self, "governor", governor)
+        object.__setattr__(self, "supply", supply)
+        object.__setattr__(self, "platform", platform)
+        object.__setattr__(self, "capacitor", capacitor)
+        object.__setattr__(self, "workload", workload)
 
         duration_s = float(duration_s)
         if duration_s <= 0:
@@ -306,7 +330,7 @@ class ScenarioConfig:
         object.__setattr__(self, "duration_s", duration_s)
         object.__setattr__(self, "monitor_quantised", bool(monitor_quantised))
 
-        cap = self.capacitor.get("capacitance_f")
+        cap = capacitor.get("capacitance_f")
         if cap is None or float(cap) <= 0:
             raise ValueError("capacitance_f must be positive")
 
@@ -364,6 +388,12 @@ class ScenarioConfig:
           keeping explicitly-set (non-default) parameters;
         * ``"governor.params"`` — wholesale parameter replacement;
         * ``"capacitor.capacitance_f"`` — single parameter set/override.
+
+        Only the replaced component is re-canonicalised: the other four are
+        canonical already (and canonicalisation is idempotent), so the copy
+        equals — field for field, and in :attr:`scenario_id` — what a full
+        ``ScenarioConfig(...)`` rebuild would give, and raises the same
+        ``ValueError`` for an invalid value.
         """
         path = resolve_axis_path(path)
         head, _, sub = path.partition(".")
@@ -383,14 +413,19 @@ class ScenarioConfig:
             registry = _COMPONENT_REGISTRIES[head]
             if not sub:  # bare component, or "<comp>.kind" (canonicalised away)
                 if isinstance(value, str):
-                    kwargs[head] = _switch_kind(spec, value, registry)
+                    spec = _switch_kind(spec, value, registry)
                 else:
-                    kwargs[head] = ComponentSpec.coerce(value)
+                    spec = ComponentSpec.coerce(value)
             elif sub == "params":
-                kwargs[head] = ComponentSpec(kind=spec.kind, params=dict(value or {}))
+                spec = ComponentSpec(kind=spec.kind, params=dict(value or {}))
             else:
-                kwargs[head] = spec.with_params(**{sub: value})
-        return ScenarioConfig(**kwargs)
+                spec = spec.with_params(**{sub: value})
+            kwargs[head] = registry.canonical(spec)
+        # A fresh instance, not a copy of ``self.__dict__``: that holds the
+        # cached ``scenario_id``, which must not carry over.
+        config = object.__new__(ScenarioConfig)
+        config._assign(**kwargs)
+        return config
 
     # ------------------------------------------------------------------
     # Serialisation and identity
@@ -566,15 +601,24 @@ class SweepSpec:
         return list(self.iter_scenarios())
 
     def iter_scenarios(self) -> Iterator[ScenarioConfig]:
-        if not self.axes:
-            yield self.base
-            return
-        names = [a.name for a in self.axes]
-        for combo in itertools.product(*(a.values for a in self.axes)):
-            config = self.base
-            for name, value in zip(names, combo):
-                config = config.with_value(name, value)
-            yield config
+        """Expand the grid lazily, sharing axis prefixes.
+
+        The axes are applied depth-first, so each prefix config is built
+        once and reused for every cell under it (an 8 × 3 × 5 × 5 grid makes
+        8 + 24 + 120 + 600 ``with_value`` steps instead of 4 × 600).  The
+        order is still ``itertools.product`` order — last axis fastest — and
+        an invalid value raises at the same cell a per-cell rebuild would.
+        """
+
+        def expand(config: ScenarioConfig, depth: int) -> Iterator[ScenarioConfig]:
+            if depth == len(self.axes):
+                yield config
+                return
+            axis = self.axes[depth]
+            for value in axis.values:
+                yield from expand(config.with_value(axis.name, value), depth + 1)
+
+        return expand(self.base, 0)
 
     # ------------------------------------------------------------------
     # Campaign identity and serialisation (the distributed-execution

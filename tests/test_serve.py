@@ -356,14 +356,14 @@ class TestGracefulShutdown:
             store = ResultStore(tmp_path / "s.jsonl")
             scheduler = CampaignScheduler(store, tmp_path / "data")
             assert scheduler.alive is False  # worker not started yet
-            campaign, created = scheduler.submit({"preset": "dist-smoke"})
+            campaign, created = await scheduler.submit({"preset": "dist-smoke"})
             assert created and campaign.state == "queued"
             await scheduler.drain()
             assert scheduler.draining is True
             assert campaign.state == "failed"
             assert "before campaign started" in campaign.error
             with pytest.raises(RuntimeError, match="draining"):
-                scheduler.submit({"preset": "dist-smoke"})
+                await scheduler.submit({"preset": "dist-smoke"})
 
         asyncio.run(scenario())
 
@@ -462,7 +462,7 @@ class TestSchedulerSupervision:
                 ResultStore(tmp_path / "s.jsonl"), tmp_path / "data", metrics=registry
             )
             await scheduler.start()
-            campaign, created = scheduler.submit({"preset": "dist-smoke"})
+            campaign, created = await scheduler.submit({"preset": "dist-smoke"})
             assert created
             deadline = time.monotonic() + 30
             while campaign.state not in TERMINAL_STATES:
@@ -504,8 +504,8 @@ class TestSchedulerSupervision:
                 watchdog_s=0.1,
             )
             await scheduler.start()
-            stuck, _ = scheduler.submit({"preset": "dist-smoke"})
-            healthy, _ = scheduler.submit(
+            stuck, _ = await scheduler.submit({"preset": "dist-smoke"})
+            healthy, _ = await scheduler.submit(
                 {"kind": "sweep", "spec": smoke_spec().to_dict()}
             )
             deadline = time.monotonic() + 30
@@ -757,3 +757,78 @@ class TestServiceRobustness:
             assert service.service._in_flight == 0
             gauges = service.service.metrics.to_dict()["gauges"]
             assert gauges["http_requests_in_flight"] == 0
+
+
+import threading  # noqa: E402
+
+import repro.serve.scheduler as scheduler_module  # noqa: E402
+
+
+def _blocking_parse(monkeypatch):
+    """Make ``parse_submission`` wait on an event; returns (started, release)."""
+    started, release = threading.Event(), threading.Event()
+    real_parse = scheduler_module.parse_submission
+
+    def parse(payload):
+        started.set()
+        assert release.wait(timeout=60), "parse was never released"
+        return real_parse(payload)
+
+    monkeypatch.setattr(scheduler_module, "parse_submission", parse)
+    return started, release
+
+
+class TestSubmitOffTheEventLoop:
+    def test_healthz_answers_while_a_submission_is_parsed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            CampaignScheduler,
+            "_execute",
+            lambda self, campaign: {"kind": "sweep", "succeeded": True},
+        )
+        started, release = _blocking_parse(monkeypatch)
+        body = json.dumps({"preset": "dist-smoke"}).encode()
+        statuses: list = []
+        with ServiceThread(store_path=tmp_path / "store.jsonl", port=0, workers=1) as service:
+            client = ServeClient(ServeConfig(base_url=service.base_url, timeout_s=10.0))
+
+            def post():
+                request = urllib.request.Request(
+                    service.base_url + "/campaigns",
+                    data=body,
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=60) as response:
+                    statuses.append(response.status)
+
+            poster = threading.Thread(target=post)
+            poster.start()
+            try:
+                assert started.wait(timeout=30), "the submission never reached the parse"
+                # The parse is blocked in its thread; the loop still serves.
+                assert client.health()["status"] == "ok"
+                assert service.service.scheduler.campaigns == {}
+            finally:
+                release.set()
+                poster.join(timeout=60)
+            assert not poster.is_alive()
+            assert statuses == [201]
+            assert len(service.service.scheduler.campaigns) == 1
+
+    def test_drain_during_the_parse_refuses_registration(self, tmp_path, monkeypatch):
+        started, release = _blocking_parse(monkeypatch)
+
+        async def scenario():
+            scheduler = CampaignScheduler(ResultStore(tmp_path / "s.jsonl"), tmp_path / "data")
+            submit = asyncio.ensure_future(scheduler.submit({"preset": "dist-smoke"}))
+            deadline = time.monotonic() + 30
+            while not started.is_set():
+                assert time.monotonic() < deadline, "the submission never reached the parse"
+                await asyncio.sleep(0.01)
+            await scheduler.drain()
+            release.set()
+            with pytest.raises(RuntimeError, match="draining"):
+                await submit
+            assert scheduler.campaigns == {}
+
+        asyncio.run(scenario())
