@@ -402,7 +402,8 @@ class CampaignService:
 
     @staticmethod
     def _write_json(writer: asyncio.StreamWriter, response: JsonResponse) -> None:
-        body = (json.dumps(response.payload, indent=2, default=str) + "\n").encode("utf-8")
+        # Compact: ``indent`` would force the pure-Python encoder.
+        body = (json.dumps(response.payload, default=str) + "\n").encode("utf-8")
         status_text = _STATUS_TEXT.get(response.status, "OK")
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (response.headers or {}).items()

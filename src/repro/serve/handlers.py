@@ -301,17 +301,24 @@ class Api:
         )
 
     async def _aggregate(self, campaign: Campaign, request: Request) -> JsonResponse:
-        scenario_ids = list(campaign.scenario_ids)
-        ok = await asyncio.to_thread(
-            lambda: self.store.query(status="ok", scenario_ids=scenario_ids)
+        # The whole document is built in a worker thread: the tables over a
+        # large campaign take tens of milliseconds, which the event loop
+        # must spend answering other requests.
+        doc = await asyncio.to_thread(
+            self._aggregate_doc, campaign, list(campaign.scenario_ids), request.query.get("axis")
         )
+        return JsonResponse(200, doc)
+
+    def _aggregate_doc(
+        self, campaign: Campaign, scenario_ids: list, axis: Optional[str]
+    ) -> dict:
+        ok = self.store.query(status="ok", scenario_ids=scenario_ids)
         doc = {
             "campaign": campaign.id,
             "records": len(ok),
             "overview": campaign_overview(ok),
             "rows": records_table(ok),
         }
-        axis = request.query.get("axis")
         axis_names = (
             [axis]
             if axis
@@ -325,4 +332,4 @@ class Api:
             except (ValueError, KeyError):
                 axes[name] = []
         doc["axes"] = axes
-        return JsonResponse(200, doc)
+        return doc

@@ -88,8 +88,32 @@ def _hashable(value):
     return value
 
 
-def _axis_value(record: dict, axis: str):
-    """The (formatted) value one record takes on a swept axis."""
+def _label_memo():
+    """:func:`component_label`, computed once per distinct component.
+
+    Scoped to one call, not the module: labels depend on registry defaults,
+    which may be re-registered between calls.  Keyed by ``repr`` of the
+    parameters rather than the spec: specs compare ``True`` equal to ``1``,
+    but their labels differ.
+    """
+    labels: dict = {}
+
+    def label(spec, field: str) -> str:
+        key = (field, spec.kind, repr(spec.params))
+        value = labels.get(key)
+        if value is None:
+            value = labels[key] = component_label(spec, field)
+        return value
+
+    return label
+
+
+def _axis_value(record: dict, axis: str, path: Optional[str] = None, label=component_label):
+    """The (formatted) value one record takes on a swept axis.
+
+    ``path`` is ``resolve_axis_path(axis)`` when the caller resolved it
+    already; ``label`` stands in for :func:`component_label`.
+    """
     config_data = record.get("config", {})
     try:
         config = _record_config(record)
@@ -98,21 +122,22 @@ def _axis_value(record: dict, axis: str):
         # the raw dict so the record still lands in *some* group.
         raw = config_data.get(axis.split(".", 1)[0], "?") if isinstance(config_data, dict) else "?"
         return _hashable(raw)
-    path = resolve_axis_path(axis)
+    if path is None:
+        path = resolve_axis_path(axis)
     if path == "governor":
         # Pretty Table II scheme name, but parameter variants of one scheme
         # stay distinct groups (e.g. two v_q settings of the proposed
         # governor must not be averaged together).
-        variant = component_label(config.governor, "governor")
-        label = governor_label(config.governor.kind)
+        variant = label(config.governor, "governor")
+        scheme = governor_label(config.governor.kind)
         if "(" in variant:
-            return f"{label} {variant[variant.index('('):]}"
-        return label
+            return f"{scheme} {variant[variant.index('('):]}"
+        return scheme
     if "." not in path and path not in _SCALAR_FIELDS:
         # Whole-component axis: label must distinguish parameter variants,
         # not just the kind (two constant-power supplies at different power_w
         # are different groups).
-        return component_label(getattr(config, path), path)
+        return label(getattr(config, path), path)
     value = config.get(path)
     if path == "capacitor.capacitance_f" and value is not None:
         return f"{1e3 * float(value):g} mF"
@@ -131,14 +156,21 @@ def axis_summary(
     """Mean/p50/p95 of each metric, grouped by one swept config path.
 
     Only ``status == "ok"`` records contribute.  Rows keep first-seen group
-    order (i.e. the sweep's axis order).
+    order (i.e. the sweep's axis order).  The axis path is resolved once per
+    call, and each distinct component is labelled once.  An unknown axis
+    raises ``ValueError`` at the first record whose config loads.
     """
     metric_names = list(metrics) if metrics is not None else list(METRIC_FIELDS)
+    label = _label_memo()
+    try:
+        path: Optional[str] = resolve_axis_path(axis)
+    except ValueError:
+        path = None  # _axis_value raises it again for a loadable record
     groups: dict = {}
     for record in records:
         if record.get("status") != "ok":
             continue
-        key = _axis_value(record, axis)
+        key = _axis_value(record, axis, path, label)
         groups.setdefault(key, []).append(record.get("summary", {}))
     rows = []
     for key, summaries in groups.items():
@@ -148,9 +180,10 @@ def axis_summary(
             values = np.asarray(
                 [float(s.get(metric, 0.0)) for s in summaries], dtype=float
             )
+            p50, p95 = np.percentile(values, (50, 95))
             row[f"{prefix}_mean"] = float(np.mean(values))
-            row[f"{prefix}_p50"] = float(np.percentile(values, 50))
-            row[f"{prefix}_p95"] = float(np.percentile(values, 95))
+            row[f"{prefix}_p50"] = float(p50)
+            row[f"{prefix}_p95"] = float(p95)
         rows.append(row)
     return rows
 
@@ -208,6 +241,7 @@ def records_table(records: Iterable[dict]) -> list[dict]:
     its cell (governor / supply / weather / seed / capacitance / workload /
     duration) so the CSV stands alone outside the JSONL store.
     """
+    label = _label_memo()
     rows = []
     for record in records:
         if record.get("status") != "ok":
@@ -221,8 +255,8 @@ def records_table(records: Iterable[dict]) -> list[dict]:
         else:
             row.update(
                 {
-                    "governor": component_label(config.governor, "governor"),
-                    "supply": component_label(config.supply, "supply"),
+                    "governor": label(config.governor, "governor"),
+                    "supply": label(config.supply, "supply"),
                     "weather": config.weather,
                     "seed": config.seed,
                     "capacitance_mf": 1e3 * config.capacitance_f,

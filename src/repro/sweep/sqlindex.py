@@ -393,7 +393,15 @@ class SqliteIndex:
     # Queries (index-only: callers seek-load matching lines themselves)
     # ------------------------------------------------------------------
     @staticmethod
-    def _where(filters: Mapping) -> tuple[str, list]:
+    def _where(filters: Mapping, by_id: bool = False) -> tuple[str, list]:
+        """The WHERE clause of ``filters``; ``by_id`` writes ``+column``.
+
+        A unary ``+`` keeps SQLite from answering a filter from its column
+        index, so an id-list query looks each id up by primary key instead
+        of walking every row the column index matches.  It also drops the
+        column's type affinity: a value must have the column's type to
+        match, as in the store's linear-scan fallback.
+        """
         clauses: list[str] = []
         params: list = []
         for column, value in filters.items():
@@ -401,6 +409,8 @@ class SqliteIndex:
                 raise ValueError(
                     f"unknown store filter {column!r}; known: {', '.join(FILTER_COLUMNS)}"
                 )
+            if by_id:
+                column = f"+{column}"
             if isinstance(value, (list, tuple, set, frozenset)):
                 values = list(value)
                 if not values:
@@ -424,12 +434,15 @@ class SqliteIndex:
 
         Rows come back in byte-offset order (sequential reads for the
         caller).  ``scenario_ids`` restricts to an explicit id set — an
-        *empty* sequence matches nothing, ``None`` means unrestricted.
+        *empty* sequence matches nothing, ``None`` means unrestricted.  With
+        an id set, each filter is written ``+column`` so the plan looks the
+        ids up by primary key (``sqlite_autoindex_records_1``) rather than
+        scanning ``records_status`` once per chunk of ids.
         """
         with self._lock:
             self.ensure()
             conn = self._connect()
-            where, params = self._where(filters or {})
+            where, params = self._where(filters or {}, by_id=scenario_ids is not None)
             if scenario_ids is None:
                 sql = (
                     "SELECT scenario_id, byte_offset, byte_length FROM records "
@@ -461,7 +474,7 @@ class SqliteIndex:
         with self._lock:
             self.ensure()
             conn = self._connect()
-            where, params = self._where(filters or {})
+            where, params = self._where(filters or {}, by_id=scenario_ids is not None)
             if scenario_ids is None:
                 sql = f"SELECT COUNT(*) FROM records WHERE {where}"
                 return int(conn.execute(sql, params).fetchone()[0])

@@ -36,7 +36,8 @@ scenario ids", "every timeout under the powersave governor" and similar
 questions through the store's one index sidecar — the SQLite database of
 :mod:`repro.sweep.sqlindex` (``<store>.sqlite``), which maps scenario ids and
 searchable axis columns to byte offsets so only the *matching* JSONL lines
-are seek-loaded.  The sidecar is derived state, (re)built lazily on first
+are read — and of those, only the ones the store does not already hold as
+parsed from that very line.  The sidecar is derived state, (re)built lazily on first
 query and kept consistent with ``append``/``compact``/``merge`` through
 mtime/length staleness checks; a query served through it counts a
 ``store.idx_hit`` metric, a fallback linear scan counts ``store.idx_miss``.
@@ -83,6 +84,11 @@ def strip_volatile(record: Mapping) -> dict:
     return {k: v for k, v in record.items() if k not in VOLATILE_RECORD_FIELDS}
 
 
+def _file_identity(stat: os.stat_result) -> tuple[int, int]:
+    """Which file a path names: replacing it (``os.replace``) changes this."""
+    return stat.st_dev, stat.st_ino
+
+
 def _upgrade_record(record: dict) -> tuple[str, dict, bool]:
     """Upgrade a legacy record to the current config schema, re-keying it.
 
@@ -124,6 +130,13 @@ class ResultStore:
         self.telemetry = telemetry if telemetry is not None else DISABLED
         #: scenario_id -> latest record.
         self._entries: dict[str, dict] = {}
+        #: scenario_id -> ``(byte_offset, byte_length, record)`` of the data
+        #: file line the held record was parsed from (or written as).  One
+        #: tuple, so a reader never pairs a span with another record.  Records
+        #: with no line behind them (``merge(compact=False)``) have no span.
+        self._spans: dict[str, tuple[int, int, dict]] = {}
+        #: ``(st_dev, st_ino)`` of the data file every span refers to.
+        self._file_id: Optional[tuple[int, int]] = None
         self._skipped_lines = 0
         self._version_counts: Counter = Counter()
         self._sqlite: "Optional[sqlindex.SqliteIndex]" = None
@@ -244,10 +257,16 @@ class ResultStore:
         reader has.
         """
         with self.path.open("rb") as fh:
+            self._file_id = _file_identity(os.fstat(fh.fileno()))
+            offset = 0
             for raw in fh:
-                self._ingest_line(raw.decode("utf-8", errors="replace"))
+                # Same span rules as SqliteIndex._scan: only a complete
+                # (newline-terminated) line is a span.
+                span = (offset, len(raw)) if raw.endswith(b"\n") else None
+                offset += len(raw)
+                self._ingest_line(raw.decode("utf-8", errors="replace"), span)
 
-    def _ingest_line(self, line: str) -> None:
+    def _ingest_line(self, line: str, span: Optional[tuple[int, int]] = None) -> None:
         line = line.strip()
         if not line:
             return
@@ -261,13 +280,21 @@ class ResultStore:
         if not scenario_id:
             self._skipped_lines += 1
             return
-        self._set_entry(scenario_id, record)
+        self._set_entry(scenario_id, record, span)
 
-    def _set_entry(self, scenario_id: str, record: dict) -> None:
+    def _set_entry(
+        self, scenario_id: str, record: dict, span: Optional[tuple[int, int]] = None
+    ) -> None:
+        """Hold ``record`` as the latest for its id; ``span`` is the data
+        file line it was parsed from, None when no line holds it."""
         previous = self._entries.get(scenario_id)
         if previous is not None:
             self._version_counts[self._version_of(previous)] -= 1
         self._entries[scenario_id] = record
+        if span is None:
+            self._spans.pop(scenario_id, None)
+        else:
+            self._spans[scenario_id] = (span[0], span[1], record)
         self._version_counts[self._version_of(record)] += 1
 
     @staticmethod
@@ -321,6 +348,7 @@ class ResultStore:
             )
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        payload = (line + "\n").encode("utf-8")
         # A previous torn write may have left the file without a trailing
         # newline; heal it so the new record starts on its own line.
         needs_newline = False
@@ -328,21 +356,31 @@ class ResultStore:
             with self.path.open("rb") as fh:
                 fh.seek(-1, os.SEEK_END)
                 needs_newline = fh.read(1) != b"\n"
-        with self.path.open("a", encoding="utf-8") as fh:
+        with self.path.open("ab") as fh:
             if needs_newline:
-                fh.write("\n")
+                fh.write(b"\n")
             if torn_rule is not None and torn_rule.kind == "torn-write":
                 # Simulated power loss mid-append: flush half the line to
                 # disk, then die without cleanup.  The next open quarantines
                 # the tail; the scenario re-runs (its record never landed).
-                fh.write(line[: max(1, len(line) // 2)])
+                fh.write(payload[: max(1, len(line) // 2)])
                 fh.flush()
                 os.fsync(fh.fileno())
                 os._exit(torn_rule.exit_code)
-            fh.write(line + "\n")
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
-        self._set_entry(scenario_id, record)
+            # O_APPEND leaves the position at the end of this write.
+            span = (fh.tell() - len(payload), len(payload))
+            file_id = _file_identity(os.fstat(fh.fileno()))
+        if file_id != self._file_id:
+            # Not the file the held spans were read from (another process
+            # replaced it, or it is new): none of them describe it.
+            self._spans = {}
+            self._file_id = file_id
+        # Hold the on-disk form (sorted keys, lists not tuples): what a
+        # reopen would parse from this line.
+        self._set_entry(scenario_id, json.loads(line), span)
         self.telemetry.metrics.observe("store.append_s", time.perf_counter() - append_t0)
         self.telemetry.metrics.counter("store.appends")
 
@@ -366,16 +404,26 @@ class ResultStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".compact.tmp")
         offset = 0
+        spans: dict[str, tuple[int, int, dict]] = {}
         with tmp.open("wb") as fh:
-            for record in self._entries.values():
+            for key, record in self._entries.items():
                 payload = (
                     json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
                 ).encode("utf-8")
+                if key not in self._spans:
+                    # No line held this record (merged in memory): hold the
+                    # form its new line parses back to.
+                    record = json.loads(payload)
+                spans[key] = (offset, len(payload), record)
                 fh.write(payload)
                 offset += len(payload)
             fh.flush()
             os.fsync(fh.fileno())
+            file_id = _file_identity(os.fstat(fh.fileno()))
         os.replace(tmp, self.path)
+        self._entries.update((key, span[2]) for key, span in spans.items())
+        self._spans = spans
+        self._file_id = file_id
         try:
             self.sqlite_index().mark_compacted()
         except sqlindex.SIDECAR_ERRORS:
@@ -445,7 +493,7 @@ class ResultStore:
                 if not self._merge_wins(record.get("status"), self._entries.get(key)):
                     stats["skipped"] += 1
                     continue
-                self._set_entry(key, dict(record))
+                self._set_entry(key, dict(record))  # no line holds it yet
                 stats["merged"] += 1
         if compact:
             stats["records"] = self.compact()["records"]
@@ -517,12 +565,20 @@ class ResultStore:
         while ``None`` leaves the id unconstrained.  Results come back in
         store (byte) order.
 
-        Only the matching lines are read from the JSONL — a sidecar-served
-        query never replays the store, and counts a ``store.idx_hit``
-        metric (a fallback linear scan counts ``store.idx_miss``).  Every
-        seek-loaded line's scenario id is verified; a mismatch rebuilds the
-        sidecar once and retries, so a sidecar can be stale or even deleted
-        but never wrong.
+        The sidecar picks the rows; the store never replays the JSONL for a
+        query, and counts a ``store.idx_hit`` metric (a fallback linear scan
+        counts ``store.idx_miss``).  A matching record this store already
+        holds comes from memory when the row's byte span is the line the
+        held record was parsed from (at open) or written as (``append``,
+        ``compact``) and the data file is still the one this store opened,
+        wrote or replaced.  Every other row is seek-loaded from disk: lines
+        another process appended or rewrote, any record after another
+        process replaced the file, and records merged in memory but not yet
+        compacted.  Every seek-loaded line's scenario id is verified; a
+        mismatch rebuilds the sidecar once and retries, so a sidecar can be
+        stale or even deleted but never wrong.  Records served from memory
+        are the store's own objects, as :meth:`get` returns them: treat
+        them as read-only.
         """
         if status is not None:
             filters["status"] = status
@@ -546,23 +602,51 @@ class ResultStore:
             )
             if not rows:
                 return []
+            spans = self._current_spans()
             records: list[dict] = []
             stale = False
+            fh = None
             try:
-                with self.path.open("rb") as fh:
-                    for scenario_id, byte_offset, _length in rows:
-                        record = self._read_at(fh, scenario_id, byte_offset)
-                        if record is None:
-                            stale = True
-                            break
-                        records.append(record)
+                for scenario_id, byte_offset, byte_length in rows:
+                    span = spans.get(scenario_id)
+                    if span is not None and span[0] == byte_offset and span[1] == byte_length:
+                        # The row names the very line the held record was
+                        # parsed from: no need to read it again.
+                        records.append(span[2])
+                        continue
+                    if fh is None:
+                        fh = self.path.open("rb")
+                    record = self._read_at(fh, scenario_id, byte_offset)
+                    if record is None:
+                        stale = True
+                        break
+                    records.append(record)
             except OSError:
                 stale = True
+            finally:
+                if fh is not None:
+                    fh.close()
             if not stale:
                 return records
             if attempt == 0:
                 index.rebuild()
         return None
+
+    def _current_spans(self) -> Mapping[str, tuple[int, int, dict]]:
+        """The held spans, if the data file is still the one they describe.
+
+        Called after the sidecar query, so rows read from a file that was
+        replaced since are compared against spans of that same file.  The
+        file id is read before the spans: ``append`` and ``compact`` store
+        them in the opposite order.
+        """
+        file_id = self._file_id
+        spans = self._spans
+        try:
+            current = _file_identity(self.path.stat())
+        except OSError:
+            return {}
+        return spans if current == file_id else {}
 
     def _query_linear(self, filters, scenario_ids, limit, offset) -> list[dict]:
         """The broken-sidecar path: filter the loaded records in Python."""

@@ -832,3 +832,43 @@ class TestSubmitOffTheEventLoop:
             assert scheduler.campaigns == {}
 
         asyncio.run(scenario())
+
+
+import repro.serve.handlers as handlers_module  # noqa: E402
+
+
+class TestAggregateOffTheEventLoop:
+    def test_healthz_answers_while_an_aggregate_is_built(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            CampaignScheduler,
+            "_execute",
+            lambda self, campaign: {"kind": "sweep", "succeeded": True},
+        )
+        started, release = threading.Event(), threading.Event()
+        real_table = handlers_module.records_table
+
+        def records_table(records):
+            started.set()
+            assert release.wait(timeout=60), "records_table was never released"
+            return real_table(records)
+
+        monkeypatch.setattr(handlers_module, "records_table", records_table)
+        docs: list = []
+        with ServiceThread(store_path=tmp_path / "store.jsonl", port=0, workers=1) as service:
+            client = ServeClient(ServeConfig(base_url=service.base_url, timeout_s=10.0))
+            reader_client = ServeClient(ServeConfig(base_url=service.base_url, timeout_s=60.0))
+            campaign_id = client.submit({"preset": "dist-smoke"})["id"]
+            reader = threading.Thread(
+                target=lambda: docs.append(reader_client.aggregate(campaign_id))
+            )
+            reader.start()
+            try:
+                assert started.wait(timeout=30), "the aggregate never reached records_table"
+                # The document is blocked in its thread; the loop still serves.
+                assert client.health()["status"] == "ok"
+                assert docs == []
+            finally:
+                release.set()
+                reader.join(timeout=60)
+            assert not reader.is_alive()
+            assert docs and docs[0]["campaign"] == campaign_id and docs[0]["rows"] == []

@@ -472,3 +472,140 @@ class TestSeriesRoundTrip:
         assert len(lines) == 1
         parsed = json.loads(lines[0])
         assert parsed["scenario_id"] == config.scenario_id
+
+
+def _count_seek_loads(monkeypatch) -> list:
+    """Count ``ResultStore._read_at`` calls (records parsed from disk by a query)."""
+    calls: list = []
+    real = ResultStore._read_at
+
+    def read_at(fh, scenario_id, offset):
+        calls.append(scenario_id)
+        return real(fh, scenario_id, offset)
+
+    monkeypatch.setattr(ResultStore, "_read_at", staticmethod(read_at))
+    return calls
+
+
+def _disk_records(path) -> list:
+    """The latest record per id, parsed from the data file, in byte order of
+    each id's latest line."""
+    latest: dict = {}
+    for line in path.read_bytes().splitlines():
+        record = json.loads(line)
+        latest.pop(record["scenario_id"], None)
+        latest[record["scenario_id"]] = record
+    return list(latest.values())
+
+
+class TestQueryFromMemory:
+    """A query answers from the records the store holds, and from disk
+    exactly when memory cannot vouch for the line."""
+
+    def _configs(self, n=4):
+        return [ScenarioConfig(governor="power-neutral", seed=i) for i in range(n)]
+
+    def test_opened_appended_and_compacted_records_need_no_seek_loads(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.jsonl"
+        configs = self._configs()
+        writer = ResultStore(path)
+        for config in configs[:2]:
+            writer.append(make_record(config))
+        store = ResultStore(path)  # opened: two records parsed at open
+        for config in configs[2:]:
+            store.append(make_record(config))  # appended by this store
+        calls = _count_seek_loads(monkeypatch)
+
+        assert store.query(status="ok") == _disk_records(path)
+        ids = [c.scenario_id for c in configs]
+        assert store.query(scenario_ids=ids[::-1]) == _disk_records(path)
+        assert calls == []
+
+        store.append(make_record(configs[0], status="error", error="boom"))
+        store.compact()
+        assert store.query() == _disk_records(path)
+        ok = [r for r in _disk_records(path) if r["status"] == "ok"]
+        assert len(ok) == 3
+        assert store.query(status="ok", governor="power-neutral") == ok
+        assert calls == []
+
+    def test_another_stores_append_is_read_from_disk(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        config = ScenarioConfig(governor="power-neutral")
+        store = ResultStore(path)
+        store.append(make_record(config, elapsed_s=1.0))
+        ResultStore(path).append(make_record(config, elapsed_s=2.0))
+        calls = _count_seek_loads(monkeypatch)
+
+        (record,) = store.query(scenario_ids=[config.scenario_id])
+        assert record["elapsed_s"] == 2.0
+        assert calls == [config.scenario_id]
+
+    def test_another_stores_compaction_is_read_from_disk(self, tmp_path, monkeypatch):
+        """The replaced file holds a same-length line at the same offset: only
+        the file identity tells memory and disk apart."""
+        path = tmp_path / "store.jsonl"
+        first, second = self._configs(2)
+        store = ResultStore(path)
+        store.append(make_record(first, elapsed_s=1.0))
+        store.append(make_record(second, elapsed_s=1.0))
+        other = ResultStore(path)
+        other.append(make_record(first, elapsed_s=2.0))
+        other.compact()  # written beside the store, renamed over it
+        calls = _count_seek_loads(monkeypatch)
+
+        records = store.query(status="ok")
+        assert [r["elapsed_s"] for r in records] == [2.0, 1.0]
+        assert records == _disk_records(path)
+        assert len(calls) == 2
+
+    def test_merged_only_record_is_never_served_as_on_disk(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        config = ScenarioConfig(governor="power-neutral")
+        store = ResultStore(path)
+        store.append(make_record(config, status="error", error="boom"))
+        source = ResultStore(tmp_path / "source.jsonl")
+        source.append(make_record(config))
+        store.merge(source, compact=False)
+        assert store.get(config)["status"] == "ok"  # held in memory only
+
+        (record,) = store.query(scenario_ids=[config.scenario_id])
+        assert record["status"] == "error"
+        assert record == _disk_records(path)[0]
+        store.compact()
+        (record,) = store.query(scenario_ids=[config.scenario_id])
+        assert record["status"] == "ok"
+        assert store.get(config) == _disk_records(path)[0]
+
+    def test_get_after_append_equals_a_reopen(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        record = {"zeta": 1, "scenario_id": "c0ffee", "status": "ok", "pair": (1, 2)}
+        store = ResultStore(path)
+        store.append(record)
+
+        reopened = ResultStore(path).get("c0ffee")
+        assert store.get("c0ffee") == reopened
+        assert json.dumps(store.get("c0ffee")) == json.dumps(reopened)
+
+    def test_id_list_query_looks_ids_up_by_primary_key(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        configs = self._configs(8)
+        for config in configs:
+            store.append(make_record(config))
+        index = store.sqlite_index()
+        index.ensure()
+        statements: list = []
+        index._connect().set_trace_callback(statements.append)
+        ids = [c.scenario_id for c in configs]
+        store.query(status="ok", governor="power-neutral", scenario_ids=ids)
+        index._connect().set_trace_callback(None)
+
+        (select,) = [s for s in statements if "FROM records" in s]
+        plan = " ".join(
+            str(row[-1]) for row in index._connect().execute("EXPLAIN QUERY PLAN " + select)
+        )
+        assert "sqlite_autoindex_records_1" in plan
+        assert "records_status" not in plan and "records_governor" not in plan
