@@ -23,7 +23,8 @@ def test_fig03_concept(benchmark):
     emit(format_series("V_C without control", without["times"], without["voltage"], units="V"))
     emit(format_series("V_C with control   ", with_ctrl["times"], with_ctrl["voltage"], units="V"))
     emit(f"minimum operating voltage          : {data['minimum_operating_voltage']:.2f} V")
-    emit(f"first undervoltage without control : {without['first_undervoltage_s']} s")
+    emit(f"first undervoltage without control : {without['first_undervoltage_s']} s "
+         f"({without['brownouts']} brown-outs)")
     emit(f"minimum V_C with control           : {with_ctrl['min_voltage_v']:.2f} V "
           f"({with_ctrl['brownouts']} brown-outs)")
 

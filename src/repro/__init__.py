@@ -6,7 +6,7 @@ A trace-driven Python reproduction of Fletcher, Balsamo and Merrett's DATE
 * :mod:`repro.energy`   — PV cells/arrays, irradiance synthesis, buffer capacitor;
 * :mod:`repro.soc`      — the calibrated Exynos5422 (ODROID-XU4) platform model;
 * :mod:`repro.hw`       — the dual-threshold voltage-monitoring hardware;
-* :mod:`repro.sim`      — the node circuit and the event-driven system simulator;
+* :mod:`repro.sim`      — supplies and the event-driven system simulator;
 * :mod:`repro.core`     — the power-neutral governor (the paper's contribution);
 * :mod:`repro.governors`— the baseline governors it is compared against;
 * :mod:`repro.workloads`— the smallpt-style workload;

@@ -141,7 +141,7 @@ class SolarCell:
     -----
     The model is purely static: given a terminal voltage and an irradiance it
     returns the terminal current.  Dynamic behaviour (capacitance, the node
-    equation) is handled by :mod:`repro.sim.circuit`.
+    equation) is handled by :mod:`repro.sim.simulator`.
     """
 
     def __init__(self, parameters: SolarCellParameters):

@@ -30,7 +30,6 @@ from ..energy.pv_array import fig1_small_cell, paper_pv_array
 from ..energy.supercapacitor import PAPER_BUFFER_CAPACITANCE_F, Supercapacitor
 from ..energy.traces import PowerTrace
 from ..governors.static import StaticGovernor
-from ..sim.circuit import simulate_node
 from ..sim.simulator import EnergyHarvestingSimulation, SimulationConfig
 from ..sim.supplies import PVArraySupply
 from ..soc.cores import CoreConfig
@@ -103,7 +102,9 @@ def fig3_concept(
     The "without" system holds a fixed mid-range operating point and rides on
     the capacitor alone; the "with" system runs the power-neutral governor.
     The paper's point is that the tiny capacitor alone only delays the
-    undervoltage, whereas performance scaling avoids it entirely.
+    undervoltage, whereas performance scaling avoids it entirely.  Both
+    halves run on the system simulator, so after its first undervoltage the
+    static board stays off until V_C recovers to the reboot voltage.
     """
     # Trough chosen so the harvest stays above the platform's minimum-OPP
     # power (≈1.8 W): graceful scaling can then sustain operation where the
@@ -112,40 +113,35 @@ def fig3_concept(
         mean_w_m2=660.0, amplitude_w_m2=290.0, period_s=4.0, duration=duration_s, dt=0.01
     )
     array = paper_pv_array()
-    platform_static = build_exynos5422_platform()
-    static_opp = OperatingPoint(CoreConfig(4, 1), 1.1 * GHZ)
-    static_power = platform_static.power_model.power(static_opp)
-    min_voltage = platform_static.spec.minimum_voltage
-
-    # Without control: fixed load power on the bare node.
-    supply = PVArraySupply(array, irradiance)
-    node = simulate_node(
-        supply=supply,
-        capacitor=Supercapacitor(capacitance_f),
-        load_power=lambda t, v: static_power if v >= min_voltage else 0.0,
-        duration_s=duration_s,
-        initial_voltage=PV_TARGET_VOLTAGE,
+    config = SimulationConfig(
+        duration_s=duration_s, initial_voltage=PV_TARGET_VOLTAGE, record_interval_s=0.02
     )
-    time_without = node.first_time_below(min_voltage)
 
-    # With the proposed control.
-    governor = PowerNeutralGovernor()
-    sim = EnergyHarvestingSimulation(
-        platform=build_exynos5422_platform(),
-        governor=governor,
+    # Without control: a fixed operating point on the same capacitor.
+    static_opp = OperatingPoint(CoreConfig(4, 1), 1.1 * GHZ)
+    static = EnergyHarvestingSimulation(
+        platform=build_exynos5422_platform(initial_opp=static_opp),
+        governor=StaticGovernor(static_opp),
         supply=PVArraySupply(array, irradiance),
         capacitor=Supercapacitor(capacitance_f),
-        config=SimulationConfig(
-            duration_s=duration_s, initial_voltage=PV_TARGET_VOLTAGE, record_interval_s=0.02
-        ),
-    )
-    controlled = sim.run()
+        config=config,
+    ).run()
+
+    # With the proposed control.
+    controlled = EnergyHarvestingSimulation(
+        platform=build_exynos5422_platform(),
+        governor=PowerNeutralGovernor(),
+        supply=PVArraySupply(array, irradiance),
+        capacitor=Supercapacitor(capacitance_f),
+        config=config,
+    ).run()
 
     return {
         "without_control": {
-            "times": node.times,
-            "voltage": node.voltage,
-            "first_undervoltage_s": time_without,
+            "times": static.times,
+            "voltage": static.supply_voltage,
+            "first_undervoltage_s": static.first_brownout_time,
+            "brownouts": static.brownout_count,
         },
         "with_control": {
             "times": controlled.times,
@@ -153,7 +149,7 @@ def fig3_concept(
             "min_voltage_v": float(controlled.supply_voltage.min()),
             "brownouts": controlled.brownout_count,
         },
-        "minimum_operating_voltage": min_voltage,
+        "minimum_operating_voltage": build_exynos5422_platform().spec.minimum_voltage,
         "paper_reference": {
             "claim": "scaling avoids hibernation where a small capacitor alone cannot"
         },

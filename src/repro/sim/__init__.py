@@ -1,23 +1,14 @@
-"""Simulation engine: node circuit, supplies, integrators and the system simulator."""
+"""Simulation engine: supplies and the event-driven system simulator."""
 
-from .ode import IntegrationResult, integrate_euler, integrate_rk4, integrate_rk23
 from .supplies import ConstantPowerSupply, ControlledVoltageSupply, PVArraySupply, Supply
-from .circuit import NodeSimulationResult, simulate_node, time_to_undervoltage
 from .result import SimulationEvent, SimulationResult
 from .simulator import EnergyHarvestingSimulation, SimulationConfig, simulate
 
 __all__ = [
-    "IntegrationResult",
-    "integrate_euler",
-    "integrate_rk4",
-    "integrate_rk23",
     "ConstantPowerSupply",
     "ControlledVoltageSupply",
     "PVArraySupply",
     "Supply",
-    "NodeSimulationResult",
-    "simulate_node",
-    "time_to_undervoltage",
     "SimulationEvent",
     "SimulationResult",
     "EnergyHarvestingSimulation",

@@ -16,6 +16,7 @@ from repro.experiments.characterisation import (
     fig10_transition_latency,
     table1_buffer_capacitance,
 )
+from repro.soc.exynos5422 import exynos5422_spec
 
 
 class TestFig1:
@@ -52,6 +53,19 @@ class TestFig3:
     def test_controlled_system_stays_above_minimum(self, data):
         assert data["with_control"]["min_voltage_v"] >= data["minimum_operating_voltage"]
         assert data["with_control"]["brownouts"] == 0
+
+    def test_static_board_is_off_until_the_node_recovers(self, data):
+        # After the undervoltage the board browns out and stays off, so V_C
+        # rises past the reboot voltage instead of sliding along V_min.
+        without = data["without_control"]
+        t0 = without["first_undervoltage_s"]
+        times = np.asarray(without["times"])
+        after = (times > t0) & (times <= t0 + 1.0)
+        assert np.asarray(without["voltage"])[after].max() > exynos5422_spec().reboot_voltage
+
+    def test_static_board_reboots_and_browns_out_again(self, data):
+        assert data["without_control"]["brownouts"] == 1
+        assert fig3_concept(duration_s=16.0)["without_control"]["brownouts"] == 2
 
 
 class TestFig4:

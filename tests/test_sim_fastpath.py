@@ -5,13 +5,11 @@ Covers the layers of the fast path:
 * the tabulated bilinear I-V surface against the exact Lambert-W solve
   (grid parity within the declared tolerance, ``exact=True`` bypass),
 * the vectorised building blocks it rests on (``current_array``,
-  ``open_circuit_voltage_array``, ``TraceCursor``, ``state_at``),
+  ``open_circuit_voltage_array``, ``TraceCursor``),
 * the simulator end-to-end with the tabulated supply against the same loop
   with the exact (Lambert-W) supply on the Table II seed scenarios (summary
   metrics within 1%, brown-out counts exactly equal).
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ import pytest
 from repro.energy.irradiance import constant_irradiance
 from repro.energy.pv_array import paper_pv_array
 from repro.energy.traces import Trace, TraceCursor
-from repro.sim.ode import integrate_euler, integrate_rk23, integrate_rk4
 from repro.sim.supplies import ConstantPowerSupply, PVArraySupply
 from repro.soc.cores import CoreConfig
 from repro.soc.exynos5422 import build_exynos5422_platform
@@ -286,27 +283,6 @@ class TestTraceCursor:
         cursor = trace.cursor()
         assert cursor.value(0.0) == 10.0
         assert cursor.value(5.0) == 20.0
-
-
-class TestStateAtVectorised:
-    def test_matches_per_column_interp(self):
-        result = integrate_rk23(
-            lambda t, y: np.array([y[1], -y[0]]), (0.0, 6.0), [1.0, 0.0], rtol=1e-6, atol=1e-9
-        )
-        for t in (-1.0, 0.0, 0.7, 3.1415, 6.0, 9.0):
-            expected = np.array(
-                [np.interp(t, result.times, result.states[:, j]) for j in range(2)]
-            )
-            np.testing.assert_allclose(result.state_at(t), expected, atol=1e-12)
-
-    def test_fixed_step_integrators_cover_interval(self):
-        for integrate in (integrate_euler, integrate_rk4):
-            result = integrate(lambda t, y: -y, (0.0, 1.0), 1.0, dt=0.093)
-            assert result.times[0] == 0.0
-            assert result.times[-1] == pytest.approx(1.0)
-            assert np.all(np.diff(result.times) > 0)
-            assert len(result.times) == len(result.states)
-            assert result.final_state[0] == pytest.approx(math.exp(-1.0), rel=0.1)
 
 
 # ----------------------------------------------------------------------

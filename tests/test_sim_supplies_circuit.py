@@ -1,14 +1,21 @@
-"""Tests for the supply models and the stand-alone node circuit simulation."""
+"""Tests for the supply models and the node under a fixed load on the system simulator."""
 
-import numpy as np
 import pytest
 
-from repro.energy.irradiance import constant_irradiance, step_irradiance
+from repro.energy.irradiance import constant_irradiance
 from repro.energy.pv_array import paper_pv_array
 from repro.energy.supercapacitor import Supercapacitor
 from repro.energy.traces import Trace
-from repro.sim.circuit import simulate_node, time_to_undervoltage
+from repro.governors.static import StaticGovernor
+from repro.sim.simulator import EnergyHarvestingSimulation, SimulationConfig
 from repro.sim.supplies import ConstantPowerSupply, ControlledVoltageSupply, PVArraySupply
+from repro.soc.cores import CoreConfig
+from repro.soc.exynos5422 import (
+    build_exynos5422_platform,
+    exynos5422_opp_table,
+    exynos5422_power_model,
+)
+from repro.soc.opp import GHZ, OperatingPoint
 
 
 @pytest.fixture(scope="module")
@@ -85,57 +92,49 @@ class TestConstantPowerSupply:
         assert supply.current(6.5, 1.0) == 0.0
 
 
+def run_static(opp, irradiance_w_m2, capacitance_f, initial_voltage, duration_s):
+    """The node under a fixed operating point, on the system simulator."""
+    return EnergyHarvestingSimulation(
+        platform=build_exynos5422_platform(initial_opp=opp),
+        governor=StaticGovernor(opp),
+        supply=PVArraySupply(
+            paper_pv_array(), constant_irradiance(irradiance_w_m2, duration=duration_s + 10.0)
+        ),
+        capacitor=Supercapacitor(capacitance_f),
+        config=SimulationConfig(duration_s=duration_s, initial_voltage=initial_voltage),
+    ).run()
+
+
+def board_power(opp):
+    return exynos5422_power_model().power(opp)
+
+
 class TestNodeCircuit:
     def test_surplus_charges_node_towards_open_circuit(self):
-        supply = PVArraySupply(paper_pv_array(), constant_irradiance(1000.0, duration=30.0))
-        result = simulate_node(
-            supply=supply,
-            capacitor=Supercapacitor(47e-3),
-            load_power=lambda t, v: 1.0,  # well below the ~5.7 W available
-            duration_s=20.0,
-            initial_voltage=5.0,
-        )
-        assert result.voltage[-1] > 6.0
-        assert result.minimum_voltage() >= 5.0 - 1e-3
+        lowest = exynos5422_opp_table().lowest  # ~1.75 W, well below the ~5.7 W available
+        result = run_static(lowest, 1000.0, 47e-3, initial_voltage=5.0, duration_s=20.0)
+        assert result.supply_voltage[-1] > 6.0
+        assert result.supply_voltage.min() >= 5.0 - 1e-3
 
     def test_overload_discharges_node(self):
-        supply = PVArraySupply(paper_pv_array(), constant_irradiance(200.0, duration=30.0))
-        result = simulate_node(
-            supply=supply,
-            capacitor=Supercapacitor(47e-3),
-            load_power=lambda t, v: 5.0 if v > 4.1 else 0.0,
-            duration_s=10.0,
-            initial_voltage=5.3,
-        )
-        assert result.first_time_below(4.1) is not None
+        opp = OperatingPoint(CoreConfig(4, 2), 1.4 * GHZ)
+        assert board_power(opp) >= 5.0
+        result = run_static(opp, 200.0, 47e-3, initial_voltage=5.3, duration_s=10.0)
+        assert result.first_brownout_time is not None
 
     def test_larger_capacitor_survives_longer(self):
         """The Fig. 3 argument: capacitance alone only delays the undervoltage."""
-        supply = PVArraySupply(paper_pv_array(), constant_irradiance(100.0, duration=60.0))
-        small = time_to_undervoltage(
-            supply, Supercapacitor(10e-3), load_power_w=4.0, minimum_voltage=4.1,
-            initial_voltage=5.3, horizon_s=30.0,
-        )
-        large = time_to_undervoltage(
-            supply, Supercapacitor(470e-3), load_power_w=4.0, minimum_voltage=4.1,
-            initial_voltage=5.3, horizon_s=30.0,
+        opp = OperatingPoint(CoreConfig(4, 4), 0.72 * GHZ)
+        assert board_power(opp) == pytest.approx(4.0, abs=0.1)
+        small, large = (
+            run_static(opp, 100.0, c, initial_voltage=5.3, duration_s=30.0).first_brownout_time
+            for c in (10e-3, 470e-3)
         )
         assert small is not None and large is not None
         assert large > 2 * small
 
     def test_sustainable_load_never_undervolts(self):
-        supply = PVArraySupply(paper_pv_array(), constant_irradiance(1000.0, duration=60.0))
-        result = time_to_undervoltage(
-            supply, Supercapacitor(47e-3), load_power_w=2.0, minimum_voltage=4.1,
-            initial_voltage=5.3, horizon_s=20.0,
-        )
-        assert result is None
-
-    def test_voltage_at_and_validation(self):
-        supply = PVArraySupply(paper_pv_array(), constant_irradiance(500.0, duration=10.0))
-        result = simulate_node(
-            supply, Supercapacitor(47e-3), lambda t, v: 2.0, duration_s=5.0, initial_voltage=5.0
-        )
-        assert 0.0 < result.voltage_at(2.5) < 8.0
-        with pytest.raises(ValueError):
-            simulate_node(supply, Supercapacitor(47e-3), lambda t, v: 2.0, duration_s=0.0, initial_voltage=5.0)
+        opp = OperatingPoint(CoreConfig(1, 0), 1.3 * GHZ)
+        assert board_power(opp) <= 2.0
+        result = run_static(opp, 1000.0, 47e-3, initial_voltage=5.3, duration_s=20.0)
+        assert result.first_brownout_time is None
