@@ -2,21 +2,24 @@
 
 The runner takes an expanded scenario list (or a :class:`SweepSpec`), skips
 every cell the store already holds a successful record for, and executes the
-remainder either inline (``workers <= 1``) or on a ``multiprocessing`` pool.
-Each finished record is appended to the store *immediately*, so interrupting a
-campaign (Ctrl-C, OOM kill, power loss) costs at most the scenarios in
-flight — rerunning with the same store resumes where it stopped.
+remainder either inline (``workers <= 1``) or on dedicated worker processes
+("slots"), one scenario per slot at a time, sending each scenario to a slot
+that has already tabulated its supply when one is free.  Each finished record
+is appended to the store *immediately*, so interrupting a campaign (Ctrl-C,
+OOM kill, power loss) costs at most the scenarios in flight — rerunning with
+the same store resumes where it stopped.
 
-Worker failures are captured as ``status == "error"`` records and per-scenario
-timeouts as ``status == "timeout"``; both are persisted for post-mortems and
-retried on the next run.  A progress callback receives every completed cell
-(cached or computed) for live reporting.
+Worker failures, a slot dying mid-scenario included, are captured as
+``status == "error"`` records and per-scenario timeouts as ``status ==
+"timeout"`` (the overrunning slot is killed and respawned); both are persisted
+for post-mortems and retried on the next run.  A progress callback receives
+every completed cell (cached or computed) for live reporting.
 """
 
 from __future__ import annotations
 
-import collections
-import multiprocessing
+import contextlib
+import multiprocessing.connection
 import signal
 import time
 import traceback
@@ -27,7 +30,7 @@ from .. import faults
 from ..faults import DEFAULT_RETRY_POLICY, RetryPolicy, classify_error
 from ..obs.telemetry import DISABLED, Telemetry
 from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
-from .scenario import run_scenario
+from .scenario import run_scenario, worker_stamp
 from .spec import ScenarioConfig, SweepSpec, expand_unique
 from .store import ResultStore
 
@@ -85,12 +88,12 @@ class SweepReport:
 
 
 def _reset_inherited_signals() -> None:
-    """Pool-worker initializer: drop the signal wiring a forked worker inherits.
+    """A worker slot's first call: drop the signal wiring a forked worker inherits.
 
     Forked from an asyncio process (``repro serve``), a worker keeps the
-    loop's signal wake-up fd and its SIGTERM/SIGINT handlers, so the
-    ``pool.terminate()`` at campaign end would write the worker's SIGTERM
-    into the parent's loop, which then shuts itself down.
+    loop's signal wake-up fd and its SIGTERM/SIGINT handlers, so a SIGTERM
+    or SIGINT delivered to the worker would be written into the parent's
+    loop, which then shuts itself down.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -158,6 +161,73 @@ def _execute_payload(payload: "tuple[dict, int, bool] | tuple") -> dict:
         return record
 
 
+def _slot_main(conn) -> None:
+    """A worker slot's process: run each payload from ``conn`` until ``None``."""
+    _reset_inherited_signals()
+    try:
+        for payload in iter(conn.recv, None):
+            conn.send(_execute_payload(payload))
+    except EOFError:
+        pass  # the coordinator is gone
+
+
+def _next_for_slot(queue: Sequence, mine: set, others: set) -> int:
+    """Index of the queued supply key a freed slot runs next.
+
+    In order: the first key this slot has run (its I-V table is warm); else
+    the first key no other slot has run or is running (tabulate it once,
+    here); else the head of the queue.
+    """
+    fresh = None
+    for index, key in enumerate(queue):
+        if key in mine:
+            return index
+        if fresh is None and key not in others:
+            fresh = index
+    return 0 if fresh is None else fresh
+
+
+class _Slot:
+    """One dedicated worker process, its pipe and the supply keys it has run."""
+
+    def __init__(self, ctx):
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_slot_main, args=(child,), daemon=True)
+        self.proc.start()
+        child.close()
+        self.keys: set = set()
+        self.config: Optional[ScenarioConfig] = None  # the scenario in flight
+        self.deadline: Optional[float] = None
+
+    def submit(self, config: ScenarioConfig, key, payload: tuple, timeout_s) -> None:
+        self.keys.add(key)
+        self.config = config
+        self.deadline = time.monotonic() + timeout_s if timeout_s is not None else None
+        with contextlib.suppress(OSError):  # died idle: reported at its pipe's EOF
+            self.conn.send(payload)
+
+    def lost(self, status: str, error: str) -> dict:
+        """The record of the scenario in flight when this (reaped) slot died."""
+        self.conn.close()
+        return {
+            "scenario_id": self.config.scenario_id,
+            "config": self.config.to_dict(),
+            "status": status,
+            "error": error,
+            "worker": {**worker_stamp(), "pid": self.proc.pid},
+        }
+
+    def stop(self) -> None:
+        """Send an idle slot the ``None`` sentinel, kill a busy one; reap it."""
+        if self.config is None:
+            with contextlib.suppress(OSError):  # already dead: nothing to tell
+                self.conn.send(None)
+        else:
+            self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+
+
 class SweepRunner:
     """Executes a scenario campaign against a persistent result store.
 
@@ -168,9 +238,10 @@ class SweepRunner:
     workers:
         Number of worker processes; ``<= 1`` runs inline in this process.
     timeout_s:
-        Per-scenario wall-clock budget.  Setting it forces pool execution —
-        a 1-slot pool when ``workers == 1`` — because an inline run cannot
-        be interrupted without signals; leave it ``None`` for true inline
+        Per-scenario wall-clock budget; a slot still running at its deadline
+        is killed and respawned.  Setting it forces slot execution — one
+        worker slot when ``workers == 1`` — because an inline run cannot be
+        interrupted without signals; leave it ``None`` for true inline
         execution.
     series_samples:
         When > 0, each record stores the simulation series decimated to this
@@ -265,8 +336,8 @@ class SweepRunner:
 
         if pending:
             # A timeout is a promise of enforcement: honour it even at
-            # workers == 1 by running a 1-slot pool (the serial path cannot
-            # interrupt a hung scenario).
+            # workers == 1 by running one worker slot (the serial path
+            # cannot interrupt a hung scenario).
             use_pool = self.workers > 1 or self.timeout_s is not None
             runner = self._run_pool if use_pool else self._run_serial
             for record in runner(pending):
@@ -355,79 +426,67 @@ class SweepRunner:
             )
 
     def _run_pool(self, pending: list[ScenarioConfig]):
-        """Yield records in completion order, with real per-scenario deadlines.
+        """Yield records in completion order from dedicated worker slots.
 
-        Submission is slot-limited (at most ``workers`` tasks outstanding), so
-        a task starts as soon as it is submitted and its deadline measures
-        actual runtime — queued scenarios can never be falsely timed out
-        behind a hung one.  Records are yielded (and therefore persisted by
-        the caller) the moment they complete, not in submission order, so an
-        interrupt loses at most the scenarios actually in flight.  A slot
-        whose scenario overruns its deadline stays occupied by the hung
-        worker; if every slot hangs the pool is recycled.
+        Each of ``workers`` slots is one process fed over its own pipe, one
+        scenario at a time, so a scenario's deadline measures its actual
+        runtime.  The coordinator sleeps in ``connection.wait`` until a slot
+        answers or the nearest deadline passes.  A freed slot takes the
+        scenario :func:`_next_for_slot` picks, which keeps scenarios sharing
+        a supply on the slot that already tabulated it.  Records are yielded
+        (and so persisted by the caller) the moment they complete, so an
+        interrupt loses at most the scenarios in flight.  A slot whose
+        scenario overruns is killed at its deadline (a ``timeout`` record); a
+        slot that dies mid-scenario yields a transient ``error`` record with
+        its exit code.  Either way the slot is respawned and the campaign
+        goes on.
         """
         ctx = multiprocessing.get_context()
-        n_slots = min(self.workers, len(pending))
-        queue = collections.deque(pending)
+        queue = list(pending)
+        # A supply key is all ``build_supply`` reads: equal keys, one I-V table.
+        keys = [(config.supply, config.duration_s) for config in queue]
         # Queue-wait baseline: every pending scenario is logically enqueued
         # now; a worker's measured wait is the time its cell spent queued
-        # behind earlier cells (plus pool dispatch latency).
+        # behind earlier cells (plus dispatch latency).
         enqueued_wall = time.time()
-
-        def new_pool():
-            return ctx.Pool(processes=n_slots, initializer=_reset_inherited_signals)
-
-        pool = new_pool()
-        active: dict = {}  # async handle -> (config, deadline or None)
-        hung = 0
+        shared = (self.series_samples, self.fast, enqueued_wall, self.retry.to_dict())
+        slots = [_Slot(ctx) for _ in range(min(self.workers, len(pending)))]
         try:
-            while queue or active:
-                while queue and len(active) + hung < n_slots:
-                    config = queue.popleft()
-                    handle = pool.apply_async(
-                        _execute_payload,
-                        (
-                            (
-                                config.to_dict(),
-                                self.series_samples,
-                                self.fast,
-                                enqueued_wall,
-                                self.retry.to_dict(),
-                            ),
-                        ),
-                    )
-                    deadline = (
-                        time.monotonic() + self.timeout_s if self.timeout_s is not None else None
-                    )
-                    active[handle] = (config, deadline)
-                completed = [h for h in active if h.ready()]
-                for handle in completed:
-                    active.pop(handle)
-                    yield handle.get()
-                if completed:
-                    continue
-                now = time.monotonic()
-                expired = [
-                    h for h, (_, deadline) in active.items() if deadline is not None and now >= deadline
-                ]
-                for handle in expired:
-                    config, _ = active.pop(handle)
-                    hung += 1
-                    yield {
-                        "scenario_id": config.scenario_id,
-                        "config": config.to_dict(),
-                        "status": "timeout",
-                        "error": f"scenario exceeded {self.timeout_s:.0f} s budget",
-                    }
-                if hung >= n_slots:
-                    # Every worker is stuck on an overrunning scenario: kill
-                    # the pool and start a fresh one for the remaining cells.
-                    pool.terminate()
-                    pool.join()
-                    pool = new_pool()
-                    hung = 0
-                elif not expired:
-                    time.sleep(0.02)
+            while True:
+                for slot in slots:
+                    if slot.config is None and queue:
+                        others = set().union(*(s.keys for s in slots if s is not slot))
+                        index = _next_for_slot(keys, slot.keys, others)
+                        config = queue.pop(index)
+                        payload = (config.to_dict(), *shared)
+                        slot.submit(config, keys.pop(index), payload, self.timeout_s)
+                busy = [slot for slot in slots if slot.config is not None]
+                if not busy:
+                    return
+                deadlines = [slot.deadline for slot in busy if slot.deadline is not None]
+                wait_s = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+                ready = multiprocessing.connection.wait([slot.conn for slot in busy], wait_s)
+                for i, slot in enumerate(slots):
+                    if slot.config is None:
+                        continue
+                    if slot.conn in ready:
+                        try:
+                            record = slot.conn.recv()
+                            slot.config = None
+                        except (EOFError, OSError):
+                            slot.proc.join()
+                            error = f"worker exited with code {slot.proc.exitcode} mid-scenario"
+                            record = {**slot.lost("error", error), "error_kind": "transient"}
+                            slots[i] = _Slot(ctx)
+                    elif slot.deadline is not None and time.monotonic() >= slot.deadline:
+                        slot.proc.kill()
+                        slot.proc.join()
+                        error = f"scenario exceeded {self.timeout_s:.0f} s budget"
+                        record = slot.lost("timeout", error)
+                        slots[i] = _Slot(ctx)
+                    else:
+                        continue
+                    yield record
         finally:
-            pool.terminate()
-            pool.join()
+            for slot in slots:
+                slot.stop()

@@ -1,7 +1,11 @@
 """Tests for campaign execution: caching, resume, failures, parallelism."""
 
+import os
+
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan, FaultRule
 from repro.sweep import (
     Axis,
     ResultStore,
@@ -10,8 +14,10 @@ from repro.sweep import (
     SweepSpec,
     axis_summary,
     campaign_overview,
+    strip_volatile,
     table2_rows,
 )
+from repro.sweep.runner import _next_for_slot
 
 #: Short simulated duration keeping each scenario ~tens of milliseconds.
 DURATION_S = 5.0
@@ -110,19 +116,25 @@ class TestCachingAndResume:
 
 class TestParallelExecution:
     def test_pool_run_matches_serial_results(self, tmp_path):
-        spec = tiny_spec(governors=("power-neutral", "powersave"), seeds=(1, 2))
+        # 4 supplies (weather x seed) x 2 governors: slots run cells out of
+        # order and reuse each other's supplies, and the records must not care.
+        spec = SweepSpec.grid(
+            governors=["power-neutral", "powersave"],
+            weather=["full_sun", "cloud"],
+            seeds=[1, 2],
+            duration_s=DURATION_S,
+        )
         serial_store = ResultStore(tmp_path / "serial.jsonl")
         SweepRunner(serial_store, workers=1).run(spec)
         pool_store = ResultStore(tmp_path / "pool.jsonl")
         report = SweepRunner(pool_store, workers=2).run(spec)
 
-        assert report.executed == 4
+        assert report.executed == 8
         assert report.succeeded
         for config in spec.scenarios():
-            serial = serial_store.get(config)["summary"]
-            pooled = pool_store.get(config)["summary"]
-            assert pooled["instructions"] == pytest.approx(serial["instructions"])
-            assert pooled["brownouts"] == serial["brownouts"]
+            assert strip_volatile(pool_store.get(config)) == strip_volatile(
+                serial_store.get(config)
+            )
 
     def test_timeout_is_recorded_and_retried(self, tmp_path):
         config = ScenarioConfig(governor="power-neutral", duration_s=120.0)
@@ -144,6 +156,83 @@ class TestParallelExecution:
         ).run([config])
         assert report.timed_out == 1
         assert not report.succeeded
+
+
+class TestWorkerSlots:
+    @pytest.fixture(autouse=True)
+    def _clean_injector(self):
+        faults.reset()
+        yield
+        faults.reset()
+
+    def test_slot_keeps_its_supply(self):
+        # "c" is fresh to every slot, but this slot's warm "b" comes first.
+        assert _next_for_slot(["a", "c", "b", "b"], mine={"b"}, others={"a"}) == 2
+
+    def test_slot_takes_a_supply_no_other_slot_has(self):
+        assert _next_for_slot(["a", "b", "c"], mine={"x"}, others={"a", "b"}) == 2
+
+    def test_slot_falls_back_to_the_head(self):
+        assert _next_for_slot(["a", "b"], mine={"x"}, others={"a", "b"}) == 0
+        assert _next_for_slot(["a", "b"], mine=set(), others=set()) == 0
+
+    def test_crashed_worker_yields_an_error_and_the_campaign_completes(self, tmp_path):
+        spec = tiny_spec(seeds=(1, 2))
+        faults.install(
+            FaultPlan(
+                rules=(FaultRule(site="worker.simulate", kind="crash", once=True),),
+                state_dir=str(tmp_path / "state"),
+            )
+        )
+        path = tmp_path / "s.jsonl"
+        report = SweepRunner(ResultStore(path), workers=2, timeout_s=5.0).run(spec)
+
+        assert report.executed == 4
+        assert report.timed_out == 0
+        (crashed,) = [r for r in report.records if r["status"] != "ok"]
+        assert crashed["status"] == "error"
+        assert crashed["error_kind"] == "transient"
+        assert "code 86" in crashed["error"]
+        assert crashed["worker"]["pid"] > 0
+
+        resumed = SweepRunner(ResultStore(path), workers=2, timeout_s=5.0).run(spec)
+        assert resumed.cached == 3
+        assert resumed.executed == 1
+        assert resumed.succeeded
+
+    def test_overrunning_worker_is_killed_at_its_deadline(self, tmp_path):
+        spec = tiny_spec(seeds=(1, 2))
+        slow = spec.scenarios()[0].scenario_id
+        faults.install(
+            FaultPlan(
+                rules=(
+                    FaultRule(
+                        site="worker.simulate",
+                        kind="delay",
+                        delay_s=60.0,
+                        match={"scenario_id": slow},
+                    ),
+                )
+            )
+        )
+        alive_at_report = []
+
+        def progress(done, total, record, cached):
+            if record["status"] == "timeout":
+                pid = record["worker"]["pid"]
+                try:
+                    os.kill(pid, 0)
+                    alive_at_report.append(True)
+                except ProcessLookupError:
+                    alive_at_report.append(False)
+
+        report = SweepRunner(
+            ResultStore(tmp_path / "s.jsonl"), workers=2, timeout_s=2.0, progress=progress
+        ).run(spec)
+        assert report.timed_out == 1
+        assert alive_at_report == [False]
+        (timed_out,) = [r for r in report.records if r["status"] == "timeout"]
+        assert timed_out["scenario_id"] == slow
 
 
 class TestAggregation:
