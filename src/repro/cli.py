@@ -1539,9 +1539,6 @@ def _command_shard(args: argparse.Namespace) -> int:
         f"{len(configs)} of {len(spec)} scenario(s), {plan.engine} engine -> {store.path}"
     )
 
-    # Records computed by this worker (and its pool children, which inherit
-    # the environment) carry the shard index in their worker stamp.
-    os.environ[sweep_module.SHARD_INDEX_ENV] = str(plan.shard_index)
     renderer = ProgressRenderer(quiet=args.quiet)
     runner = sweep_module.SweepRunner(
         store,
@@ -1552,8 +1549,19 @@ def _command_shard(args: argparse.Namespace) -> int:
         fast=plan.engine == "fast",
         telemetry=telemetry,
     )
-    with ResourceSampler(telemetry, flush_path=metrics_sidecar_path(store.path)):
-        report = _maybe_profile(args, lambda: runner.run(configs))
+    # Records computed during the run (in this process or in the worker
+    # slots it forks, which inherit the environment) carry the shard index
+    # in their worker stamp; the caller's environment is restored after.
+    previous_shard = os.environ.get(sweep_module.SHARD_INDEX_ENV)
+    os.environ[sweep_module.SHARD_INDEX_ENV] = str(plan.shard_index)
+    try:
+        with ResourceSampler(telemetry, flush_path=metrics_sidecar_path(store.path)):
+            report = _maybe_profile(args, lambda: runner.run(configs))
+    finally:
+        if previous_shard is None:
+            os.environ.pop(sweep_module.SHARD_INDEX_ENV, None)
+        else:
+            os.environ[sweep_module.SHARD_INDEX_ENV] = previous_shard
     _finish_telemetry(
         telemetry,
         store,

@@ -6,12 +6,12 @@ loss.  It provides two things:
 
 * **Fault injection** — named sites woven through the execution stack
   (``store.append``, ``sqlindex.refresh``, ``worker.simulate``,
-  ``dist.worker_loop``, ``serve.handle``, ``serve.scheduler``) fire against a
-  JSON :class:`FaultPlan` that can inject exceptions, hard crashes
-  (``os._exit``, the process-level analogue of a brown-out), delays and torn
-  writes.  The plan travels in the ``REPRO_FAULTS`` environment variable —
-  inline JSON or a path to a JSON file — so it propagates into shard worker
-  processes and their pool grandchildren under fork and spawn alike.
+  ``serve.handle``, ``serve.scheduler``) fire against a JSON
+  :class:`FaultPlan` that can inject exceptions, hard crashes (``os._exit``,
+  the process-level analogue of a brown-out), delays and torn writes.  The
+  plan travels in the ``REPRO_FAULTS`` environment variable — inline JSON or
+  a path to a JSON file — so it propagates into worker slot processes under
+  fork and spawn alike.
 
 * **Self-healing vocabulary** — :func:`classify_error` splits failures into
   ``transient`` (worth retrying: I/O, connections, injected chaos) vs
@@ -69,7 +69,6 @@ FAULT_SITES = (
     "store.append",
     "sqlindex.refresh",
     "worker.simulate",
-    "dist.worker_loop",
     "serve.handle",
     "serve.scheduler",
 )

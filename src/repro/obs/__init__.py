@@ -13,7 +13,6 @@ three small parts:
   sidecar next to the result store;
 * :mod:`repro.obs.telemetry` — :class:`Telemetry`: the bundle the execution
   layers (:class:`~repro.sweep.runner.SweepRunner`,
-  :class:`~repro.sweep.dist.DistRunner`,
   :class:`~repro.sweep.adaptive.BoundarySearch`,
   :class:`~repro.sweep.store.ResultStore`) thread through.  The
   :data:`DISABLED` singleton they default to is built from no-op callables:

@@ -106,9 +106,9 @@ class RunSummary:
 
     ``scenario_latency`` carries the quantiles of the merged
     ``scenario_duration_seconds`` histograms from *all* worker sidecars
-    (coordinator, shard workers, recovery workers), with the contributing
+    (one per shard or other traced process), with the contributing
     worker labels; ``routes`` the per-route request quantiles; ``counters``
-    the fault/retry/respawn totals a regression gate cares about.  ``meta``
+    the fault/retry/restart totals a regression gate cares about.  ``meta``
     is free-form (benchmark figures, provenance extras).
     """
 

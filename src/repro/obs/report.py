@@ -302,10 +302,10 @@ def build_report(
     report["span"] = {"start": min(times), "end": max(times), "wall_s": max(times) - min(times)}
 
     # --- top-level run spans and their phase partitions -----------------
-    run_names = ("campaign.run", "dist.run")
-    phase_names = ("campaign.phase", "dist.phase")
-    run_spans = [e for e in events if e.get("kind") == "span" and e.get("name") in run_names]
-    phase_spans = [e for e in events if e.get("kind") == "span" and e.get("name") in phase_names]
+    run_spans = [e for e in events if e.get("kind") == "span" and e.get("name") == "campaign.run"]
+    phase_spans = [
+        e for e in events if e.get("kind") == "span" and e.get("name") == "campaign.phase"
+    ]
     run_s = sum(float(e.get("dur_s", 0.0)) for e in run_spans)
     phases: dict[str, float] = {}
     for span in phase_spans:
@@ -416,20 +416,20 @@ def build_report(
     resources = _resource_section(events)
     if resources:
         report["resource"] = resources
-    fault_section = _faults_section(report["counters"], events)
+    fault_section = _faults_section(report["counters"])
     if fault_section:
         report["faults"] = fault_section
     return report
 
 
 #: Counter prefixes belonging to the fault-injection / self-healing stack.
-_FAULT_COUNTER_PREFIXES = ("faults.", "retry.", "dist.respawn", "dist.worker_deaths", "scheduler.")
+_FAULT_COUNTER_PREFIXES = ("faults.", "retry.", "scheduler.")
 
 
-def _faults_section(counters: Mapping, events: Sequence[dict]) -> dict:
-    """Chaos observability: injected faults, retries, respawns, restarts.
+def _faults_section(counters: Mapping) -> dict:
+    """Chaos observability: injected faults, retries, scheduler restarts.
 
-    Present only when a run actually injected/retried/respawned something —
+    Present only when a run actually injected/retried/restarted something —
     a clean run's report is unchanged.  ``retry.exhausted`` is always
     stamped (zero included) once the section exists, because "no retries
     ran out" is the assertion chaos gates make.
@@ -444,15 +444,6 @@ def _faults_section(counters: Mapping, events: Sequence[dict]) -> dict:
     section.setdefault("faults.injected", 0)
     section.setdefault("retry.attempt", 0)
     section.setdefault("retry.exhausted", 0)
-    respawns = [
-        event
-        for event in events
-        if event.get("kind") == "event" and event.get("name") == "worker.respawn"
-    ]
-    if respawns:
-        section["respawned_scenarios"] = sum(
-            int((event.get("attrs") or {}).get("scenarios", 0)) for event in respawns
-        )
     return {k: section[k] for k in sorted(section)}
 
 

@@ -6,7 +6,7 @@ a :class:`Histogram` keeps a *shape* — sample counts in fixed, typically
 log-spaced buckets — from which quantiles (p50/p95/p99) are estimated by
 linear interpolation inside the bucket that crosses the target rank.  Fixed
 boundaries are what make histograms **mergeable**: two histograms recorded
-by different processes (a coordinator and its shard workers, or two serve
+by different processes (the shards of one campaign, or two serve
 replicas) add bucket-wise into one distribution, exactly the property
 Prometheus exposition (:mod:`repro.obs.promexport`) needs for its
 cumulative ``_bucket`` series.

@@ -10,7 +10,7 @@ event carries the same envelope::
      "attrs": {<free-form details>}}
 
 ``t`` is wall-clock (``time.time()``) so trace files written by *different
-processes* — the coordinator, each shard worker — merge into one timeline by
+processes* — the shards of one campaign, say — merge into one timeline by
 sorting on it (see :func:`repro.obs.report.load_events`); durations are
 measured with the monotonic ``perf_counter`` so they never go negative under
 clock adjustment.

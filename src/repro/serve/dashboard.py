@@ -294,11 +294,11 @@ function renderMetrics(metrics) {
   renderRoutes(metrics);
   const rss = (metrics.gauges || {})["process_resident_memory_bytes"];
   $("kpi-rss").textContent = fmtBytes(rss);
-  // Recovery activity: injected faults, in-campaign retries, worker
-  // respawns and scheduler restarts, summed across label variants.
+  // Recovery activity: injected faults, in-campaign retries and
+  // scheduler restarts, summed across label variants.
   let recovery = 0;
   for (const [key, value] of Object.entries(metrics.counters || {}))
-    if (/^(faults\\.injected|retry\\.|dist\\.respawn|scheduler\\.)/.test(key))
+    if (/^(faults\\.injected|retry\\.|scheduler\\.)/.test(key))
       recovery += value;
   $("kpi-faults").textContent = String(recovery);
 }

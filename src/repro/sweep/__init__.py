@@ -23,7 +23,7 @@ registry-backed scenario components:
   behind :meth:`ResultStore.query`: scenario ids, statuses and searchable axis
   columns mapped to JSONL byte offsets, so filtered/aggregate reads over
   100k+-record stores never replay the file;
-* :mod:`repro.sweep.runner`   — serial or multiprocessing execution with
+* :mod:`repro.sweep.runner`   — inline or worker-slot execution with
   per-scenario timeouts and progress reporting;
 * :mod:`repro.sweep.aggregate`— per-axis mean/p50/p95 tables, Table II
   reconstruction and CSV export from stored records;
@@ -33,8 +33,7 @@ registry-backed scenario components:
   round;
 * :mod:`repro.sweep.dist`     — sharded (multi-host) campaign execution:
   deterministic content-addressed partitioning (:class:`ShardPlan` + JSON
-  shard manifests), store merging, and the :class:`DistRunner` local
-  fan-out over shard worker processes;
+  shard manifests) for ``repro shard`` on each host, then store merging;
 * :mod:`repro.sweep.presets`  — ready-made campaigns (Table II outdoor grid,
   the Fig. 11 controlled-supply sweep, a constant-power survival survey) and
   boundary queries (``min-capacitance``, ``min-power``).
@@ -90,7 +89,6 @@ from .build import (
 from .components import CAPACITORS, GOVERNORS, PLATFORMS, SUPPLIES, WORKLOADS_REGISTRY
 from .dist import (
     MANIFEST_VERSION,
-    DistRunner,
     ShardPlan,
     partition_scenarios,
     shard_index_of,
@@ -103,7 +101,7 @@ from .presets import (
     build_preset,
     preset_names,
 )
-from .runner import CampaignRunner, SweepReport, SweepRunner, expand_unique
+from .runner import SweepReport, SweepRunner, expand_unique
 from .scenario import (
     GOVERNOR_SPECS,
     SHARD_INDEX_ENV,
@@ -178,11 +176,9 @@ __all__ = [
     "strip_volatile",
     "SweepReport",
     "SweepRunner",
-    "CampaignRunner",
     "expand_unique",
     "MANIFEST_VERSION",
     "ShardPlan",
-    "DistRunner",
     "shard_index_of",
     "partition_scenarios",
     "GovernorSpec",

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..obs.telemetry import DISABLED, Telemetry
 from ..registry import jsonable_value, normalise_value
-from .runner import CampaignRunner
+from .runner import SweepRunner
 from .spec import Axis, ScenarioConfig, resolve_axis_path
 
 __all__ = [
@@ -515,14 +515,6 @@ class BoundarySearch:
     :class:`~repro.sweep.store.ResultStore`, giving cache hits on re-runs and
     resumption of interrupted searches.
 
-    ``runner`` is anything satisfying the
-    :class:`~repro.sweep.runner.CampaignRunner` protocol — a single-host
-    :class:`~repro.sweep.runner.SweepRunner`, or a
-    :class:`~repro.sweep.dist.DistRunner`, in which case every round's probe
-    batch is partitioned across shard worker processes (content-addressed,
-    so a probe always lands on the same shard and re-runs cache-hit its
-    shard store) and the round's results arrive via store merge.
-
     With a :class:`~repro.obs.telemetry.Telemetry` bundle attached, every
     scheduling round becomes a ``boundary.round`` span (probes submitted,
     open cells, cache hits) wrapping the runner's own campaign spans, each
@@ -534,7 +526,7 @@ class BoundarySearch:
     def __init__(
         self,
         query: BoundaryQuery,
-        runner: CampaignRunner,
+        runner: SweepRunner,
         progress: Optional[RoundCallback] = None,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -611,7 +603,7 @@ class BoundarySearch:
 
 def find_boundary(
     query: BoundaryQuery,
-    runner: CampaignRunner,
+    runner: SweepRunner,
     progress: Optional[RoundCallback] = None,
 ) -> BoundaryReport:
     """Convenience wrapper: run a boundary query and return its report."""

@@ -14,6 +14,10 @@ Worker failures, a slot dying mid-scenario included, are captured as
 "timeout"`` (the overrunning slot is killed and respawned); both are persisted
 for post-mortems and retried on the next run.  A progress callback receives
 every completed cell (cached or computed) for live reporting.
+
+The slots are the one local fan-out; a campaign spread over several hosts
+runs one shard per host through this runner (``repro shard``) and merges the
+shard stores afterwards (``repro store merge``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .. import faults
 from ..faults import DEFAULT_RETRY_POLICY, RetryPolicy, classify_error
@@ -34,25 +38,10 @@ from .scenario import run_scenario, worker_stamp
 from .spec import ScenarioConfig, SweepSpec, expand_unique
 from .store import ResultStore
 
-__all__ = ["CampaignRunner", "SweepReport", "SweepRunner", "expand_unique"]
+__all__ = ["SweepReport", "SweepRunner", "expand_unique"]
 
 #: progress(done, total, record, cached) — called after every completed cell.
 ProgressCallback = Callable[[int, int, dict, bool], None]
-
-
-class CampaignRunner(Protocol):
-    """What campaign consumers (e.g. the boundary search) require of a runner.
-
-    :class:`SweepRunner` is the single-host implementation;
-    :class:`repro.sweep.dist.DistRunner` satisfies the same protocol by
-    fanning each ``run`` batch out over shard worker processes, so any code
-    written against this protocol distributes transparently.
-    """
-
-    store: ResultStore
-
-    def run(self, campaign: Union[SweepSpec, Sequence[ScenarioConfig]]) -> "SweepReport":
-        ...
 
 
 @dataclass
@@ -481,7 +470,7 @@ class SweepRunner:
                     elif slot.deadline is not None and time.monotonic() >= slot.deadline:
                         slot.proc.kill()
                         slot.proc.join()
-                        error = f"scenario exceeded {self.timeout_s:.0f} s budget"
+                        error = f"scenario exceeded {self.timeout_s:g} s budget"
                         record = slot.lost("timeout", error)
                         slots[i] = _Slot(ctx)
                     else:

@@ -44,9 +44,9 @@ __all__ = [
     "worker_stamp",
 ]
 
-#: Environment variable a shard worker sets so its (grand)child processes
-#: stamp records with the shard they ran in (multiprocessing pool children
-#: inherit the environment under both fork and spawn start methods).
+#: Environment variable ``repro shard`` sets while it runs, so records it
+#: computes, in-process or in the worker slots it forks (which inherit the
+#: environment), are stamped with the shard they ran in.
 SHARD_INDEX_ENV = "REPRO_SHARD_INDEX"
 
 

@@ -33,7 +33,7 @@ class TestPlanParsing:
     def test_json_round_trip(self):
         original = plan(
             FaultRule(site="worker.simulate", kind="delay", delay_s=0.01),
-            FaultRule(site="dist.worker_loop", kind="crash", after=2, once=True),
+            FaultRule(site="store.append", kind="crash", after=2, once=True),
             seed=7,
             state_dir="/tmp/x",
         )

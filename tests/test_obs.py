@@ -32,7 +32,6 @@ from repro.obs import (
     trace_files,
 )
 from repro.sweep import (
-    DistRunner,
     ResultStore,
     SweepRunner,
     SweepSpec,
@@ -41,6 +40,22 @@ from repro.sweep import (
 
 #: Short simulated duration keeping each scenario ~tens of milliseconds.
 DURATION_S = 2.0
+
+#: A 4-cell campaign split 3/1 over two shards.
+SHARD_GRID = [
+    "--governors", "power-neutral,powersave", "--weather", "full_sun,cloud",
+    "--capacitance-mf", "47", "--duration", str(DURATION_S), "--quiet",
+]
+
+
+def run_shards(tmp_path: Path, trace: Path) -> None:
+    """Both shards of one campaign as in-process `repro shard` runs sharing a trace dir."""
+    for index in (0, 1):
+        argv = [
+            "shard", *SHARD_GRID, "--num-shards", "2", "--shard-index", str(index),
+            "--store", str(tmp_path / f"shard-{index}.jsonl"), "--trace", str(trace),
+        ]
+        assert main(argv) == 0
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -179,24 +194,20 @@ class TestTraceMerging:
         assert [e["worker"] for e in events] == ["main", "shard-0", "main"]
         assert len(trace_files(tmp_path)) == 2
 
-    def test_dist_run_writes_one_trace_file_per_process(self, tmp_path):
+    def test_dist_run_writes_one_trace_file_per_process(self, tmp_path, capsys):
         trace_dir = tmp_path / "trace"
-        telemetry = Telemetry.create(trace_dir, worker="main")
-        store = ResultStore(tmp_path / "dist.jsonl", telemetry=telemetry)
-        report = DistRunner(store, n_shards=2, telemetry=telemetry).run(
-            small_spec(weather=["full_sun", "cloud"])
-        )
-        telemetry.close()
-        assert report.executed == 4
+        run_shards(tmp_path, trace_dir)
+        capsys.readouterr()
 
         workers = {e["worker"] for e in load_events(trace_dir)}
-        assert workers == {"main", "shard-0", "shard-1"}
-        # Shard workers write their own metrics sidecars next to their stores.
-        shard_sidecars = sorted((tmp_path / "dist.jsonl.shards").glob("*.metrics.json"))
-        assert len(shard_sidecars) == 2
-        # Pool/shard records are stamped with the shard that computed them.
-        shards = {r["worker"].get("shard") for r in store.records()}
-        assert shards == {0, 1}
+        assert workers == {"shard-0", "shard-1"}
+        assert len(trace_files(trace_dir)) == 2
+        # Each shard writes its metrics sidecar next to its store.
+        assert len(list(tmp_path.glob("shard-*.jsonl.metrics.json"))) == 2
+        # Records are stamped with the shard that computed them.
+        for index in (0, 1):
+            records = list(ResultStore(tmp_path / f"shard-{index}.jsonl").records())
+            assert records and all(r["worker"]["shard"] == index for r in records)
 
     def test_torn_trailing_lines_are_skipped(self, tmp_path):
         path = tmp_path / "trace-main-1.jsonl"
@@ -210,46 +221,34 @@ class TestTraceMerging:
 
 
 # ----------------------------------------------------------------------
-# obs report round-trips a real distributed campaign
+# obs report round-trips a real two-shard campaign
 # ----------------------------------------------------------------------
 class TestReport:
-    def test_warm_dist_rerun_reports_pure_cache_hits(self, tmp_path):
-        spec = small_spec(weather=["full_sun", "cloud"])
-        cold = Telemetry.create(tmp_path / "cold", worker="main")
-        store = ResultStore(tmp_path / "dist.jsonl", telemetry=cold)
-        DistRunner(store, n_shards=2, telemetry=cold).run(spec)
-        cold.close()
-
-        warm = Telemetry.create(tmp_path / "warm", worker="main")
-        warm_store = ResultStore(tmp_path / "dist.jsonl", telemetry=warm)
-        report = DistRunner(warm_store, n_shards=2, telemetry=warm).run(spec)
-        warm.write_metrics(warm_store.path)
-        warm.close()
-        assert report.executed == 0 and report.cached == 4
+    def test_warm_dist_rerun_reports_pure_cache_hits(self, tmp_path, capsys):
+        run_shards(tmp_path, tmp_path / "cold")
+        run_shards(tmp_path, tmp_path / "warm")
+        capsys.readouterr()
 
         doc = build_report(load_events(tmp_path / "warm"))
         assert doc["cache_hit_ratio"] == 1.0
         assert doc["executed"] == 0
         assert doc["cached"] == 4
         assert doc["coverage"] >= 0.95
-        assert doc["runs"] == 1
+        assert doc["runs"] == 2
         assert set(doc["phases"]) == {"expand", "cache-scan"}
         text = format_report(doc, title="warm")
         assert "cache_hit_ratio" in text and "Per-phase breakdown" in text
 
-    def test_cold_dist_report_has_workers_phases_and_slowest(self, tmp_path):
-        spec = small_spec(weather=["full_sun", "cloud"])
-        telemetry = Telemetry.create(tmp_path / "trace", worker="main")
-        store = ResultStore(tmp_path / "dist.jsonl", telemetry=telemetry)
-        DistRunner(store, n_shards=2, telemetry=telemetry).run(spec)
-        telemetry.close()
+    def test_cold_dist_report_has_workers_phases_and_slowest(self, tmp_path, capsys):
+        run_shards(tmp_path, tmp_path / "trace")
+        capsys.readouterr()
 
         doc = build_report(load_events(tmp_path / "trace"), slowest=3)
         assert doc["executed"] == 4 and doc["cache_hit_ratio"] == 0.0
         assert doc["coverage"] >= 0.95
-        assert {"expand", "cache-scan", "execute", "collect"} <= set(doc["phases"])
+        assert {"expand", "cache-scan", "execute"} <= set(doc["phases"])
         assert len(doc["slowest"]) == 3
-        assert {"main", "shard-0", "shard-1"} <= set(doc["workers"])
+        assert set(doc["workers"]) == {"shard-0", "shard-1"}
         for label in ("shard-0", "shard-1"):
             assert doc["workers"][label]["busy_s"] > 0
         phases = doc["scenario_phases"]
@@ -261,7 +260,6 @@ class TestReport:
         assert 0.0 <= wait["p50_s"] <= wait["p95_s"] <= wait["max_s"]
         text = format_report(doc)
         assert "Queue wait per scenario" in text
-        assert doc["counters"]["dist.workers_spawned"] == 2
 
     def test_empty_event_stream_reports_zeroes(self):
         doc = build_report([])
@@ -402,8 +400,8 @@ class TestObsCli:
         # The shard's records carry the shard index (env-propagated stamp).
         records = list(ResultStore(tmp_path / "shard-0.jsonl").records())
         assert records and all(r["worker"]["shard"] == 0 for r in records)
-        assert os.environ.get("REPRO_SHARD_INDEX") == "0"
-        os.environ.pop("REPRO_SHARD_INDEX", None)
+        # The shard index is set for the run only, not left in the caller.
+        assert "REPRO_SHARD_INDEX" not in os.environ
 
     def test_boundary_trace_round_trips(self, tmp_path, capsys):
         trace = tmp_path / "trace"

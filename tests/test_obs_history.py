@@ -28,18 +28,8 @@ from repro.obs import (
 from repro.obs.metrics import split_series_key
 from repro.obs.promexport import render_prometheus
 from repro.obs.timeseries import Histogram, RollingWindow
-from repro.sweep import DistRunner, ResultStore, SweepSpec
 
 DURATION_S = 4.0
-
-
-def small_spec(seeds=(1,)) -> SweepSpec:
-    return SweepSpec.grid(
-        governors=["power-neutral", "powersave"],
-        weather=["full_sun", "cloud"],
-        seeds=list(seeds),
-        duration_s=DURATION_S,
-    )
 
 
 def summary(**overrides) -> RunSummary:
@@ -106,32 +96,35 @@ class TestRunLedger:
 
 
 # ----------------------------------------------------------------------
-# summarize_run over a real distributed trace: the merged-histogram
+# summarize_run over a real two-shard trace: the merged-histogram
 # acceptance criterion (quantiles include every worker sidecar).
 # ----------------------------------------------------------------------
 class TestSummarizeRun:
-    def test_two_shard_workers_both_feed_the_latency_quantiles(self, tmp_path):
-        from repro.obs import Telemetry
-
+    def test_two_shard_workers_both_feed_the_latency_quantiles(self, tmp_path, capsys):
         trace_dir = tmp_path / "trace"
-        telemetry = Telemetry.create(trace_dir, worker="main")
-        store = ResultStore(tmp_path / "dist.jsonl", telemetry=telemetry)
-        report = DistRunner(store, n_shards=2, telemetry=telemetry).run(small_spec())
-        telemetry.write_metrics(store.path)
-        telemetry.close()
-        assert report.succeeded
+        for index in (0, 1):
+            argv = [
+                "shard", "--governors", "power-neutral,powersave",
+                "--weather", "full_sun,cloud", "--capacitance-mf", "47",
+                "--duration", str(DURATION_S), "--quiet",
+                "--num-shards", "2", "--shard-index", str(index),
+                "--store", str(tmp_path / f"shard-{index}.jsonl"),
+                "--trace", str(trace_dir),
+            ]
+            assert main(argv) == 0
+        capsys.readouterr()
 
         # both shard workers left their own metrics sidecar in the trace dir
         merged, workers, files = merged_sidecar_histograms(trace_dir)
-        assert {"shard-0", "shard-1"} <= set(workers)
-        assert files >= 2
+        assert set(workers) == {"shard-0", "shard-1"}
+        assert files == 2
 
         doc = summarize_run(trace_dir, kind="shard", engine="fast")
         latency = doc.scenario_latency
         assert {"shard-0", "shard-1"} <= set(latency["workers"])
         # every executed scenario is in the merged histogram: the count is
         # the sum over all worker sidecars, not any single worker's view
-        assert latency["count"] == report.executed == 4
+        assert latency["count"] == 4
         assert latency["p95_s"] >= latency["p50_s"] > 0
         assert doc.executed == 4 and doc.scenarios == 4
         assert doc.throughput_sps > 0

@@ -15,9 +15,6 @@ from repro.faults import FaultPlan, FaultRule
 from repro.obs import Telemetry
 from repro.sweep import (
     Axis,
-    BoundaryQuery,
-    BoundarySearch,
-    DistRunner,
     ResultStore,
     ScenarioConfig,
     ShardPlan,
@@ -198,160 +195,16 @@ class TestShardMergeEquivalence:
             assert rerun.cached == len(plan.configs())
 
 
-class TestDistRunner:
-    def test_matches_single_run_and_caches_warm(self, tmp_path):
-        spec = small_spec()
-        single = ResultStore(tmp_path / "single.jsonl")
-        SweepRunner(single, workers=1).run(spec)
-
-        store = ResultStore(tmp_path / "dist.jsonl")
-        report = DistRunner(store, n_shards=2).run(spec)
-        assert report.succeeded
-        assert report.executed == len(spec)
-        assert records_without_timing(ResultStore(tmp_path / "dist.jsonl")) == (
-            records_without_timing(single)
-        )
-
-        warm = DistRunner(ResultStore(tmp_path / "dist.jsonl"), n_shards=2).run(spec)
-        assert warm.executed == 0
-        assert warm.cached == len(spec)
-
-    def test_progress_is_relayed_with_global_counts(self, tmp_path):
-        seen = []
-        store = ResultStore(tmp_path / "dist.jsonl")
-        runner = DistRunner(
-            store,
-            n_shards=2,
-            progress=lambda done, total, record, cached: seen.append((done, total, cached)),
-        )
-        runner.run(small_spec())
-        assert [s[0] for s in seen] == [1, 2, 3, 4]
-        assert all(total == 4 and not cached for _, total, cached in seen)
-
-    def test_shard_stores_give_cache_hits_after_coordinator_loss(self, tmp_path):
-        """Losing the merged store is cheap: shard stores persist and the
-        next distributed run re-merges without re-simulating."""
-        spec = small_spec()
-        store_path = tmp_path / "dist.jsonl"
-        DistRunner(ResultStore(store_path), n_shards=2).run(spec)
-        store_path.unlink()
-
-        report = DistRunner(ResultStore(store_path), n_shards=2).run(spec)
-        assert report.executed == 0
-        assert report.cached == len(spec)
-        assert len(ResultStore(store_path).ok_records()) == len(spec)
-
-    def test_worker_failures_are_recorded_and_retryable(self, tmp_path):
-        # powersave is not tunable, so overrides fail cleanly inside a shard.
-        bad = ScenarioConfig(
-            governor="powersave", duration_s=DURATION_S, governor_overrides={"v_q": 0.1}
-        )
-        good = ScenarioConfig(governor="powersave", duration_s=DURATION_S)
-        store = ResultStore(tmp_path / "dist.jsonl")
-        report = DistRunner(store, n_shards=2).run([bad, good])
-        assert report.failed == 1
-        assert not report.succeeded
-        reopened = ResultStore(tmp_path / "dist.jsonl")
-        assert reopened.get(bad)["status"] == "error"
-        assert not reopened.is_complete(bad)
-        assert reopened.is_complete(good)
-
-    def test_boundary_search_through_dist_runner(self, tmp_path):
-        """A BoundarySearch fed a DistRunner shards every round's probe batch
-        and converges to the same cell results as the serial runner."""
-        query = BoundaryQuery(
-            base=ScenarioConfig(
-                governor="power-neutral",
-                supply={"kind": "constant-power"},
-                duration_s=3.0,
-            ),
-            path="supply.power_w",
-            lo=0.8,
-            hi=8.0,
-            rel_tol=0.3,
-        )
-        serial = BoundarySearch(
-            query, SweepRunner(ResultStore(tmp_path / "serial.jsonl"), workers=1)
-        ).run()
-        dist = BoundarySearch(
-            query, DistRunner(ResultStore(tmp_path / "dist.jsonl"), n_shards=2)
-        ).run()
-        assert dist.converged and serial.converged
-        assert [c.to_dict() for c in dist.cells] == [
-            {**c.to_dict(), "cached": dist.cells[i].cached}
-            for i, c in enumerate(serial.cells)
-        ]
-
-
 class TestChaosRecovery:
-    """Injected process loss: the coordinator must finish the campaign on its
-    own — no manual resume — and produce a store record-identical (modulo
-    volatile fields) to a fault-free run."""
+    """Injected transient faults heal inside the worker slots: the campaign
+    finishes on its own, with a store record-identical (modulo volatile
+    fields) to a fault-free run."""
 
     @pytest.fixture(autouse=True)
     def _clean_injector(self):
         faults.reset()
         yield
         faults.reset()
-
-    @staticmethod
-    def _busiest_shard(spec, n_shards: int) -> int:
-        sizes = [0] * n_shards
-        for scenario_id in spec.scenario_ids():
-            sizes[shard_index_of(scenario_id, n_shards)] += 1
-        return max(range(n_shards), key=sizes.__getitem__)
-
-    def test_killed_worker_is_respawned_and_campaign_completes(
-        self, tmp_path, monkeypatch
-    ):
-        spec = small_spec(seeds=(1, 2, 3))  # 12 cells across 2 shards
-        clean = ResultStore(tmp_path / "clean.jsonl")
-        SweepRunner(clean, workers=1).run(spec)
-
-        # Hard-kill the busiest shard's worker after it has reported two
-        # scenarios; `once` + state_dir keeps the respawn from re-crashing.
-        target = self._busiest_shard(spec, 2)
-        plan = FaultPlan(
-            rules=(
-                FaultRule(
-                    site="dist.worker_loop",
-                    kind="crash",
-                    after=2,
-                    once=True,
-                    match={"shard": target},
-                ),
-            ),
-            state_dir=str(tmp_path / "fault-state"),
-        )
-        plan_path = tmp_path / "faults.json"
-        plan_path.write_text(plan.to_json(), encoding="utf-8")
-        monkeypatch.setenv(faults.FAULTS_ENV, str(plan_path))
-        faults.reset()
-
-        telemetry = Telemetry.create(tmp_path / "obs")
-        store_path = tmp_path / "chaos.jsonl"
-        runner = DistRunner(
-            ResultStore(store_path),
-            n_shards=2,
-            shard_dir=tmp_path / "shards",
-            respawn_budget=2,
-            telemetry=telemetry,
-        )
-        report = runner.run(spec)
-        telemetry.close()
-
-        assert report.succeeded
-        assert report.failed == 0
-        assert records_without_timing(ResultStore(store_path)) == (
-            records_without_timing(clean)
-        )
-        counters = telemetry.metrics.to_dict()["counters"]
-        assert counters["dist.worker_deaths"] >= 1
-        assert counters["dist.respawn"] >= 1
-        # The recovery unit ran against its own private store file.
-        recovery_stores = list((tmp_path / "shards").glob(f"shard-{target}-r*.jsonl"))
-        assert recovery_stores
-        assert (tmp_path / "fault-state" / "fault-rule-0.fired").exists()
 
     def test_transient_simulate_faults_heal_inside_workers(
         self, tmp_path, monkeypatch
@@ -368,51 +221,22 @@ class TestChaosRecovery:
 
         telemetry = Telemetry.create(tmp_path / "obs")
         store_path = tmp_path / "chaos.jsonl"
-        report = DistRunner(
-            ResultStore(store_path),
-            n_shards=2,
-            shard_dir=tmp_path / "shards",
-            telemetry=telemetry,
+        report = SweepRunner(
+            ResultStore(store_path), workers=2, telemetry=telemetry
         ).run(spec)
         telemetry.close()
 
         assert report.succeeded
-        assert report.retried >= 1
+        # `times` counts per process, so each of the two slots injects once
+        # and heals it with one in-slot retry.
+        assert report.retried == 2
         assert records_without_timing(ResultStore(store_path)) == (
             records_without_timing(clean)
         )
         counters = telemetry.metrics.to_dict()["counters"]
-        assert counters["retry.attempt"] >= 1
+        assert counters["faults.injected"] == 2
+        assert counters["retry.attempt"] == 2
         assert counters.get("retry.exhausted", 0) == 0
-
-    def test_respawn_budget_exhaustion_fails_honestly(self, tmp_path, monkeypatch):
-        spec = small_spec(seeds=(1, 2))
-        target = self._busiest_shard(spec, 2)
-        # No `once`, no state_dir: every (re)spawned worker on the target
-        # shard crashes on its first report, forever.
-        plan = FaultPlan(
-            rules=(
-                FaultRule(
-                    site="dist.worker_loop",
-                    kind="crash",
-                    times=0,
-                    match={"shard": target},
-                ),
-            )
-        )
-        monkeypatch.setenv(faults.FAULTS_ENV, plan.to_json())
-        faults.reset()
-
-        report = DistRunner(
-            ResultStore(tmp_path / "chaos.jsonl"),
-            n_shards=2,
-            shard_dir=tmp_path / "shards",
-            respawn_budget=1,
-        ).run(spec)
-        assert not report.succeeded
-        assert report.failed >= 1
-        # The other shard's cells still completed.
-        assert report.executed + report.cached + report.failed == len(spec)
 
 
 class TestEngineThreading:

@@ -144,6 +144,7 @@ class TestParallelExecution:
         assert not report.succeeded
         record = ResultStore(path).get(config)
         assert record["status"] == "timeout"
+        assert "exceeded 0.001 s budget" in record["error"]
         assert not ResultStore(path).is_complete(config)
 
     def test_timeout_is_enforced_at_workers_1(self, tmp_path):
