@@ -19,48 +19,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 
-def provenance() -> dict:
-    """Who/what produced this measurement: version, git rev, python, machine.
-
-    Thin wrapper over :func:`repro.obs.run_provenance` (plus the CPU count)
-    so every ``BENCH_*.json`` record carries the same provenance stamp as
-    the metrics sidecars and the run ledger.
-    """
-    import os
-
-    from repro.obs import run_provenance
-
-    return {**run_provenance(), "cpus": os.cpu_count() or 1}
-
-
-def append_ledger(out_path, summary_kind: str, **fields) -> Path:
-    """Append one benchmark datapoint to the run ledger next to ``out_path``.
-
-    Benchmarks join the same cross-run performance history as campaigns:
-    each run appends a ``kind="bench.*"`` :class:`repro.obs.RunSummary`, so
-    ``obs diff --against-ledger`` can compare benchmark runs over time.
-    """
-    import time
-
-    from repro.obs import RunLedger, RunSummary, ledger_path, run_provenance
-
-    prov = run_provenance()
-    extra_meta = fields.pop("meta", {})
-    summary = RunSummary(
-        kind=summary_kind,
-        t=time.time(),
-        repro_version=str(prov.get("repro_version", "")),
-        meta={
-            **{k: v for k, v in prov.items() if k != "repro_version"},
-            **extra_meta,
-        },
-        **fields,
-    )
-    ledger = ledger_path(out_path)
-    RunLedger(ledger).append(summary)
-    return ledger
-
-
 def emit(*args, **kwargs) -> None:
     """Print to the real stdout, bypassing pytest's capture.
 

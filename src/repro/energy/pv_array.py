@@ -140,10 +140,16 @@ class PVArray:
         default grid the scan sits well inside the interpolation tolerance of
         the supply-level MPP cache that consumes it.
         """
+        g = np.asarray(irradiances, dtype=float)
+        return self._mpp_power_scan(g, self.open_circuit_voltage_array(g), voltage_points)
+
+    def _mpp_power_scan(
+        self, g: np.ndarray, voc: np.ndarray, voltage_points: int = 512
+    ) -> np.ndarray:
+        """:meth:`mpp_power_array` over irradiances ``g`` whose open-circuit
+        voltages ``voc`` the caller has already computed."""
         if voltage_points < 2:
             raise ValueError("voltage_points must be at least 2")
-        g = np.asarray(irradiances, dtype=float)
-        voc = self.open_circuit_voltage_array(g)
         v_max = float(np.max(voc)) if len(voc) else 0.0
         if v_max <= 0.0:
             return np.zeros_like(g)

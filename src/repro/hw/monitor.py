@@ -62,10 +62,6 @@ class ThresholdChannel:
     potentiometer: DigitalPotentiometer = field(default_factory=DigitalPotentiometer)
     comparator: Comparator = field(default_factory=Comparator)
     _ideal_threshold: float | None = None
-    # Memoised threshold keyed by the potentiometer tap: the simulator reads
-    # the threshold every sample but reprograms it only at governor events.
-    _cached_tap: int | None = field(default=None, repr=False, compare=False)
-    _cached_threshold: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r_top_ohm <= 0:
@@ -114,13 +110,7 @@ class ThresholdChannel:
         """The presently programmed threshold voltage."""
         if self._ideal_threshold is not None:
             return self._ideal_threshold
-        tap = self.potentiometer.tap
-        if tap != self._cached_tap:
-            self._cached_tap = tap
-            self._cached_threshold = self.threshold_for_resistance(
-                self.potentiometer.resistance_ohm
-            )
-        return self._cached_threshold
+        return self.threshold_for_resistance(self.potentiometer.resistance_ohm)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -154,6 +144,10 @@ class VoltageMonitor:
         self.low_channel = ThresholdChannel(quantised=quantised)
         self.high_channel = ThresholdChannel(quantised=quantised)
         self.power_w = power_w
+        # The realised thresholds, stored by set_thresholds: sample() reads
+        # them every simulation step, and they change only there.
+        self._v_low = self.low_channel.threshold
+        self._v_high = self.high_channel.threshold
         self._armed = False
         self._was_above_low = True
         self._was_below_high = True
@@ -164,11 +158,11 @@ class VoltageMonitor:
     # ------------------------------------------------------------------
     @property
     def v_low(self) -> float:
-        return self.low_channel.threshold
+        return self._v_low
 
     @property
     def v_high(self) -> float:
-        return self.high_channel.threshold
+        return self._v_high
 
     def set_thresholds(self, v_low: float, v_high: float) -> tuple[float, float]:
         """Program both thresholds; returns the (quantised) realised values.
@@ -180,9 +174,9 @@ class VoltageMonitor:
         """
         if v_low >= v_high:
             raise ValueError(f"v_low ({v_low}) must be below v_high ({v_high})")
-        actual_low = self.low_channel.set_threshold(v_low)
-        actual_high = self.high_channel.set_threshold(v_high)
-        return actual_low, actual_high
+        self._v_low = self.low_channel.set_threshold(v_low)
+        self._v_high = self.high_channel.set_threshold(v_high)
+        return self._v_low, self._v_high
 
     # ------------------------------------------------------------------
     # Sampling / interrupt generation
@@ -212,8 +206,8 @@ class VoltageMonitor:
         new interrupt fires until the supply genuinely re-crosses a threshold.
         This mirrors the edge-triggered GPIO path of the real hardware.
         """
-        self._was_above_low = supply_v > self.low_channel.threshold
-        self._was_below_high = supply_v < self.high_channel.threshold
+        self._was_above_low = supply_v > self._v_low
+        self._was_below_high = supply_v < self._v_high
         self._armed = True
 
     def sample(self, supply_v: float) -> list[ThresholdCrossing]:
@@ -228,10 +222,10 @@ class VoltageMonitor:
             self.prime(supply_v)
             return []
 
-        # The channel thresholds are tap-memoised, so these reads are cheap
-        # even though sample() runs once per simulation step.
-        above_low = supply_v > self.low_channel.threshold
-        below_high = supply_v < self.high_channel.threshold
+        # Plain floats stored by set_thresholds: sample() runs once per
+        # simulation step, so no channel property is read here.
+        above_low = supply_v > self._v_low
+        below_high = supply_v < self._v_high
         fire_low = self._was_above_low and not above_low
         fire_high = self._was_below_high and not below_high
         self._was_above_low = above_low

@@ -359,7 +359,6 @@ class EnergyHarvestingSimulation:
                     vc_new = cap_vmax
                 t_new = t + dt
                 harvested_power = i_supply * vc
-                capacitor.voltage = vc_new
 
             # --------------------------------------------------------------
             # 2. Accounting over the step
@@ -485,6 +484,10 @@ class EnergyHarvestingSimulation:
                     )
                 next_record = recorder.next_record_time
 
+        if not is_voltage_source:
+            # Nothing in the loop reads the capacitor object: write its state
+            # once, not every step.
+            capacitor.voltage = vc
         return self._finalise(
             recorder.to_arrays(),
             events,

@@ -162,8 +162,9 @@ class IVSurfaceTable:
         self._inv_dg = (ng - 1) / self.g_max
         # The 1-D curves first: the MPP scan's temporaries are freed before
         # the (much larger) list-of-lists surface exists.
-        self._mpp_row = array.mpp_power_array(irradiances).tolist()
-        self._voc_row = array.open_circuit_voltage_array(irradiances).tolist()
+        voc = array.open_circuit_voltage_array(irradiances)
+        self._mpp_row = array._mpp_power_scan(irradiances, voc).tolist()
+        self._voc_row = voc.tolist()
         # Nested Python lists: element access beats numpy scalar indexing in
         # the per-step lookup by a wide margin.
         self._rows = surface.tolist()
@@ -346,11 +347,8 @@ class PVArraySupply(Supply):
         """``(irradiances, mpp_power, voc)`` grid of the exact-mode channels."""
         if self._mpp_cache is None:
             irradiances = np.linspace(0.0, self._g_max, self._mpp_cache_points)
-            self._mpp_cache = (
-                irradiances,
-                self.array.mpp_power_array(irradiances),
-                self.array.open_circuit_voltage_array(irradiances),
-            )
+            voc = self.array.open_circuit_voltage_array(irradiances)
+            self._mpp_cache = (irradiances, self.array._mpp_power_scan(irradiances, voc), voc)
         return self._mpp_cache
 
     @property
@@ -565,6 +563,20 @@ class ConstantPowerSupply(Supply):
 
     def step_current_fn(self):
         voltage_limit = self.voltage_limit
+        values = self.power_trace.values
+        power = float(values[0])
+        if np.all(values == power) and 0.0 < power < float("inf"):
+            # A flat trace: the cursor's interpolation P + 0.0 * x is exactly
+            # P (and both ends clamp to P), so skip it.  Non-finite values
+            # keep the cursor, whose inf - inf makes NaN.
+
+            def flat_current(v: float, t: float) -> float:
+                if v >= voltage_limit:
+                    return 0.0
+                return power / (v if v > 0.5 else 0.5)
+
+            return flat_current
+
         cursor_value = TraceCursor(self.power_trace).value
 
         def fast_current(v: float, t: float) -> float:

@@ -290,13 +290,14 @@ def campaign_overview(records: Iterable[dict]) -> dict:
     ok = [r for r in records if r.get("status") == "ok"]
     summaries = [r.get("summary", {}) for r in ok]
     simulated = sum(float(s.get("duration_s", 0.0)) for s in summaries)
-    cpu = sum(float(r.get("elapsed_s", 0.0)) for r in ok)
     return {
         "scenarios": len(records),
         "ok": len(ok),
         "failed": len(records) - len(ok),
         "simulated_s": simulated,
-        "worker_cpu_s": cpu,
+        # Wall time inside the workers, and the CPU time they stamped.
+        "scenario_wall_s": sum(float(r.get("elapsed_s", 0.0)) for r in ok),
+        "worker_cpu_s": sum(float((r.get("timings") or {}).get("cpu_s", 0.0)) for r in ok),
         "survival_rate": (
             float(np.mean([bool(s.get("survived")) for s in summaries])) if summaries else 0.0
         ),

@@ -382,7 +382,7 @@ class SweepRunner:
                     record_write_s=round(write_s, 6),
                     **{
                         k: timings.get(k)
-                        for k in ("queue_wait_s", "build_s", "tabulate_s", "simulate_s")
+                        for k in ("queue_wait_s", "build_s", "tabulate_s", "simulate_s", "cpu_s")
                     },
                 )
                 done += 1

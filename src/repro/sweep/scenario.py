@@ -164,9 +164,11 @@ def run_scenario(
     when sharded), ``repro_version``, and ``timings`` splitting the elapsed
     wall time into the ``build_s``, ``tabulate_s`` (the fast-mode PV I-V
     table: about 0 on a per-process cache hit, 0 for exact or non-PV
-    supplies) and ``simulate_s`` (the simulator loop) phases (the runner
+    supplies) and ``simulate_s`` (the simulator loop) phases, plus
+    ``cpu_s``, the CPU time this process spent on the scenario (the runner
     adds ``queue_wait_s``; its own span adds ``record_write_s``).
     """
+    cpu_started = time.process_time()
     started = time.perf_counter()
     built = build_system(config, fast=fast)
     built_at = time.perf_counter()
@@ -191,6 +193,7 @@ def run_scenario(
             "build_s": round(built_at - started, 6),
             "tabulate_s": round(tabulated_at - built_at, 6),
             "simulate_s": round(simulate_s, 6),
+            "cpu_s": round(time.process_time() - cpu_started, 6),
         },
     }
     if series_samples > 0:

@@ -113,6 +113,19 @@ class TestVoltageMonitor:
         monitor.set_thresholds(4.9, 5.3)
         assert monitor.spi_write_count == 4
 
+    @pytest.mark.parametrize("quantised", [True, False])
+    def test_thresholds_read_what_the_channels_realised(self, quantised):
+        monitor = VoltageMonitor(quantised=quantised)
+        assert (monitor.v_low, monitor.v_high) == (
+            monitor.low_channel.threshold,
+            monitor.high_channel.threshold,
+        )
+        for request in ((5.1, 5.4), (4.37, 4.91), (5.62, 5.93)):
+            realised = monitor.set_thresholds(*request)
+            assert realised == (monitor.v_low, monitor.v_high)
+            assert monitor.v_low == monitor.low_channel.threshold
+            assert monitor.v_high == monitor.high_channel.threshold
+
     def test_quantised_monitor_keeps_ordering(self):
         monitor = VoltageMonitor(quantised=True)
         low, high = monitor.set_thresholds(5.25, 5.35)

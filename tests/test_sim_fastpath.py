@@ -17,6 +17,7 @@ import pytest
 from repro.energy.irradiance import constant_irradiance
 from repro.energy.pv_array import paper_pv_array
 from repro.energy.traces import Trace, TraceCursor
+from repro.sim.result import ARRAY_FIELDS, SCALAR_FIELDS
 from repro.sim.supplies import ConstantPowerSupply, PVArraySupply
 from repro.soc.cores import CoreConfig
 from repro.soc.exynos5422 import build_exynos5422_platform
@@ -122,6 +123,73 @@ class TestIVSurfaceTable:
         fn = supply.step_current_fn()
         for v, t in ((5.0, 0.0), (5.5, 5.0), (0.2, 9.0), (7.0, 2.0)):
             assert fn(v, t) == pytest.approx(supply.current(v, t))
+
+
+# ----------------------------------------------------------------------
+# Flat constant-power closure
+# ----------------------------------------------------------------------
+#: Voltages on both sides of the 6.5 V limit and of the 0.5 V floor.
+PROBE_VOLTAGES = (0.0, 0.2, 0.5, np.nextafter(0.5, 1.0), 3.3, 6.4999999, 6.5, 7.0)
+
+
+class TestFlatConstantPowerClosure:
+    """A flat power trace takes a closure that skips the trace cursor; it
+    must answer exactly what the cursor path (``current``) answers."""
+
+    @pytest.mark.parametrize(
+        "times",
+        [[10.0, 20.0], [0.0, 5.0, 5.0, 10.0], [3.0]],
+        ids=["two-point", "repeated-instant", "one-point"],
+    )
+    @pytest.mark.parametrize("power", [5.0, 0.3, 7.123456789])
+    def test_flat_closure_equals_the_cursor_path(self, times, power):
+        supply = ConstantPowerSupply(Trace(times=times, values=[power] * len(times)))
+        fn = supply.step_current_fn()
+        assert fn.__name__ == "flat_current"
+        # Before the start, on every sample instant, inside, past the end.
+        instants = sorted({0.0, *times, times[0] + 0.37, 0.5 * (times[0] + times[-1]), 1e3})
+        for t in instants:
+            for v in PROBE_VOLTAGES:
+                assert fn(v, t) == supply.current(v, t), (v, t)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0, 1.0], [0.0, 0.0], [-2.0, -2.0], [np.inf, np.inf]],
+        ids=["not-flat", "zero", "negative", "infinite"],
+    )
+    def test_other_traces_keep_the_cursor_path(self, values):
+        supply = ConstantPowerSupply(Trace(times=[0.0, 10.0], values=values))
+        fn = supply.step_current_fn()
+        assert fn.__name__ == "fast_current"
+        for t in (0.0, 4.0, 10.0, 12.0):
+            for v in PROBE_VOLTAGES:
+                np.testing.assert_equal(fn(v, t), supply.current(v, t))
+
+    def test_infinite_power_keeps_the_cursors_nan(self):
+        # inf - inf inside the trace is NaN on the cursor path; a constant
+        # closure would answer inf instead.
+        fn = ConstantPowerSupply(Trace(times=[0.0, 10.0], values=[np.inf] * 2)).step_current_fn()
+        assert np.isnan(fn(5.0, 4.0))
+
+    @pytest.mark.parametrize("governor", ["powersave", "power-neutral"])
+    def test_whole_run_equals_the_cursor_path(self, governor, monkeypatch):
+        config = ScenarioConfig(
+            governor=governor,
+            supply={"kind": "constant-power", "power_w": 5.0},
+            duration_s=30.0,
+        )
+        flat = build_system(config)
+        assert flat.simulation.supply.step_current_fn().__name__ == "flat_current"
+        flat_result = flat.run()
+        monkeypatch.setattr(ConstantPowerSupply, "step_current_fn", lambda self: self.current)
+        cursor_result = build_system(config).run()
+        for name in SCALAR_FIELDS:
+            assert getattr(flat_result, name) == getattr(cursor_result, name), name
+        for name in ARRAY_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(flat_result, name), getattr(cursor_result, name), err_msg=name
+            )
+        assert flat_result.events == cursor_result.events
 
 
 # ----------------------------------------------------------------------

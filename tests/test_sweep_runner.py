@@ -257,6 +257,19 @@ class TestAggregation:
         assert overview["ok"] == 4
         assert overview["simulated_s"] == pytest.approx(4 * DURATION_S)
 
+    def test_overview_sums_worker_cpu_not_wall_time(self, tmp_path):
+        store = ResultStore(tmp_path / "s.jsonl")
+        report = SweepRunner(store, workers=1).run(tiny_spec())
+        records = report.ok_records()
+        for record in records:
+            cpu_s = record["timings"]["cpu_s"]
+            assert 0.0 < cpu_s <= record["elapsed_s"] + 0.05
+        overview = campaign_overview(records)
+        assert overview["worker_cpu_s"] == pytest.approx(
+            sum(r["timings"]["cpu_s"] for r in records)
+        )
+        assert overview["scenario_wall_s"] == pytest.approx(sum(r["elapsed_s"] for r in records))
+
     def test_table2_rows_shape(self, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")
         report = SweepRunner(store, workers=1).run(tiny_spec())
