@@ -119,7 +119,7 @@ class PVArray:
     def current_surface(self, voltages: np.ndarray, irradiances: np.ndarray) -> np.ndarray:
         """Array currents on a (voltage x irradiance) outer grid.
 
-        Shape ``(len(voltages), len(irradiances))``; one vectorised Lambert-W
+        Shape ``(len(voltages), len(irradiances))``; one vectorised Wright-omega
         evaluation for the whole surface.  This is what the fast-path I-V
         tabulation of :class:`repro.sim.supplies.PVArraySupply` samples.
         """

@@ -14,9 +14,13 @@ where
 * ``N``    -- diode ideality (quality) factor,
 * ``Vt``   -- thermal voltage (kT/q, about 25.85 mV at 300 K).
 
-The equation is implicit in ``I``.  This module solves it exactly using the
-Lambert-W function (the standard closed-form rearrangement), with a robust
-bisection fallback for extreme parameter values.
+The equation is implicit in ``I``.  Its closed-form solution is a Lambert-W
+value ``W(A * exp(B))``, which this module evaluates in log space as the
+Wright omega function ``omega(log(A) + B)`` (``scipy.special.wrightomega``,
+real-valued; Lawrence, Corless & Jeffrey, ACM TOMS Algorithm 917, 2012).
+The log-space argument cannot overflow, so no bisection fallback is needed
+at any voltage.  The open-circuit voltage has the same closed form
+(``I = 0``, where ``Rs`` drops out) and needs no root search either.
 
 Only the cell-level model lives here; series/parallel composition into an
 array (and the calibrated arrays used by the paper) live in
@@ -29,7 +33,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import wrightomega
 
 __all__ = [
     "BOLTZMANN_CONSTANT",
@@ -130,7 +134,7 @@ class MPPResult:
 
 
 class SolarCell:
-    """Single-diode PV cell solved with the Lambert-W function.
+    """Single-diode PV cell solved in closed form (Wright omega).
 
     Parameters
     ----------
@@ -162,7 +166,7 @@ class SolarCell:
     def current(self, voltage: float, irradiance_w_m2: float = STC_IRRADIANCE) -> float:
         """Terminal current (A) at a terminal voltage (V) and irradiance.
 
-        Uses the explicit Lambert-W solution of the implicit single-diode
+        Uses the explicit (Wright omega) solution of the implicit single-diode
         equation.  The returned current is clipped below at zero: the
         harvesting node cannot sink current back into the array (the paper's
         circuit has no path for reverse current into the PV source while the
@@ -176,7 +180,7 @@ class SolarCell:
     ) -> np.ndarray:
         """Vectorised :meth:`current` over an array of voltages.
 
-        One Lambert-W evaluation over the whole array instead of a Python
+        One Wright-omega evaluation over the whole array instead of a Python
         loop of scalar solves; used by :meth:`iv_curve`,
         :meth:`maximum_power_point` and the I-V surface tabulation of
         :class:`repro.sim.supplies.PVArraySupply`.
@@ -191,7 +195,7 @@ class SolarCell:
 
         Returns an array of shape ``(len(voltages), len(irradiances))`` with
         ``out[i, j] = current(voltages[i], irradiances[j])``, computed with a
-        single vectorised Lambert-W evaluation.
+        single vectorised Wright-omega evaluation.
         """
         voltages = np.asarray(voltages, dtype=float)
         irradiances = np.asarray(irradiances, dtype=float)
@@ -225,45 +229,26 @@ class SolarCell:
 
         denom = nvt * (rs + rp)
         exponent = rp * (rs * i_l + rs * i0 + v) / denom
-        safe = exponent <= 690.0
-        x = (rs * rp * i0) / denom * np.exp(np.where(safe, exponent, 0.0))
-        w = lambertw(x).real
-        out = np.asarray((rp * (i_l + i0) - v) / (rs + rp) - (nvt / rs) * w, dtype=float)
-
-        if not np.all(safe):
-            # exp() would overflow double precision for these elements; fall
-            # back to the numerically-safe scalar bisection, as current() does.
-            out = np.array(out, dtype=float)  # ensure writable, broadcast-free
-            v_b = np.broadcast_to(v, out.shape)
-            i_l_b = np.broadcast_to(i_l, out.shape)
-            for idx in np.argwhere(~np.broadcast_to(safe, out.shape)):
-                key = tuple(idx)
-                out[key] = self._current_bisection(float(v_b[key]), float(i_l_b[key]))
-        return out
+        w = wrightomega(math.log((rs * rp * i0) / denom) + exponent)
+        return (rp * (i_l + i0) - v) / (rs + rp) - (nvt / rs) * w
 
     def open_circuit_voltage_array(self, irradiances: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`open_circuit_voltage` over an irradiance array.
 
-        Runs the same bracket-expansion + bisection as the scalar method, but
-        on all irradiances at once (one Lambert-W array evaluation per
-        bisection iteration instead of one scalar solve).
+        At ``I = 0`` no current flows through ``Rs``, so the diode equation
+        reads ``0 = I_l - I_0 (exp(V / (N Vt)) - 1) - V / Rp`` with the
+        solution
+        ``V = Rp (I_l + I_0) - N Vt * omega(log(I_0 Rp / (N Vt)) + Rp (I_l + I_0) / (N Vt))``;
+        a dark cell (irradiance <= 0) reports 0.
         """
+        p = self.parameters
         g = np.asarray(irradiances, dtype=float)
-        positive = g > 0.0
-        hi = np.ones_like(g)
-        for _ in range(20):
-            growing = positive & (self._current_unclipped_vec(hi, g) > 0.0) & (hi < 1e4)
-            if not np.any(growing):
-                break
-            hi = np.where(growing, hi * 2.0, hi)
-        lo = np.zeros_like(g)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            above = self._current_unclipped_vec(mid, g) > 0.0
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
-        return np.where(positive, out, 0.0)
+        rp = p.shunt_resistance
+        i0 = p.saturation_current
+        nvt = p.modified_thermal_voltage
+        drop = rp * (p.photo_current_stc * np.clip(g, 0.0, None) / STC_IRRADIANCE + i0)
+        voc = drop - nvt * wrightomega(math.log(i0 * rp / nvt) + drop / nvt)
+        return np.where(g > 0.0, voc, 0.0)
 
     def _current_unclipped(self, voltage: float, irradiance_w_m2: float) -> float:
         p = self.parameters
@@ -280,54 +265,18 @@ class SolarCell:
             # Explicit when there is no series resistance.
             return i_l - i0 * (math.exp(voltage / nvt) - 1.0) - voltage / rp
 
-        # Lambert-W closed form.  Writing the implicit equation as
+        # Closed form.  Writing the implicit equation as
         #   I = I_l - I_0 (exp((V + Rs I)/(N Vt)) - 1) - (V + Rs I)/Rp
         # the solution is
-        #   I = (Rp (I_l + I_0) - V) / (Rs + Rp)
-        #       - (N Vt / Rs) * W( x )
+        #   I = (Rp (I_l + I_0) - V) / (Rs + Rp) - (N Vt / Rs) * W(A exp(B))
         # with
-        #   x = (Rs Rp I_0)/(N Vt (Rs + Rp))
-        #       * exp( Rp (Rs I_l + Rs I_0 + V) / (N Vt (Rs + Rp)) ).
-        try:
-            exponent = rp * (rs * i_l + rs * i0 + voltage) / (nvt * (rs + rp))
-            if exponent > 690.0:
-                # exp() would overflow double precision; fall back to a
-                # numerically-safe bisection on the implicit equation.
-                return self._current_bisection(voltage, i_l)
-            x = (rs * rp * i0) / (nvt * (rs + rp)) * math.exp(exponent)
-            w = float(lambertw(x).real)
-            return (rp * (i_l + i0) - voltage) / (rs + rp) - (nvt / rs) * w
-        except (OverflowError, FloatingPointError):
-            return self._current_bisection(voltage, i_l)
-
-    def _current_bisection(self, voltage: float, i_l: float) -> float:
-        """Bisection fallback for the implicit diode equation."""
-        p = self.parameters
-        nvt = p.modified_thermal_voltage
-
-        def residual(i: float) -> float:
-            vd = voltage + p.series_resistance * i
-            # Guard the exponential so the bracket search itself cannot
-            # overflow; residual sign is all bisection needs.
-            arg = min(vd / nvt, 700.0)
-            return i_l - p.saturation_current * (math.exp(arg) - 1.0) - vd / p.shunt_resistance - i
-
-        lo, hi = -1.0, i_l + 1.0
-        r_lo, r_hi = residual(lo), residual(hi)
-        if r_lo * r_hi > 0:
-            # No sign change in the expected bracket -- the cell is far into
-            # reverse breakdown territory; report zero current.
-            return 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            r_mid = residual(mid)
-            if abs(r_mid) < 1e-12:
-                return mid
-            if r_lo * r_mid <= 0:
-                hi, r_hi = mid, r_mid
-            else:
-                lo, r_lo = mid, r_mid
-        return 0.5 * (lo + hi)
+        #   A = (Rs Rp I_0)/(N Vt (Rs + Rp)),
+        #   B = Rp (Rs I_l + Rs I_0 + V) / (N Vt (Rs + Rp)),
+        # and W(A exp(B)) = omega(log(A) + B), which is finite for any B.
+        denom = nvt * (rs + rp)
+        exponent = rp * (rs * i_l + rs * i0 + voltage) / denom
+        w = float(wrightomega(math.log((rs * rp * i0) / denom) + exponent))
+        return (rp * (i_l + i0) - voltage) / (rs + rp) - (nvt / rs) * w
 
     def power(self, voltage: float, irradiance_w_m2: float = STC_IRRADIANCE) -> float:
         """Electrical output power (W) at a terminal voltage."""
@@ -341,21 +290,9 @@ class SolarCell:
         return self.current(0.0, irradiance_w_m2)
 
     def open_circuit_voltage(self, irradiance_w_m2: float = STC_IRRADIANCE) -> float:
-        """Open-circuit voltage ``V_oc`` found by bisection on I(V) = 0."""
-        if irradiance_w_m2 <= 0:
-            return 0.0
-        lo = 0.0
-        hi = 1.0
-        # Expand the bracket until the current goes negative (unclipped).
-        while self._current_unclipped(hi, irradiance_w_m2) > 0 and hi < 1e4:
-            hi *= 2.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if self._current_unclipped(mid, irradiance_w_m2) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        """Open-circuit voltage ``V_oc`` (closed form, see
+        :meth:`open_circuit_voltage_array`)."""
+        return float(self.open_circuit_voltage_array(irradiance_w_m2))
 
     def iv_curve(
         self,

@@ -116,7 +116,7 @@ class IVSurfaceTable:
 
     #: Hard cap on grid refinement (per axis) before construction fails.
     _MAX_REFINEMENTS = 3
-    #: Voltage rows per Lambert-W evaluation: bounds the solver's temporaries
+    #: Voltage rows per Wright-omega evaluation: bounds the solver's temporaries
     #: without changing a value (every element is solved independently).
     _BLOCK_ROWS = 64
 

@@ -23,6 +23,7 @@ from repro.soc.cores import CoreConfig
 from repro.soc.exynos5422 import build_exynos5422_platform
 from repro.soc.opp import GHZ, OperatingPoint
 from repro.sweep.build import build_system
+from repro.sweep.presets import table2_pv_preset
 from repro.sweep.spec import ScenarioConfig
 
 
@@ -60,6 +61,22 @@ class TestIVSurfaceTable:
         assert table.current(-0.2, 1000.0) == pytest.approx(isc, rel=5e-3)
         # Irradiance beyond the trace maximum clamps onto the brightest column.
         assert table.current(3.0, 2000.0) == pytest.approx(table.current(3.0, 1000.0))
+
+    def test_table2_pv_grids_pinned(self):
+        """The preset's tables keep their refinement decisions: a solver
+        change that flipped one would move records by the table's full
+        error, not by rounding."""
+        grids = {}
+        for config in table2_pv_preset().scenarios():
+            weather = dict(config.supply.params)["weather"]
+            if weather not in grids:
+                table = build_system(config).simulation.supply.iv_table
+                grids[weather] = (table._nv, table._ng)
+        assert grids == {
+            "full_sun": (385, 257),
+            "partial_sun": (385, 257),
+            "cloud": (769, 513),
+        }
 
     def test_exact_true_bypasses_tabulation(self):
         supply = PVArraySupply(
@@ -422,6 +439,14 @@ class TestEndToEndParity:
 
     def test_pv_tick_governor(self):
         config = ScenarioConfig(governor="ondemand", supply="pv-array", duration_s=12.0)
+        fast, exact = _run_both(config)
+        _assert_metric_parity(fast, exact)
+
+    def test_pv_cloud_weather(self):
+        # The cloud trace needs the twice-refined 769x513 table.
+        config = ScenarioConfig(
+            governor="power-neutral", supply="pv-array", weather="cloud", duration_s=12.0
+        )
         fast, exact = _run_both(config)
         _assert_metric_parity(fast, exact)
 
