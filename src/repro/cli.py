@@ -542,27 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
             "queue (default: no limit)"
         ),
     )
-    serve.add_argument(
-        "--alerts",
-        default=None,
-        metavar="FILE",
-        help=(
-            "SLO alert rules: a JSON file (or inline JSON) of AlertRule "
-            "objects, evaluated live and served on GET /alerts, the "
-            "dashboard and Prometheus exposition"
-        ),
-    )
-    serve.add_argument(
-        "--latency-budget",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "per-scenario latency budget: fires the built-in "
-            "scenario-latency-budget alert when the rolling p95 of executed "
-            "scenario durations exceeds S seconds"
-        ),
-    )
 
     submit = sub.add_parser(
         "submit",
@@ -1643,8 +1622,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         trace_dir=args.trace,
         resource_interval_s=args.resource_interval,
         watchdog_s=args.watchdog,
-        alert_rules=args.alerts,
-        latency_budget_s=args.latency_budget,
     )
 
 

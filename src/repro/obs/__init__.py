@@ -48,7 +48,6 @@ from .metrics import (
     series_key,
     split_series_key,
 )
-from .alerts import AlertManager, AlertRule, load_alert_rules
 from .diff import DiffThresholds, diff_summaries, format_diff
 from .history import (
     RunLedger,
@@ -129,7 +128,4 @@ __all__ = [
     "DiffThresholds",
     "diff_summaries",
     "format_diff",
-    "AlertRule",
-    "AlertManager",
-    "load_alert_rules",
 ]

@@ -13,9 +13,9 @@ cumulative ``_bucket`` series.
 
 :class:`RollingWindow` is the complementary *recent* view: a bounded deque
 of ``(t, value)`` samples evicted by age and by count, answering "p95 over
-the last 30 s" and "events per second right now" for the live surfaces
-(``repro obs top``, the service ``/dashboard``) where a since-process-start
-histogram would be too sluggish to watch.
+the last 30 s" and "events per second right now" for the live view
+(``repro obs top``) where a since-process-start histogram would be too
+sluggish to watch.
 
 Quantile estimates are clamped into ``[min_observed, max_observed]`` — an
 estimated p95 can never exceed the largest sample actually seen, however
@@ -291,13 +291,6 @@ class RollingWindow:
 
     def quantile(self, q: float, now: Optional[float] = None) -> Optional[float]:
         return exact_quantile(self.values(now), q)
-
-    def mean(self, now: Optional[float] = None) -> Optional[float]:
-        values = self.values(now)
-        return sum(values) / len(values) if values else None
-
-    def last(self) -> Optional[float]:
-        return self._samples[-1][1] if self._samples else None
 
     def rate(self, now: Optional[float] = None) -> float:
         """Samples per second over the (occupied part of the) window."""

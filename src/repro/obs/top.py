@@ -60,7 +60,6 @@ class TopView:
         self._routes: dict[str, RollingWindow] = {}
         self._gauges: dict[str, float] = {}
         self._counters: dict[str, float] = {}
-        self._alerts: dict[str, dict] = {}
         self._started = time.time()
         self._last_event_t: Optional[float] = None
 
@@ -88,13 +87,6 @@ class TopView:
                     self._scenarios.observe(1.0, t=t)
                     if not attrs.get("cached"):
                         self._scenario_durs.observe(dur, t=t)
-            elif kind == "event" and name in ("alert.fired", "alert.resolved"):
-                attrs = event.get("attrs") or {}
-                alert = str(attrs.get("alert", "?"))
-                if name == "alert.fired":
-                    self._alerts[alert] = dict(attrs)
-                else:
-                    self._alerts.pop(alert, None)
             elif kind == "gauge":
                 self._gauges[name] = float(event.get("value", 0.0))
             elif kind == "counter":
@@ -157,18 +149,6 @@ class TopView:
         if resource_bits:
             lines.append("")
             lines.append("  resources   : " + "   ".join(resource_bits))
-
-        if self._alerts:
-            lines.append("")
-            bits = []
-            for alert, attrs in sorted(self._alerts.items()):
-                condition = attrs.get("condition") or ""
-                value = attrs.get("value")
-                detail = f" ({condition}, now {value:g})" if value is not None else (
-                    f" ({condition})" if condition else ""
-                )
-                bits.append(f"{alert}{detail}")
-            lines.append("  ALERTS      : " + "   ".join(bits))
 
         interesting = {
             name: value

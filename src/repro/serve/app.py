@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Optional
 
 from .. import faults
-from ..obs.alerts import AlertManager, AlertRule, load_alert_rules
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import TracePoller
 from ..obs.resource import ResourceSampler
@@ -63,7 +62,7 @@ _STATUS_TEXT = {
 }
 
 #: The fixed route table, for request-metric labels.
-_KNOWN_ROUTES = ("/healthz", "/readyz", "/metrics", "/alerts", "/dashboard", "/campaigns")
+_KNOWN_ROUTES = ("/healthz", "/readyz", "/metrics", "/dashboard", "/campaigns")
 _CAMPAIGN_SUBROUTES = ("events", "records", "aggregate")
 
 
@@ -104,9 +103,6 @@ class CampaignService:
         trace_dir: "str | Path | None" = None,
         resource_interval_s: float = 5.0,
         watchdog_s: Optional[float] = None,
-        alert_rules=None,
-        latency_budget_s: Optional[float] = None,
-        alert_interval_s: float = 2.0,
     ):
         self.store_path = Path(store_path)
         self.data_dir = Path(data_dir) if data_dir is not None else Path(str(store_path) + ".serve")
@@ -121,20 +117,13 @@ class CampaignService:
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.resource_interval_s = float(resource_interval_s)
         self.watchdog_s = watchdog_s
-        #: Alert rules: a list of AlertRule, or a path / inline-JSON string
-        #: resolved through load_alert_rules() at start().
-        self.alert_rules = alert_rules
-        self.latency_budget_s = latency_budget_s
-        self.alert_interval_s = float(alert_interval_s)
         self.store: Optional[ResultStore] = None
         self.scheduler: Optional[CampaignScheduler] = None
         self.api: Optional[Api] = None
         self.metrics: Optional[MetricsRegistry] = None
         self.telemetry: Optional[Telemetry] = None
-        self.alerts: Optional[AlertManager] = None
         self._sampler: Optional[ResourceSampler] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._alert_task: Optional[asyncio.Task] = None
         self._shutting_down: Optional[asyncio.Event] = None
         self._in_flight = 0
 
@@ -164,9 +153,6 @@ class CampaignService:
             tracer = NULL_TRACER
         self.telemetry = Telemetry(tracer, self.metrics, trace_dir=self.trace_dir)
         self.store = ResultStore(self.store_path, telemetry=Telemetry(NULL_TRACER, self.metrics))
-        self.alerts = AlertManager(
-            self._resolve_alert_rules(), metrics=self.metrics, tracer=tracer
-        )
         self.scheduler = CampaignScheduler(
             self.store,
             self.data_dir,
@@ -176,18 +162,11 @@ class CampaignService:
             fast=self.fast,
             metrics=self.metrics,
             watchdog_s=self.watchdog_s,
-            alerts=self.alerts,
-            latency_budget_s=self.latency_budget_s,
             ledger=self.data_dir / "ledger.jsonl",
         )
         await self.scheduler.start()
-        self.api = Api(
-            self.scheduler, self.store, metrics=self.metrics, token=self.token,
-            alerts=self.alerts,
-        )
+        self.api = Api(self.scheduler, self.store, metrics=self.metrics, token=self.token)
         self._shutting_down = asyncio.Event()
-        if self.alerts.rules:
-            self._alert_task = asyncio.create_task(self._alert_loop(), name="alert-eval")
         self._sampler = ResourceSampler(
             self.telemetry,
             interval_s=self.resource_interval_s,
@@ -197,43 +176,6 @@ class CampaignService:
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
-    def _resolve_alert_rules(self) -> list:
-        """The service's AlertRule set: configured rules + the implicit budget.
-
-        ``--latency-budget S`` is sugar for one declarative rule — rolling
-        p95 of executed-scenario durations over the configured budget fires
-        the ``scenario-latency-budget`` alert — so the dashboard column and
-        the alerting pipeline can never disagree about what the budget means.
-        """
-        rules: list = []
-        if self.alert_rules:
-            if isinstance(self.alert_rules, (str, Path)):
-                rules.extend(load_alert_rules(self.alert_rules))
-            else:
-                rules.extend(self.alert_rules)
-        if self.latency_budget_s is not None:
-            rules.append(
-                AlertRule(
-                    name="scenario-latency-budget",
-                    metric="scenario_duration_seconds",
-                    stat="p95",
-                    op=">",
-                    threshold=float(self.latency_budget_s),
-                    for_s=0.0,
-                    description="rolling p95 scenario duration over the latency budget",
-                )
-            )
-        return rules
-
-    async def _alert_loop(self) -> None:
-        """Evaluate every alert rule on a fixed cadence until shutdown."""
-        while True:
-            await asyncio.sleep(self.alert_interval_s)
-            try:
-                self.alerts.evaluate()
-            except Exception:  # noqa: BLE001 — alerting must not kill the service
-                self.metrics.counter("alerts.eval_errors")
-
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
         async with self._server:
@@ -242,13 +184,6 @@ class CampaignService:
     async def stop(self) -> None:
         if self._shutting_down is not None:
             self._shutting_down.set()  # any open SSE stream closes promptly
-        if self._alert_task is not None:
-            self._alert_task.cancel()
-            try:
-                await self._alert_task
-            except asyncio.CancelledError:
-                pass
-            self._alert_task = None
         if self._server is not None:
             self._server.close()
             try:
@@ -565,8 +500,6 @@ def run_service(
     trace_dir: "str | Path | None" = None,
     resource_interval_s: float = 5.0,
     watchdog_s: Optional[float] = None,
-    alert_rules=None,
-    latency_budget_s: Optional[float] = None,
 ) -> int:
     """Blocking entry point behind ``python -m repro serve``.
 
@@ -588,8 +521,6 @@ def run_service(
         trace_dir=trace_dir,
         resource_interval_s=resource_interval_s,
         watchdog_s=watchdog_s,
-        alert_rules=alert_rules,
-        latency_budget_s=latency_budget_s,
     )
 
     async def _main():
@@ -601,12 +532,6 @@ def run_service(
             print(f"  store    : {service.store_path} ({len(service.store)} records)")
             print(f"  data dir : {service.data_dir}")
             print(f"  submit   : POST {service.base_url}/campaigns", flush=True)
-            if service.alerts is not None and service.alerts.rules:
-                print(
-                    f"  alerts   : {len(service.alerts.rules)} rule(s) "
-                    f"on GET {service.base_url}/alerts",
-                    flush=True,
-                )
         stop_requested = asyncio.Event()
         loop = asyncio.get_running_loop()
         handled_signals = []

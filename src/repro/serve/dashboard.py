@@ -7,11 +7,9 @@ stdlib service alone.  The client side polls ``GET /campaigns`` and
 campaign's SSE ``/events`` stream, and renders:
 
 * a KPI row — records, campaigns, requests/s (with a sparkline), RSS,
-  fault/retry activity, alerts firing;
+  fault/retry activity;
 * the campaign table (state shown as a status dot *plus* the state word,
-  never color alone) with a live latency-p95-vs-budget column;
-* the alert table (every configured SLO rule with its ok/pending/firing
-  state, polled from ``GET /alerts``);
+  never color alone);
 * per-route request latency (p95 straight from the service's
   ``http_request_duration_seconds`` histograms);
 * a bounded live event feed.
@@ -36,7 +34,7 @@ import json
 __all__ = ["render_dashboard"]
 
 
-def render_dashboard(scheduler, store, alerts=None) -> str:
+def render_dashboard(scheduler, store) -> str:
     """The dashboard page with a server-side bootstrap snapshot embedded."""
     campaigns = [c.to_dict() for c in scheduler.list()]
     bootstrap = {
@@ -44,8 +42,6 @@ def render_dashboard(scheduler, store, alerts=None) -> str:
         "store": str(store.path),
         "campaigns": campaigns,
         "draining": scheduler.draining,
-        "alerts": alerts.status() if alerts is not None else [],
-        "latency_budget_s": getattr(scheduler, "latency_budget_s", None),
     }
     payload = json.dumps(bootstrap, default=str).replace("</", "<\\/")
     return _PAGE.replace("__BOOTSTRAP__", payload)
@@ -135,9 +131,6 @@ _PAGE = """<!DOCTYPE html>
   }
   #feed .t { color: var(--text-muted); }
   .empty { color: var(--text-muted); }
-  .alert-firing { color: var(--status-critical); font-weight: 600; }
-  .alert-pending { color: var(--status-warning); }
-  .over-budget { color: var(--status-critical); font-weight: 600; }
 </style>
 </head>
 <body class="viz-root">
@@ -154,28 +147,16 @@ _PAGE = """<!DOCTYPE html>
   </div>
   <div class="tile"><div class="label">resident memory</div><div class="value" id="kpi-rss">&ndash;</div></div>
   <div class="tile"><div class="label">faults / retries</div><div class="value" id="kpi-faults">&ndash;</div></div>
-  <div class="tile"><div class="label">alerts firing</div><div class="value" id="kpi-alerts">&ndash;</div></div>
 </div>
 
 <section>
   <h2>Campaigns</h2>
   <table>
     <thead><tr><th>id</th><th>kind</th><th>state</th><th class="num">scenarios</th>
-      <th class="num">progress</th><th class="num">executed</th><th class="num">cache hits</th>
-      <th class="num">p95 / budget</th></tr></thead>
+      <th class="num">progress</th><th class="num">executed</th><th class="num">cache hits</th></tr></thead>
     <tbody id="campaign-rows"></tbody>
   </table>
   <p class="empty" id="campaign-empty">No campaigns submitted yet.</p>
-</section>
-
-<section>
-  <h2>Alerts</h2>
-  <table>
-    <thead><tr><th>alert</th><th>state</th><th>condition</th>
-      <th class="num">value</th><th class="num">firing for</th></tr></thead>
-    <tbody id="alert-rows"></tbody>
-  </table>
-  <p class="empty" id="alert-empty">No alert rules configured.</p>
 </section>
 
 <section>
@@ -215,33 +196,12 @@ function renderCampaigns(campaigns) {
     const p = c.progress || {};
     const prog = p.total ? `${p.done}/${p.total}` : "\\u2013";
     const r = c.result || {};
-    const lat = c.latency || {};
-    const budget = lat.budget_s != null ? `${Number(lat.budget_s).toFixed(2)}s` : "\\u2013";
-    const latCell = lat.p95_s != null
-      ? `<span class="${lat.over_budget ? "over-budget" : ""}">${fmtSec(lat.p95_s)} / ${budget}</span>`
-      : "\\u2013";
     return `<tr class="state-${c.state}">
       <td><code>${c.id.slice(0, 16)}</code></td><td>${c.kind}</td>
       <td><span class="dot"></span>${c.state}</td>
       <td class="num">${c.scenarios ?? "\\u2013"}</td><td class="num">${prog}</td>
       <td class="num">${r.executed ?? "\\u2013"}</td><td class="num">${r.cache_hits ?? "\\u2013"}</td>
-      <td class="num">${latCell}</td>
     </tr>`;
-  }).join("");
-}
-
-function renderAlerts(alerts) {
-  const firing = alerts.filter((a) => a.state === "firing");
-  $("kpi-alerts").textContent = String(firing.length);
-  $("kpi-alerts").className = firing.length ? "value alert-firing" : "value";
-  $("alert-empty").style.display = alerts.length ? "none" : "";
-  $("alert-rows").innerHTML = alerts.map((a) => {
-    const cls = a.state === "firing" ? "alert-firing" : (a.state === "pending" ? "alert-pending" : "");
-    const since = a.since_s != null ? `${Number(a.since_s).toFixed(0)}s` : "\\u2013";
-    return `<tr><td>${a.name}</td><td class="${cls}">${a.state}</td>
-      <td><code>${a.condition}</code></td>
-      <td class="num">${a.value != null ? fmtSec(a.value) : "\\u2013"}</td>
-      <td class="num">${since}</td></tr>`;
   }).join("");
 }
 
@@ -328,14 +288,12 @@ function followEvents(campaigns) {
 
 async function poll() {
   try {
-    const [campaigns, metrics, alerts] = await Promise.all([
+    const [campaigns, metrics] = await Promise.all([
       fetch("/campaigns").then((r) => r.json()),
       fetch("/metrics").then((r) => r.json()),
-      fetch("/alerts").then((r) => r.json()),
     ]);
     renderCampaigns(campaigns.campaigns || []);
     renderMetrics(metrics);
-    renderAlerts(alerts.alerts || []);
     followEvents(campaigns.campaigns || []);
     const health = await fetch("/healthz").then((r) => r.json());
     $("kpi-records").textContent = health.records ?? "\\u2013";
@@ -347,7 +305,6 @@ $("store-line").textContent =
   (bootstrap.draining ? " \\u2014 draining" : "");
 $("kpi-records").textContent = bootstrap.records;
 renderCampaigns(bootstrap.campaigns || []);
-renderAlerts(bootstrap.alerts || []);
 poll();
 setInterval(poll, 2000);
 </script>

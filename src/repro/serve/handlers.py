@@ -13,7 +13,6 @@ Endpoints::
     GET  /readyz                      readiness (scheduler alive, store open)
     GET  /metrics                     service metrics (incl. store.idx_* counters)
     GET  /metrics?format=prometheus   the same registry as Prometheus text 0.0.4
-    GET  /alerts                      SLO alert rules + their live states
     GET  /dashboard                   self-contained live HTML dashboard
     GET  /campaigns                   all campaigns (newest last)
     POST /campaigns                   submit a SweepSpec/BoundaryQuery snapshot
@@ -124,13 +123,11 @@ class Api:
         store: ResultStore,
         metrics=None,
         token: Optional[str] = None,
-        alerts=None,
     ):
         self.scheduler = scheduler
         self.store = store
         self.metrics = metrics
         self.token = token
-        self.alerts = alerts
 
     # ------------------------------------------------------------------
     def _authorised(self, request: Request) -> bool:
@@ -163,12 +160,10 @@ class Api:
                 return TextResponse(200, body, content_type=PROMETHEUS_CONTENT_TYPE)
             payload = self.metrics.to_dict() if self.metrics is not None else {}
             return JsonResponse(200, payload)
-        if request.path == "/alerts" and request.method == "GET":
-            return self._alerts()
         if request.path == "/dashboard" and request.method == "GET":
             return TextResponse(
                 200,
-                render_dashboard(self.scheduler, self.store, alerts=self.alerts),
+                render_dashboard(self.scheduler, self.store),
                 content_type="text/html; charset=utf-8",
             )
         if parts[:1] == ["campaigns"]:
@@ -219,14 +214,6 @@ class Api:
             payload["draining"] = True
             headers["Retry-After"] = str(DRAIN_RETRY_AFTER_S)
         return JsonResponse(200 if ready else 503, payload, headers=headers)
-
-    def _alerts(self) -> JsonResponse:
-        """Every configured alert rule with its live state (ok/pending/firing)."""
-        status = self.alerts.status() if self.alerts is not None else []
-        firing = [entry for entry in status if entry["state"] == "firing"]
-        return JsonResponse(
-            200, {"count": len(status), "firing": len(firing), "alerts": status}
-        )
 
     def _list_campaigns(self) -> JsonResponse:
         campaigns = [c.to_dict() for c in self.scheduler.list()]

@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Union
 from .. import faults
 from ..obs.history import RunLedger, summarize_run
 from ..obs.telemetry import DISABLED, Telemetry
-from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES, RollingWindow
+from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
 from ..sweep.adaptive import BoundaryQuery, BoundarySearch
 from ..sweep.presets import build_preset
 from ..sweep.runner import SweepRunner
@@ -75,9 +75,6 @@ class Campaign:
     #: The scenario ids the campaign covers: known up front for sweeps,
     #: accumulated probe-by-probe for boundary searches.
     scenario_ids: tuple = ()
-    #: Live latency view: rolling p95 of executed-scenario durations and how
-    #: it stands against the service's latency budget (dashboard column).
-    latency: dict = field(default_factory=dict)
 
     def to_dict(self, include_snapshot: bool = False) -> dict:
         doc = {
@@ -90,7 +87,6 @@ class Campaign:
             "finished_t": self.finished_t,
             "progress": dict(self.progress),
             "scenarios": len(self.scenario_ids),
-            "latency": dict(self.latency),
             "result": self.result,
             "error": self.error,
         }
@@ -160,14 +156,10 @@ class CampaignScheduler:
         fast: bool = True,
         metrics=None,
         watchdog_s: Optional[float] = None,
-        alerts=None,
-        latency_budget_s: Optional[float] = None,
         ledger: "str | Path | None" = None,
     ):
         if watchdog_s is not None and watchdog_s <= 0:
             raise ValueError("watchdog_s must be positive")
-        if latency_budget_s is not None and latency_budget_s <= 0:
-            raise ValueError("latency_budget_s must be positive")
         self.store = store
         self.data_dir = Path(data_dir)
         self.workers = max(1, int(workers))
@@ -181,13 +173,6 @@ class CampaignScheduler:
         #: failed honestly (``scheduler.watchdog_timeout``) instead of
         #: wedging the FIFO queue forever.
         self.watchdog_s = watchdog_s
-        #: The service's :class:`~repro.obs.alerts.AlertManager` (when
-        #: alerting is on): executed-scenario durations feed its rolling
-        #: ``scenario_duration_seconds`` window.
-        self.alerts = alerts
-        #: Per-campaign latency budget: the dashboard flags a campaign whose
-        #: rolling p95 exceeds it (the implicit budget AlertRule fires too).
-        self.latency_budget_s = latency_budget_s
         #: Run-ledger path: every finished campaign appends a RunSummary.
         self.ledger = Path(ledger) if ledger is not None else None
         #: How many times the supervisor restarted a dead worker task.
@@ -366,8 +351,6 @@ class CampaignScheduler:
         campaign.trace_dir.mkdir(parents=True, exist_ok=True)
         telemetry = Telemetry.create(campaign.trace_dir, worker="serve", campaign=campaign.id)
         seen = set(campaign.scenario_ids)
-        window = RollingWindow(window_s=300.0)
-        budget = self.latency_budget_s
 
         def progress(done: int, total: int, record: dict, cached: bool) -> None:
             campaign.progress = {"done": done, "total": total}
@@ -377,23 +360,11 @@ class CampaignScheduler:
                 campaign.scenario_ids = campaign.scenario_ids + (scenario_id,)
             if cached:
                 return
-            # Live latency: the per-campaign rolling p95 the dashboard's
-            # budget column shows, the service-registry histogram /metrics
-            # exposes, and the alert window the SLO rules evaluate.
-            dur = float(record.get("elapsed_s") or 0.0)
-            window.observe(dur)
-            p95 = window.quantile(0.95)
-            campaign.latency = {
-                "count": len(window),
-                "p95_s": None if p95 is None else round(p95, 6),
-                "budget_s": budget,
-                "over_budget": bool(budget is not None and p95 is not None and p95 > budget),
-            }
+            # Executed-scenario latency: the service-registry histogram
+            # /metrics exposes.
             self.metrics.histogram(
                 "scenario_duration_seconds", boundaries=DEFAULT_LATENCY_BOUNDARIES
-            ).observe(dur)
-            if self.alerts is not None:
-                self.alerts.observe("scenario_duration_seconds", dur)
+            ).observe(float(record.get("elapsed_s") or 0.0))
 
         try:
             runner = SweepRunner(

@@ -379,12 +379,13 @@ class PVArraySupply(Supply):
         return self.irradiance.value_at(t)
 
     def current(self, voltage: float, t: float) -> float:
+        g = self._g_cursor.value(t)
         if self._exact:
-            return self.array.current(voltage, self.irradiance.value_at(t))
+            return self.array.current(voltage, g)
         table = self._table
         if table is None:
             table = self._table = self._build_table()
-        return table.current(voltage, self._g_cursor.value(t))
+        return table.current(voltage, g)
 
     def step_current_fn(self):
         """Fully fused fast-path lookup: cursor advance + bilinear, one call.
@@ -397,10 +398,10 @@ class PVArraySupply(Supply):
         """
         if self._exact:
             array_current = self.array.current
-            value_at = self.irradiance.value_at
+            irradiance = self.irradiance.cursor().value
 
             def exact_current(v: float, t: float) -> float:
-                return array_current(v, value_at(t))
+                return array_current(v, irradiance(t))
 
             return exact_current
 

@@ -576,8 +576,6 @@ class TestRollingWindow:
         for i in range(11):
             window.observe(float(i), t=float(i))
         assert window.quantile(0.5, now=10.0) == 5.0
-        assert window.mean(now=10.0) == 5.0
-        assert window.last() == 10.0
         assert window.rate(now=10.0) == pytest.approx(11 / 10.0)
         assert RollingWindow().rate(now=0.0) == 0.0
 

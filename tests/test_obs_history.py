@@ -1,6 +1,5 @@
-"""Tests for PR 10: the run ledger, ``obs diff`` regression gating, merged
-multi-worker histograms, and live SLO alerting (repro.obs.history / .diff /
-.alerts)."""
+"""Tests for the run ledger, ``obs diff`` regression gating and merged
+multi-worker histograms (repro.obs.history / .diff)."""
 
 import json
 import math
@@ -9,18 +8,13 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    AlertManager,
-    AlertRule,
     DiffThresholds,
     MetricsRegistry,
     RunLedger,
     RunSummary,
-    Tracer,
     diff_summaries,
     format_diff,
     ledger_path,
-    load_alert_rules,
-    load_events,
     merged_sidecar_histograms,
     run_provenance,
     summarize_run,
@@ -345,110 +339,3 @@ class TestRollingWindowBoundary:
             window.observe(1.0, t=20.0 + i)
         assert window.quantile(0.95, now=30.0) == 1.0  # the 100.0 aged out
 
-
-# ----------------------------------------------------------------------
-# AlertRule / AlertManager
-# ----------------------------------------------------------------------
-class TestAlertRules:
-    def test_json_round_trip(self):
-        rule = AlertRule(
-            name="p95-budget", metric="scenario_duration_seconds",
-            threshold=2.5, stat="p95", op=">", for_s=5.0,
-            labels={"campaign": "abc"}, description="latency SLO",
-        )
-        assert AlertRule.from_dict(rule.to_dict()) == rule
-        assert rule.condition() == (
-            'p95(scenario_duration_seconds{campaign="abc"}) > 2.5 for 5s'
-        )
-
-    def test_validation_errors_are_one_liners(self):
-        with pytest.raises(ValueError, match="unknown stat"):
-            AlertRule(name="x", metric="m", threshold=1, stat="p42")
-        with pytest.raises(ValueError, match="unknown op"):
-            AlertRule(name="x", metric="m", threshold=1, op="!=")
-        with pytest.raises(ValueError, match="needs a metric"):
-            AlertRule(name="x", metric="", threshold=1)
-        with pytest.raises(ValueError, match="for_s"):
-            AlertRule(name="x", metric="m", threshold=1, for_s=-1)
-
-    def test_load_from_file_and_inline(self, tmp_path):
-        doc = [{"name": "a", "metric": "m", "threshold": 1.0}]
-        path = tmp_path / "rules.json"
-        path.write_text(json.dumps({"rules": doc}))
-        assert [r.name for r in load_alert_rules(path)] == ["a"]
-        assert [r.name for r in load_alert_rules(json.dumps(doc))] == ["a"]
-        with pytest.raises(ValueError, match="alert rule #1"):
-            load_alert_rules('[{"metric": "m"}]')  # nameless
-        with pytest.raises(ValueError, match="cannot read"):
-            load_alert_rules(tmp_path / "missing.json")
-
-
-class TestAlertManager:
-    def rule(self, **overrides):
-        base = dict(name="lat", metric="scenario_duration_seconds",
-                    threshold=1.0, stat="p95", op=">")
-        base.update(overrides)
-        return AlertRule(**base)
-
-    def test_fire_and_resolve_with_gauge_and_trace_events(self, tmp_path):
-        metrics = MetricsRegistry()
-        trace_dir = tmp_path / "trace"
-        trace_dir.mkdir()
-        tracer = Tracer(trace_dir / "trace-svc-1.jsonl", worker="svc")
-        manager = AlertManager([self.rule()], metrics=metrics, tracer=tracer)
-
-        manager.observe("scenario_duration_seconds", 5.0, t=100.0)
-        status = manager.evaluate(now=100.5)
-        assert status[0]["state"] == "firing"
-        assert status[0]["value"] == 5.0
-        assert manager.firing()
-        gauges = metrics.to_dict()["gauges"]
-        assert gauges['repro_alert_firing{alert="lat"}'] == 1.0
-
-        # the window drains past 60 s: the breach resolves
-        status = manager.evaluate(now=200.0)
-        assert status[0]["state"] == "ok"
-        gauges = metrics.to_dict()["gauges"]
-        assert gauges['repro_alert_firing{alert="lat"}'] == 0.0
-
-        tracer.close()
-        names = [e["name"] for e in load_events(tmp_path / "trace")]
-        assert "alert.fired" in names and "alert.resolved" in names
-
-    def test_for_duration_gates_flapping(self):
-        manager = AlertManager([self.rule(for_s=5.0)])
-        manager.observe("scenario_duration_seconds", 9.0, t=100.0)
-        assert manager.evaluate(now=100.0)[0]["state"] == "pending"
-        manager.observe("scenario_duration_seconds", 9.0, t=103.0)
-        assert manager.evaluate(now=103.0)[0]["state"] == "pending"
-        manager.observe("scenario_duration_seconds", 9.0, t=106.0)
-        assert manager.evaluate(now=106.0)[0]["state"] == "firing"
-        assert manager.status(now=106.0)[0]["since_s"] == 0.0
-
-    def test_registry_fallback_counters_and_histograms(self):
-        metrics = MetricsRegistry()
-        metrics.counter("retry.exhausted", 2, labels={"shard": "0"})
-        metrics.counter("retry.exhausted", 1, labels={"shard": "1"})
-        histogram = metrics.histogram("http_request_duration_seconds",
-                                      labels={"route": "/x"},
-                                      boundaries=[0.1, 1.0])
-        for value in (0.05, 0.2, 3.0):
-            histogram.observe(value)
-        manager = AlertManager(
-            [
-                self.rule(name="fails", metric="retry.exhausted",
-                          stat="value", op=">=", threshold=1.0),
-                self.rule(name="http", metric="http_request_duration_seconds",
-                          stat="p95", threshold=0.5),
-            ],
-            metrics=metrics,
-        )
-        status = {s["name"]: s for s in manager.evaluate(now=100.0)}
-        assert status["fails"]["state"] == "firing"
-        assert status["fails"]["value"] == 3.0  # summed across shard labels
-        assert status["http"]["state"] == "firing"
-
-    def test_no_data_stays_ok(self):
-        manager = AlertManager([self.rule()])
-        status = manager.evaluate(now=100.0)
-        assert status[0]["state"] == "ok" and status[0]["value"] is None

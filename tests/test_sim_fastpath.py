@@ -135,6 +135,26 @@ class TestIVSurfaceTable:
         fn = supply.step_current_fn()
         assert fn(5.0, 2.0) == supply.current(5.0, 2.0)
 
+    def test_exact_mode_samples_irradiance_like_value_at(self):
+        # Exact mode samples the trace through a cursor; over a forward walk
+        # with one backward jump it must agree with random-access value_at.
+        from repro.energy.irradiance import IrradianceGenerator
+
+        trace = IrradianceGenerator(seed=7).generate(
+            t_start=37_800.0, duration=60.0, weather="cloud"
+        )
+        array = paper_pv_array()
+        supply = PVArraySupply(array, trace, exact=True)
+        fn = supply.step_current_fn()
+        ts = list(37_800.0 + np.arange(0.0, 30.0, 0.37))
+        ts += list(37_800.0 + np.arange(10.0, 61.0, 0.53))  # backward jump
+        for k, t in enumerate(ts):
+            t = float(t)
+            v = 4.5 + 1.5 * np.sin(0.3 * k)
+            expected = array.current(v, trace.value_at(t))
+            assert fn(v, t) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert supply.current(v, t) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_constant_power_step_current_fn(self):
         supply = ConstantPowerSupply(Trace(times=[0.0, 10.0], values=[3.0, 1.0]))
         fn = supply.step_current_fn()
