@@ -5,7 +5,7 @@ The campaign service turns the batch sweep machinery into a submit-and-query
 workflow: a ``POST /campaigns`` with a :class:`repro.sweep.SweepSpec` (or
 :class:`~repro.sweep.BoundaryQuery`) snapshot is deduped by content hash,
 executed once, and its results served through filtered ``/records`` and
-``/aggregate`` endpoints backed by the store's SQLite index sidecar.  This
+``/aggregate`` endpoints filtered from the records the store holds.  This
 example drives that loop through :class:`repro.serve.ServeClient`:
 
 1. submit a preset campaign (``dist-smoke`` by default),

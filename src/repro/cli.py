@@ -36,7 +36,7 @@ re-run against the same store is pure cache hits)::
         --supply constant-power --governors power-neutral,ondemand
 
 Compact a long-lived store (drop superseded records, rebuild the SQLite
-index sidecar)::
+inventory sidecar)::
 
     repro-pns store compact --store campaign.jsonl
 
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Store maintenance. 'compact' rewrites the JSONL keeping only the "
             "newest record per scenario id and rebuilds the store's SQLite "
-            "index sidecar (<store>.sqlite), stamping the compacted size as "
+            "inventory sidecar (<store>.sqlite), stamping the compacted size as "
             "the baseline 'stats' measures growth against. 'merge DEST SRC "
             "[SRC ...]' unions shard stores into DEST (creating it if "
             "needed): successful records always supersede failures, later "
@@ -432,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
             "aggregation. 'stats [PATH]' prints the store inventory — record "
             "counts by status and schema version, bytes and records appended "
             "since the last compact, the last run's cache-hit ratio — served "
-            "entirely from the SQLite and metrics sidecars, without "
-            "materialising a single record."
+            "from the SQLite and metrics sidecars without opening the store "
+            "(a broken SQLite sidecar falls back to opening it)."
         ),
     )
     store.add_argument(
@@ -463,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
             "hash — identical submissions return the existing campaign), "
             "poll /campaigns/{id}, stream live trace events from "
             "/campaigns/{id}/events (Server-Sent Events), and fetch results "
-            "from /campaigns/{id}/records and /aggregate, served through the "
-            "store's SQLite index sidecar. Submit with 'repro submit' or any "
+            "from /campaigns/{id}/records and /aggregate, filtered from the "
+            "records the open store holds. Submit with 'repro submit' or any "
             "HTTP client; stop with Ctrl-C."
         ),
     )
@@ -1151,7 +1151,7 @@ def _open_store(
     store_path = Path(args.store)
     if store_path.exists() and args.fresh:
         store_path.unlink()
-        # The index sidecar is derived from the file just deleted; drop it
+        # The inventory sidecar is derived from the file just deleted; drop it
         # (and its compaction baseline) with the store.
         sweep_module.sqlite_index_path(store_path).unlink(missing_ok=True)
         print(f"starting fresh campaign (deleted existing {store_path})")

@@ -29,6 +29,7 @@ array (and the calibrated arrays used by the paper) live in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -114,9 +115,13 @@ class SolarCellParameters:
         """Thermal voltage ``Vt`` in volts at the configured temperature."""
         return thermal_voltage(self.temperature_k)
 
-    @property
+    @functools.cached_property
     def modified_thermal_voltage(self) -> float:
-        """``N * Vt`` -- the denominator of the diode exponential."""
+        """``N * Vt`` -- the denominator of the diode exponential.
+
+        Computed once per parameters object: the fields are frozen, and a
+        :meth:`with_temperature` copy computes its own.
+        """
         return self.ideality_factor * self.thermal_voltage
 
     def with_temperature(self, temperature_k: float) -> "SolarCellParameters":

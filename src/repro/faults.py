@@ -90,7 +90,8 @@ class InjectedIOFault(OSError):
     """An injected *I/O* failure (``error_type: io``).
 
     An :class:`OSError` subclass, so sites guarded by I/O-shaped fallbacks
-    (e.g. the SQLite sidecar's ``SIDECAR_ERRORS`` linear-scan fallback)
+    (e.g. ``store stats`` falling back to opening the store on
+    ``SIDECAR_ERRORS``)
     exercise their real degradation path under injection.
     """
 

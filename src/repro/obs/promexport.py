@@ -16,7 +16,7 @@ Prometheus-compatible scraper ingests:
 
 Series names are sanitised to the Prometheus grammar
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``): dots and other junk become underscores, so
-the repo's internal ``store.idx_hit`` counter exports as ``store_idx_hit``.
+the repo's internal ``store.appends`` counter exports as ``store_appends``.
 Labelled series produced via :func:`~repro.obs.metrics.series_key` —
 ``http_request_duration_seconds{route="/campaigns",status="200"}`` — keep
 their labels, with the histogram ``le`` label appended after them.

@@ -24,9 +24,9 @@ campaign machinery in a stdlib-asyncio HTTP service so campaigns are
 
 What makes the service cheap at scale is below it, not in it: records are
 content-addressed, so identical submissions from any number of users are
-pure cache hits against the store, and filtered/aggregate reads are served
-through the SQLite index sidecar (:mod:`repro.sweep.sqlindex`) without
-replaying the JSONL.
+pure cache hits against the store, and filtered/aggregate reads filter the
+records the open store already holds (:meth:`repro.sweep.ResultStore.query`)
+without replaying the JSONL.
 
 Quick start::
 

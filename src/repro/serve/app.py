@@ -135,14 +135,13 @@ class CampaignService:
     async def start(self) -> "CampaignService":
         """Open the store, start the worker task, bind the listening socket.
 
-        The store is opened with a metrics-only telemetry bundle so every
-        sidecar-served query counts into ``store.idx_hit``/``store.idx_miss``
-        — the counters ``GET /metrics`` exposes and the serve-smoke CI job
-        asserts on.  With ``trace_dir`` set the service also writes its own
-        trace file (request spans, resource gauges); either way a resource
-        sampler feeds the registry and flushes it to
-        ``<data_dir>/metrics.json`` so the service's own snapshot survives a
-        kill.
+        The store is opened with a metrics-only telemetry bundle so its
+        counters and timers (``store.appends``, ``store.append_s``, ...)
+        land in the registry ``GET /metrics`` exposes.  With ``trace_dir``
+        set the service also writes its own trace file (request spans,
+        resource gauges); either way a resource sampler feeds the registry
+        and flushes it to ``<data_dir>/metrics.json`` so the service's own
+        snapshot survives a kill.
         """
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.metrics = MetricsRegistry()

@@ -11,7 +11,7 @@ Endpoints::
 
     GET  /healthz                     liveness + store/campaign counts
     GET  /readyz                      readiness (scheduler alive, store open)
-    GET  /metrics                     service metrics (incl. store.idx_* counters)
+    GET  /metrics                     service metrics (counters, timers, histograms)
     GET  /metrics?format=prometheus   the same registry as Prometheus text 0.0.4
     GET  /dashboard                   self-contained live HTML dashboard
     GET  /campaigns                   all campaigns (newest last)
@@ -30,8 +30,7 @@ from typing import Optional, Union
 
 from ..obs.promexport import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..sweep.aggregate import axis_summary, campaign_overview, records_table
-from ..sweep.sqlindex import FILTER_COLUMNS
-from ..sweep.store import ResultStore
+from ..sweep.store import FILTER_COLUMNS, ResultStore
 from .dashboard import render_dashboard
 from .scheduler import Campaign, CampaignScheduler
 

@@ -18,11 +18,11 @@ registry-backed scenario components:
   governor/workload views;
 * :mod:`repro.sweep.store`    — an append-only JSONL store keyed by config
   hash, giving cache hits, resume-after-interrupt and schema-version
-  tolerance;
-* :mod:`repro.sweep.sqlindex` — the store's one index, a SQLite sidecar
-  behind :meth:`ResultStore.query`: scenario ids, statuses and searchable axis
-  columns mapped to JSONL byte offsets, so filtered/aggregate reads over
-  100k+-record stores never replay the file;
+  tolerance; :meth:`ResultStore.query` filters the records an open store
+  holds;
+* :mod:`repro.sweep.sqlindex` — the SQLite sidecar behind ``store stats``:
+  counts by status and schema version and the compaction baseline of a
+  store, without opening it;
 * :mod:`repro.sweep.runner`   — inline or worker-slot execution with
   per-scenario timeouts and progress reporting;
 * :mod:`repro.sweep.aggregate`— per-axis mean/p50/p95 tables, Table II

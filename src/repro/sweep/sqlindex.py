@@ -1,35 +1,30 @@
-"""The SQLite index sidecar of :class:`~repro.sweep.store.ResultStore`.
+"""The SQLite inventory sidecar of :class:`~repro.sweep.store.ResultStore`.
 
 The JSONL store is the source of truth — append-only, human-greppable,
-mergeable — but answering *filtered* questions against it ("the ok records of
-these 2 000 scenario ids", "how many timeouts per governor") means replaying
-every line.  This module keeps a derived SQLite database next to the store
-(``<store>.sqlite``) holding, per scenario id, the record's **byte offset and
-length** in the JSONL plus its status, schema version and the searchable axis
-columns (governor / supply / weather / seed / capacitance / duration /
-workload / survived).  Queries run against the index and only the *matching*
-lines are seek-loaded from the JSONL — a 100k-record store answers a
-filtered query without parsing 100k lines.  It is the store's only index.
+mergeable — and every record read is answered from the records an open
+store holds.  What an open store cannot give cheaply is the inventory of a
+store nobody has opened: ``python -m repro store stats`` reports counts by
+status and schema version, and the bytes and records appended since the last
+compaction.  This module keeps that inventory in a derived SQLite database
+next to the store (``<store>.sqlite``): per scenario id, the byte offset and
+length of its latest line plus its status and schema version.
 
 The sidecar is purely derived state and maintains itself lazily:
 
 * :meth:`SqliteIndex.ensure` compares the indexed byte count and mtime
   against the live JSONL.  An untouched file is served as-is; a file that
   *grew* (appends) has just its tail scanned; a file that shrank or was
-  rewritten in place (compact, merge, ``--fresh``) triggers a full rebuild.
-  Before trusting a tail scan the last indexed line is re-read and verified,
-  so a rewrite that happens to grow the file cannot smuggle stale offsets
-  through.
-* Callers that seek-load records through the index verify each line's
-  scenario id and fall back to :meth:`rebuild` on any mismatch — the JSONL
-  always wins.
+  rewritten in place (compact, merge, ``--fresh``) triggers a full rebuild,
+  and so does a sidecar of another layout version.  Before trusting a tail
+  scan the last indexed line is re-read and verified, so a rewrite that
+  happens to grow the file cannot smuggle stale offsets through.
 * :meth:`SqliteIndex.mark_compacted` (called by ``ResultStore.compact``)
   rebuilds the sidecar and stamps the compacted size as ``compacted_bytes``
   in the ``meta`` table — the baseline ``store stats`` measures growth
   against.  Tail scans keep the baseline; any other rebuild drops it.
 
-Deleting ``<store>.sqlite`` is always safe; the next query rebuilds it
-(without a compaction baseline).
+Deleting ``<store>.sqlite`` is always safe; the next ``store stats``
+rebuilds it (without a compaction baseline).
 """
 
 from __future__ import annotations
@@ -39,38 +34,23 @@ import os
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from .. import faults
 from ..obs.telemetry import DISABLED, Telemetry
 
 __all__ = [
     "SIDECAR_ERRORS",
-    "FILTER_COLUMNS",
     "SqliteIndex",
     "sqlite_index_path",
 ]
 
 #: What a sidecar operation may raise; callers catch these and fall back to
-#: a linear scan of the JSONL (the sidecar is an accelerator, never a gate).
+#: opening the store (the sidecar is a shortcut, never a gate).
 SIDECAR_ERRORS: tuple = (sqlite3.Error, OSError)
 
 #: Sidecar layout version (bumped on any schema change; mismatches rebuild).
-_LAYOUT_VERSION = 1
-
-#: The columns a store query may filter on (axis columns + record identity).
-FILTER_COLUMNS: tuple[str, ...] = (
-    "status",
-    "schema_version",
-    "governor",
-    "supply",
-    "weather",
-    "seed",
-    "capacitance_f",
-    "duration_s",
-    "workload",
-    "survived",
-)
+_LAYOUT_VERSION = 2
 
 _SCHEMA = (
     """
@@ -85,24 +65,11 @@ _SCHEMA = (
         byte_offset    INTEGER NOT NULL,
         byte_length    INTEGER NOT NULL,
         status         TEXT,
-        schema_version INTEGER,
-        governor       TEXT,
-        supply         TEXT,
-        weather        TEXT,
-        seed           INTEGER,
-        capacitance_f  REAL,
-        duration_s     REAL,
-        workload       TEXT,
-        survived       INTEGER
+        schema_version INTEGER
     )
     """,
     "CREATE INDEX IF NOT EXISTS records_status ON records(status)",
-    "CREATE INDEX IF NOT EXISTS records_governor ON records(governor)",
 )
-
-#: Scenario-id lists longer than this are chunked into several IN queries
-#: (SQLite's default host-parameter limit is 999).
-_IN_CHUNK = 500
 
 
 def sqlite_index_path(store_path: "str | os.PathLike") -> Path:
@@ -110,67 +77,12 @@ def sqlite_index_path(store_path: "str | os.PathLike") -> Path:
     return Path(str(store_path) + ".sqlite")
 
 
-def _component_kind(value) -> Optional[str]:
-    """The ``kind`` of a component field — composed dict or v1 flat string."""
-    if isinstance(value, Mapping):
-        kind = value.get("kind")
-        return str(kind) if kind is not None else None
-    if isinstance(value, str):
-        return value
-    return None
-
-
-def _axis_columns(record: Mapping) -> dict:
-    """Best-effort extraction of the searchable axis columns from a record.
-
-    Tolerant of both schema v2 (composed components) and v1 (flat keys);
-    anything unreadable is stored as NULL rather than rejected — the sidecar
-    must index *every* record the JSONL holds, however old.
-    """
-    config = record.get("config")
-    if not isinstance(config, Mapping):
-        config = {}
-    supply = config.get("supply")
-    supply = supply if isinstance(supply, Mapping) else {}
-    capacitor = config.get("capacitor")
-    capacitor = capacitor if isinstance(capacitor, Mapping) else {}
-    workload = config.get("workload", config.get("workload"))
-    summary = record.get("summary")
-    summary = summary if isinstance(summary, Mapping) else {}
-
-    def _float(value) -> Optional[float]:
-        try:
-            return None if value is None else float(value)
-        except (TypeError, ValueError):
-            return None
-
-    def _int(value) -> Optional[int]:
-        try:
-            return None if value is None else int(value)
-        except (TypeError, ValueError):
-            return None
-
-    survived = summary.get("survived")
-    return {
-        "governor": _component_kind(config.get("governor")),
-        "supply": _component_kind(config.get("supply")) or ("pv-array" if config else None),
-        "weather": supply.get("weather", config.get("weather")),
-        "seed": _int(supply.get("seed", config.get("seed"))),
-        "capacitance_f": _float(
-            capacitor.get("capacitance_f", config.get("capacitance_f"))
-        ),
-        "duration_s": _float(config.get("duration_s")),
-        "workload": _component_kind(workload),
-        "survived": None if survived is None else int(bool(survived)),
-    }
-
-
 class SqliteIndex:
     """The derived SQLite sidecar of one JSONL result store.
 
     Thread-safe (one lock around every public method, one shared connection
-    with ``check_same_thread=False``) because the campaign service queries it
-    from executor threads while its worker thread appends to the store.
+    with ``check_same_thread=False``), so one store object can be shared
+    across threads.
     """
 
     def __init__(
@@ -240,7 +152,7 @@ class SqliteIndex:
         injector = faults.active()
         if injector is not None:
             # An "io"-typed rule here raises an OSError, which is in
-            # SIDECAR_ERRORS: queries degrade to the linear scan fallback —
+            # SIDECAR_ERRORS: store_stats falls back to opening the store —
             # the self-healing path this site exists to exercise.
             injector.fire(
                 "sqlindex.refresh", telemetry=self.telemetry, store=str(self.store_path)
@@ -308,8 +220,11 @@ class SqliteIndex:
     def _rebuild_locked(self, conn) -> str:
         timer = self.telemetry.metrics.timer("store.sqlite_build_s")
         with timer:
-            conn.execute("DELETE FROM records")
+            # Dropped, not emptied: a sidecar of another layout has other columns.
+            conn.execute("DROP TABLE records")
             conn.execute("DELETE FROM meta")  # drops the compaction baseline too
+            for statement in _SCHEMA:
+                conn.execute(statement)
             self._scan(conn, start=0)
         self.telemetry.metrics.counter("store.sqlite_build")
         return "rebuild"
@@ -360,7 +275,6 @@ class SqliteIndex:
                 scenario_id = record.get("scenario_id")
                 if not scenario_id:
                     continue
-                axes = _axis_columns(record)
                 rows.append(
                     (
                         str(scenario_id),
@@ -368,21 +282,12 @@ class SqliteIndex:
                         len(line),
                         record.get("status"),
                         int(record.get("schema_version", 1)),
-                        axes["governor"],
-                        axes["supply"],
-                        axes["weather"],
-                        axes["seed"],
-                        axes["capacitance_f"],
-                        axes["duration_s"],
-                        axes["workload"],
-                        axes["survived"],
                     )
                 )
         if rows:
             conn.executemany(
                 "INSERT OR REPLACE INTO records (scenario_id, byte_offset, byte_length, "
-                "status, schema_version, governor, supply, weather, seed, capacitance_f, "
-                "duration_s, workload, survived) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "status, schema_version) VALUES (?, ?, ?, ?, ?)",
                 rows,
             )
         mtime_ns = self.store_path.stat().st_mtime_ns if self.store_path.exists() else 0
@@ -390,105 +295,8 @@ class SqliteIndex:
         conn.commit()
 
     # ------------------------------------------------------------------
-    # Queries (index-only: callers seek-load matching lines themselves)
+    # Inventory
     # ------------------------------------------------------------------
-    @staticmethod
-    def _where(filters: Mapping, by_id: bool = False) -> tuple[str, list]:
-        """The WHERE clause of ``filters``; ``by_id`` writes ``+column``.
-
-        A unary ``+`` keeps SQLite from answering a filter from its column
-        index, so an id-list query looks each id up by primary key instead
-        of walking every row the column index matches.  It also drops the
-        column's type affinity: a value must have the column's type to
-        match, as in the store's linear-scan fallback.
-        """
-        clauses: list[str] = []
-        params: list = []
-        for column, value in filters.items():
-            if column not in FILTER_COLUMNS:
-                raise ValueError(
-                    f"unknown store filter {column!r}; known: {', '.join(FILTER_COLUMNS)}"
-                )
-            if by_id:
-                column = f"+{column}"
-            if isinstance(value, (list, tuple, set, frozenset)):
-                values = list(value)
-                if not values:
-                    clauses.append("0")
-                    continue
-                clauses.append(f"{column} IN ({', '.join('?' * len(values))})")
-                params.extend(values)
-            else:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        return (" AND ".join(clauses) or "1"), params
-
-    def query(
-        self,
-        filters: Optional[Mapping] = None,
-        scenario_ids: Optional[Sequence[str]] = None,
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> list[tuple[str, int, int]]:
-        """Matching ``(scenario_id, byte_offset, byte_length)`` rows.
-
-        Rows come back in byte-offset order (sequential reads for the
-        caller).  ``scenario_ids`` restricts to an explicit id set — an
-        *empty* sequence matches nothing, ``None`` means unrestricted.  With
-        an id set, each filter is written ``+column`` so the plan looks the
-        ids up by primary key (``sqlite_autoindex_records_1``) rather than
-        scanning ``records_status`` once per chunk of ids.
-        """
-        with self._lock:
-            self.ensure()
-            conn = self._connect()
-            where, params = self._where(filters or {}, by_id=scenario_ids is not None)
-            if scenario_ids is None:
-                sql = (
-                    "SELECT scenario_id, byte_offset, byte_length FROM records "
-                    f"WHERE {where} ORDER BY byte_offset"
-                )
-                rows = [tuple(r) for r in conn.execute(sql, params)]
-            else:
-                ids = [str(s) for s in scenario_ids]
-                rows = []
-                for chunk_start in range(0, len(ids), _IN_CHUNK):
-                    chunk = ids[chunk_start : chunk_start + _IN_CHUNK]
-                    sql = (
-                        "SELECT scenario_id, byte_offset, byte_length FROM records "
-                        f"WHERE {where} AND scenario_id IN "
-                        f"({', '.join('?' * len(chunk))})"
-                    )
-                    rows.extend(tuple(r) for r in conn.execute(sql, params + chunk))
-                rows.sort(key=lambda r: r[1])
-            if offset:
-                rows = rows[int(offset) :]
-            if limit is not None:
-                rows = rows[: int(limit)]
-            return rows
-
-    def count(
-        self, filters: Optional[Mapping] = None, scenario_ids: Optional[Sequence[str]] = None
-    ) -> int:
-        """Matching-record count, answered from the index alone."""
-        with self._lock:
-            self.ensure()
-            conn = self._connect()
-            where, params = self._where(filters or {}, by_id=scenario_ids is not None)
-            if scenario_ids is None:
-                sql = f"SELECT COUNT(*) FROM records WHERE {where}"
-                return int(conn.execute(sql, params).fetchone()[0])
-            total = 0
-            ids = [str(s) for s in scenario_ids]
-            for chunk_start in range(0, len(ids), _IN_CHUNK):
-                chunk = ids[chunk_start : chunk_start + _IN_CHUNK]
-                sql = (
-                    f"SELECT COUNT(*) FROM records WHERE {where} AND scenario_id IN "
-                    f"({', '.join('?' * len(chunk))})"
-                )
-                total += int(conn.execute(sql, params + chunk).fetchone()[0])
-            return total
-
     def _grouped_counts(self, column: str) -> dict:
         with self._lock:
             self.ensure()

@@ -20,9 +20,9 @@ kept, reported via :attr:`ResultStore.legacy_count` /
 configs instead of failing opaquely.
 
 Large stores: :meth:`ResultStore.compact` rewrites the JSONL keeping only the
-newest record per scenario id, then rebuilds the SQLite sidecar (below) and
-stamps the compacted size in it as the baseline :func:`store_stats` measures
-later growth against.  Opening a store always parses the JSONL.
+newest record per scenario id, then rebuilds the SQLite sidecar of
+:mod:`repro.sweep.sqlindex` (``<store>.sqlite``) and stamps the compacted
+size in it as the baseline :func:`store_stats` measures later growth against.
 
 Sharded campaigns: :meth:`ResultStore.merge` / :func:`merge_stores` union the
 shard stores a partitioned campaign produced (see :mod:`repro.sweep.dist`)
@@ -31,27 +31,30 @@ always supersedes a failure/timeout, and among equals the later source wins.
 Legacy v1 records are upgraded (config re-composed, record re-keyed under the
 current content hash) on the way through, and the merged store is compacted.
 
-Filtered reads: :meth:`ResultStore.query` answers "the ok records of these
-scenario ids", "every timeout under the powersave governor" and similar
-questions through the store's one index sidecar — the SQLite database of
-:mod:`repro.sweep.sqlindex` (``<store>.sqlite``), which maps scenario ids and
-searchable axis columns to byte offsets so only the *matching* JSONL lines
-are read — and of those, only the ones the store does not already hold as
-parsed from that very line.  The sidecar is derived state, (re)built lazily on first
-query and kept consistent with ``append``/``compact``/``merge`` through
-mtime/length staleness checks; a query served through it counts a
-``store.idx_hit`` metric, a fallback linear scan counts ``store.idx_miss``.
-:func:`store_stats` serves store-level inventories (counts by status and
-schema version, bytes and records appended since the last compact) from the
-sidecar alone, without materialising a single record.
+Reads: opening a store parses every line once and holds the latest record
+per scenario id, in the order of each id's latest line — the store order.
+:meth:`ResultStore.get`, :meth:`~ResultStore.records`,
+:meth:`~ResultStore.query` and :meth:`~ResultStore.count` all answer from
+those held records, so every read gives the same answer; a store has one
+writer, and lines another process adds are seen on the next open.
+:meth:`~ResultStore.query` answers "the ok records of these scenario ids",
+"every timeout under the powersave governor" and similar questions by
+filtering the held records on :data:`FILTER_COLUMNS`, whose values are
+computed once per record as it is held.  :func:`store_stats` serves the
+store-level inventory (counts by status and schema version, bytes and
+records appended since the last compact) from the SQLite sidecar, without
+opening the store.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import threading
 import time
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -66,6 +69,7 @@ __all__ = [
     "ResultStore",
     "merge_stores",
     "store_stats",
+    "FILTER_COLUMNS",
     "VOLATILE_RECORD_FIELDS",
     "strip_volatile",
 ]
@@ -78,15 +82,106 @@ VOLATILE_RECORD_FIELDS = frozenset(
     {"elapsed_s", "wall_time_s", "worker", "timings", "attempts", "faults_injected"}
 )
 
+#: The columns a store query may filter on (record identity + axis columns).
+FILTER_COLUMNS: tuple[str, ...] = (
+    "status",
+    "schema_version",
+    "governor",
+    "supply",
+    "weather",
+    "seed",
+    "capacitance_f",
+    "duration_s",
+    "workload",
+    "survived",
+)
+
+_COLUMN_INDEX = {column: i for i, column in enumerate(FILTER_COLUMNS)}
+_SCHEMA_VERSION = _COLUMN_INDEX["schema_version"]
+
 
 def strip_volatile(record: Mapping) -> dict:
     """A record without its run-specific fields, for cross-run comparison."""
     return {k: v for k, v in record.items() if k not in VOLATILE_RECORD_FIELDS}
 
 
-def _file_identity(stat: os.stat_result) -> tuple[int, int]:
-    """Which file a path names: replacing it (``os.replace``) changes this."""
-    return stat.st_dev, stat.st_ino
+def _component_kind(value) -> Optional[str]:
+    """The ``kind`` of a component field — composed dict or v1 flat string."""
+    if isinstance(value, dict):
+        kind = value.get("kind")
+        return None if kind is None else str(kind)
+    return value if isinstance(value, str) else None
+
+
+def _number(cast, value):
+    try:
+        return None if value is None else cast(value)
+    except (TypeError, ValueError):
+        return None
+
+
+_NO_FIELDS: dict = {}
+
+
+def _filter_values(record: dict) -> tuple:
+    """A record's :data:`FILTER_COLUMNS` values, in that order.
+
+    Tolerant of both schema v2 (composed components) and v1 (flat keys);
+    anything unreadable is None rather than rejected, so every record the
+    store holds, however old, can be filtered.  Records and their configs
+    are parsed JSON, so plain ``dict`` checks suffice.
+    """
+    config = record.get("config")
+    if not isinstance(config, dict):
+        config = _NO_FIELDS
+    supply = config.get("supply")
+    supply_fields = supply if isinstance(supply, dict) else _NO_FIELDS
+    capacitor = config.get("capacitor")
+    if not isinstance(capacitor, dict):
+        capacitor = _NO_FIELDS
+    summary = record.get("summary")
+    survived = summary.get("survived") if isinstance(summary, dict) else None
+    return (
+        record.get("status"),
+        int(record.get("schema_version", 1)),
+        _component_kind(config.get("governor")),
+        _component_kind(supply) or ("pv-array" if config else None),
+        supply_fields.get("weather", config.get("weather")),
+        _number(int, supply_fields.get("seed", config.get("seed"))),
+        _number(float, capacitor.get("capacitance_f", config.get("capacitance_f"))),
+        _number(float, config.get("duration_s")),
+        _component_kind(config.get("workload")),
+        None if survived is None else int(bool(survived)),
+    )
+
+
+def _predicate(filters: Mapping):
+    """A test over :func:`_filter_values` tuples; None matches everything.
+
+    A sequence or set value is a membership test, anything else equality.
+    """
+    checks = []
+    for column, value in filters.items():
+        index = _COLUMN_INDEX.get(column)
+        if index is None:
+            raise ValueError(
+                f"unknown store filter {column!r}; known: {', '.join(FILTER_COLUMNS)}"
+            )
+        if isinstance(value, (list, tuple, set, frozenset)):
+            checks.append((index, tuple(value), True))
+        else:
+            checks.append((index, value, False))
+    if not checks:
+        return None
+
+    def match(values: tuple) -> bool:
+        for index, wanted, member in checks:
+            have = values[index]
+            if (have not in wanted) if member else (have != wanted):
+                return False
+        return True
+
+    return match
 
 
 def _upgrade_record(record: dict) -> tuple[str, dict, bool]:
@@ -122,21 +217,20 @@ class ResultStore:
     """Append-only JSONL store of sweep records, indexed by scenario id.
 
     Later records for the same scenario id supersede earlier ones (so a
-    retried failure overwrites the failure on load).
+    retried failure overwrites the failure on load) and move to the end of
+    the store order.
     """
 
     def __init__(self, path: str | os.PathLike, telemetry: Optional[Telemetry] = None):
         self.path = Path(path)
         self.telemetry = telemetry if telemetry is not None else DISABLED
-        #: scenario_id -> latest record.
-        self._entries: dict[str, dict] = {}
-        #: scenario_id -> ``(byte_offset, byte_length, record)`` of the data
-        #: file line the held record was parsed from (or written as).  One
-        #: tuple, so a reader never pairs a span with another record.  Records
-        #: with no line behind them (``merge(compact=False)``) have no span.
-        self._spans: dict[str, tuple[int, int, dict]] = {}
-        #: ``(st_dev, st_ino)`` of the data file every span refers to.
-        self._file_id: Optional[tuple[int, int]] = None
+        #: scenario_id -> ``(position, filter values, record)`` of the latest
+        #: record, in store order; positions grow in that order.
+        self._entries: dict[str, tuple[int, tuple, dict]] = {}
+        self._positions = itertools.count()
+        #: Held over every change to ``_entries`` and every query's pass over
+        #: it: the service queries from worker threads while one thread appends.
+        self._lock = threading.Lock()
         self._skipped_lines = 0
         self._version_counts: Counter = Counter()
         self._sqlite: "Optional[sqlindex.SqliteIndex]" = None
@@ -234,8 +328,8 @@ class ResultStore:
         """The lazily-created SQLite sidecar.
 
         Creating the object is cheap; the database itself is only built (or
-        refreshed) when a :meth:`query`/:meth:`count`/:meth:`stats` call
-        first touches it, or when :meth:`compact` rewrites the store.
+        refreshed) when :meth:`stats` first touches it, or when
+        :meth:`compact` rewrites the store.
         """
         if self._sqlite is None:
             self._sqlite = sqlindex.SqliteIndex(self.path, telemetry=self.telemetry)
@@ -257,16 +351,10 @@ class ResultStore:
         reader has.
         """
         with self.path.open("rb") as fh:
-            self._file_id = _file_identity(os.fstat(fh.fileno()))
-            offset = 0
             for raw in fh:
-                # Same span rules as SqliteIndex._scan: only a complete
-                # (newline-terminated) line is a span.
-                span = (offset, len(raw)) if raw.endswith(b"\n") else None
-                offset += len(raw)
-                self._ingest_line(raw.decode("utf-8", errors="replace"), span)
+                self._ingest_line(raw.decode("utf-8", errors="replace"))
 
-    def _ingest_line(self, line: str, span: Optional[tuple[int, int]] = None) -> None:
+    def _ingest_line(self, line: str) -> None:
         line = line.strip()
         if not line:
             return
@@ -280,39 +368,17 @@ class ResultStore:
         if not scenario_id:
             self._skipped_lines += 1
             return
-        self._set_entry(scenario_id, record, span)
+        self._set_entry(scenario_id, record)
 
-    def _set_entry(
-        self, scenario_id: str, record: dict, span: Optional[tuple[int, int]] = None
-    ) -> None:
-        """Hold ``record`` as the latest for its id; ``span`` is the data
-        file line it was parsed from, None when no line holds it."""
-        previous = self._entries.get(scenario_id)
-        if previous is not None:
-            self._version_counts[self._version_of(previous)] -= 1
-        self._entries[scenario_id] = record
-        if span is None:
-            self._spans.pop(scenario_id, None)
-        else:
-            self._spans[scenario_id] = (span[0], span[1], record)
-        self._version_counts[self._version_of(record)] += 1
-
-    @staticmethod
-    def _read_at(fh, scenario_id: str, offset: int) -> Optional[dict]:
-        """Parse the record line at a byte offset; None if it doesn't match."""
-        try:
-            fh.seek(offset)
-            record = json.loads(fh.readline().decode("utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("scenario_id") != scenario_id:
-            return None
-        return record
-
-    @staticmethod
-    def _version_of(record: Mapping) -> int:
-        """The config schema version a record was written under (v1 if unstamped)."""
-        return int(record.get("schema_version", 1))
+    def _set_entry(self, scenario_id: str, record: dict) -> None:
+        """Hold ``record`` as the latest for its id, last in store order."""
+        values = _filter_values(record)
+        with self._lock:
+            previous = self._entries.pop(scenario_id, None)
+            if previous is not None:
+                self._version_counts[previous[1][_SCHEMA_VERSION]] -= 1
+            self._entries[scenario_id] = (next(self._positions), values, record)
+            self._version_counts[values[_SCHEMA_VERSION]] += 1
 
     @property
     def skipped_lines(self) -> int:
@@ -370,17 +436,9 @@ class ResultStore:
             fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
-            # O_APPEND leaves the position at the end of this write.
-            span = (fh.tell() - len(payload), len(payload))
-            file_id = _file_identity(os.fstat(fh.fileno()))
-        if file_id != self._file_id:
-            # Not the file the held spans were read from (another process
-            # replaced it, or it is new): none of them describe it.
-            self._spans = {}
-            self._file_id = file_id
         # Hold the on-disk form (sorted keys, lists not tuples): what a
         # reopen would parse from this line.
-        self._set_entry(scenario_id, json.loads(line), span)
+        self._set_entry(scenario_id, json.loads(line))
         self.telemetry.metrics.observe("store.append_s", time.perf_counter() - append_t0)
         self.telemetry.metrics.counter("store.appends")
 
@@ -389,10 +447,10 @@ class ResultStore:
         then rebuild the SQLite sidecar and stamp the compaction baseline.
 
         The rewrite is atomic (written beside the store, then renamed over
-        it).  The sidecar is derived state: if its rebuild fails the store is
-        still valid, and the next query rebuilds it (without a baseline).
-        Returns a stats dict (``records``, ``dropped_lines``,
-        ``bytes_before``, ``bytes_after``).
+        it) and keeps the store order.  The sidecar is derived state: if its
+        rebuild fails the store is still valid, and the next ``store stats``
+        rebuilds it (without a baseline).  Returns a stats dict
+        (``records``, ``dropped_lines``, ``bytes_before``, ``bytes_after``).
         """
         compact_t0 = time.perf_counter()
         lines_before = 0
@@ -404,26 +462,16 @@ class ResultStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".compact.tmp")
         offset = 0
-        spans: dict[str, tuple[int, int, dict]] = {}
         with tmp.open("wb") as fh:
-            for key, record in self._entries.items():
+            for record in self.records():
                 payload = (
                     json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
                 ).encode("utf-8")
-                if key not in self._spans:
-                    # No line held this record (merged in memory): hold the
-                    # form its new line parses back to.
-                    record = json.loads(payload)
-                spans[key] = (offset, len(payload), record)
                 fh.write(payload)
                 offset += len(payload)
             fh.flush()
             os.fsync(fh.fileno())
-            file_id = _file_identity(os.fstat(fh.fileno()))
         os.replace(tmp, self.path)
-        self._entries.update((key, span[2]) for key, span in spans.items())
-        self._spans = spans
-        self._file_id = file_id
         try:
             self.sqlite_index().mark_compacted()
         except sqlindex.SIDECAR_ERRORS:
@@ -490,10 +538,10 @@ class ResultStore:
                 key, record, upgraded = _upgrade_record(record)
                 if upgraded:
                     stats["upgraded"] += 1
-                if not self._merge_wins(record.get("status"), self._entries.get(key)):
+                if not self._merge_wins(record.get("status"), self.get(key)):
                     stats["skipped"] += 1
                     continue
-                self._set_entry(key, dict(record))  # no line holds it yet
+                self._set_entry(key, dict(record))
                 stats["merged"] += 1
         if compact:
             stats["records"] = self.compact()["records"]
@@ -520,32 +568,40 @@ class ResultStore:
 
     def get(self, key) -> Optional[dict]:
         """The latest record for a scenario id / config, or None."""
-        return self._entries.get(self._key(key))
+        entry = self._entries.get(self._key(key))
+        return None if entry is None else entry[2]
 
     def is_complete(self, key) -> bool:
         """Whether the scenario already has a successful (cached) record."""
-        record = self._entries.get(self._key(key))
-        return record is not None and record.get("status") == "ok"
+        entry = self._entries.get(self._key(key))
+        return entry is not None and entry[2].get("status") == "ok"
 
     def records(self) -> Iterator[dict]:
-        """All loaded records (latest per scenario id), insertion-ordered."""
-        return iter(list(self._entries.values()))
+        """All held records (latest per scenario id), in store order."""
+        with self._lock:
+            return iter([entry[2] for entry in self._entries.values()])
 
     def ok_records(self) -> list[dict]:
         """Only the successful records — what aggregation consumes."""
         return [r for r in self.records() if r.get("status") == "ok"]
 
     # ------------------------------------------------------------------
-    # Filtered reads (served by the SQLite sidecar; linear-scan fallback)
+    # Filtered reads
     # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_filters(filters: Mapping) -> None:
-        for column in filters:
-            if column not in sqlindex.FILTER_COLUMNS:
-                raise ValueError(
-                    f"unknown store filter {column!r}; "
-                    f"known: {', '.join(sqlindex.FILTER_COLUMNS)}"
-                )
+    def _select(self, filters: Mapping, scenario_ids: Optional[Sequence[str]]) -> list[dict]:
+        """The held records matching ``filters`` and ``scenario_ids``, in store order."""
+        match = _predicate(filters)
+        with self._lock:
+            entries = self._entries
+            if scenario_ids is None:
+                hits = entries.values()
+            else:
+                # Look the ids up instead of scanning every held record.
+                found = entries.keys() & {str(s) for s in scenario_ids}
+                hits = sorted(map(entries.__getitem__, found), key=itemgetter(0))
+            if match is None:
+                return [entry[2] for entry in hits]
+            return [entry[2] for entry in hits if match(entry[1])]
 
     def query(
         self,
@@ -556,129 +612,23 @@ class ResultStore:
         offset: int = 0,
         **filters,
     ) -> list[dict]:
-        """Matching records, seek-loaded via the SQLite sidecar.
+        """Matching records, in store order.
 
         ``filters`` are equality (or, for sequence values, membership)
-        constraints over :data:`~repro.sweep.sqlindex.FILTER_COLUMNS` — the
-        axis columns plus ``status``/``schema_version``.  ``scenario_ids``
-        restricts to an explicit id set; an *empty* sequence matches nothing
-        while ``None`` leaves the id unconstrained.  Results come back in
-        store (byte) order.
-
-        The sidecar picks the rows; the store never replays the JSONL for a
-        query, and counts a ``store.idx_hit`` metric (a fallback linear scan
-        counts ``store.idx_miss``).  A matching record this store already
-        holds comes from memory when the row's byte span is the line the
-        held record was parsed from (at open) or written as (``append``,
-        ``compact``) and the data file is still the one this store opened,
-        wrote or replaced.  Every other row is seek-loaded from disk: lines
-        another process appended or rewrote, any record after another
-        process replaced the file, and records merged in memory but not yet
-        compacted.  Every seek-loaded line's scenario id is verified; a
-        mismatch rebuilds the sidecar once and retries, so a sidecar can be
-        stale or even deleted but never wrong.  Records served from memory
-        are the store's own objects, as :meth:`get` returns them: treat
-        them as read-only.
+        constraints over :data:`FILTER_COLUMNS` — the axis columns plus
+        ``status``/``schema_version``.  ``scenario_ids`` restricts to an
+        explicit id set; an *empty* sequence matches nothing while ``None``
+        leaves the id unconstrained.  Records are the store's own objects,
+        as :meth:`get` returns them: treat them as read-only.
         """
         if status is not None:
             filters["status"] = status
-        self._validate_filters(filters)
-        try:
-            records = self._query_via_sqlite(filters, scenario_ids, limit, offset)
-        except sqlindex.SIDECAR_ERRORS:
-            records = None
-        if records is not None:
-            self.telemetry.metrics.counter("store.idx_hit")
-            return records
-        self.telemetry.metrics.counter("store.idx_miss")
-        return self._query_linear(filters, scenario_ids, limit, offset)
-
-    def _query_via_sqlite(self, filters, scenario_ids, limit, offset) -> Optional[list[dict]]:
-        """Seek-load the sidecar's matches; None when it cannot be trusted."""
-        index = self.sqlite_index()
-        for attempt in range(2):
-            rows = index.query(
-                filters or None, scenario_ids=scenario_ids, limit=limit, offset=offset
-            )
-            if not rows:
-                return []
-            spans = self._current_spans()
-            records: list[dict] = []
-            stale = False
-            fh = None
-            try:
-                for scenario_id, byte_offset, byte_length in rows:
-                    span = spans.get(scenario_id)
-                    if span is not None and span[0] == byte_offset and span[1] == byte_length:
-                        # The row names the very line the held record was
-                        # parsed from: no need to read it again.
-                        records.append(span[2])
-                        continue
-                    if fh is None:
-                        fh = self.path.open("rb")
-                    record = self._read_at(fh, scenario_id, byte_offset)
-                    if record is None:
-                        stale = True
-                        break
-                    records.append(record)
-            except OSError:
-                stale = True
-            finally:
-                if fh is not None:
-                    fh.close()
-            if not stale:
-                return records
-            if attempt == 0:
-                index.rebuild()
-        return None
-
-    def _current_spans(self) -> Mapping[str, tuple[int, int, dict]]:
-        """The held spans, if the data file is still the one they describe.
-
-        Called after the sidecar query, so rows read from a file that was
-        replaced since are compared against spans of that same file.  The
-        file id is read before the spans: ``append`` and ``compact`` store
-        them in the opposite order.
-        """
-        file_id = self._file_id
-        spans = self._spans
-        try:
-            current = _file_identity(self.path.stat())
-        except OSError:
-            return {}
-        return spans if current == file_id else {}
-
-    def _query_linear(self, filters, scenario_ids, limit, offset) -> list[dict]:
-        """The broken-sidecar path: filter the loaded records in Python."""
-        wanted = (
-            {str(s) for s in scenario_ids} if scenario_ids is not None else None
-        )
-        out = []
-        for record in self.records():
-            if wanted is not None and record.get("scenario_id") not in wanted:
-                continue
-            if filters and not self._matches(record, filters):
-                continue
-            out.append(record)
+        records = self._select(filters, scenario_ids)
         if offset:
-            out = out[int(offset):]
+            records = records[int(offset):]
         if limit is not None:
-            out = out[: int(limit)]
-        return out
-
-    @staticmethod
-    def _matches(record: Mapping, filters: Mapping) -> bool:
-        columns = sqlindex._axis_columns(record)
-        columns["status"] = record.get("status")
-        columns["schema_version"] = int(record.get("schema_version", 1))
-        for key, value in filters.items():
-            have = columns.get(key)
-            if isinstance(value, (list, tuple, set, frozenset)):
-                if have not in value:
-                    return False
-            elif have != value:
-                return False
-        return True
+            records = records[: int(limit)]
+        return records
 
     def count(
         self,
@@ -687,17 +637,10 @@ class ResultStore:
         scenario_ids: Optional[Sequence[str]] = None,
         **filters,
     ) -> int:
-        """Matching-record count — answered from the sidecar index alone."""
+        """Matching-record count (the length of the same :meth:`query`)."""
         if status is not None:
             filters["status"] = status
-        self._validate_filters(filters)
-        try:
-            n = self.sqlite_index().count(filters or None, scenario_ids=scenario_ids)
-        except sqlindex.SIDECAR_ERRORS:
-            self.telemetry.metrics.counter("store.idx_miss")
-            return len(self._query_linear(filters, scenario_ids, None, 0))
-        self.telemetry.metrics.counter("store.idx_hit")
-        return n
+        return len(self._select(filters, scenario_ids))
 
     def stats(self) -> dict:
         """Store inventory (see :func:`store_stats`)."""

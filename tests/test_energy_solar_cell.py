@@ -64,6 +64,16 @@ class TestParameterValidation:
         assert hot.temperature_k == 330.0
         assert params.temperature_k == 300.0
 
+    def test_modified_thermal_voltage_is_computed_once_per_instance(self):
+        params = SolarCellParameters(photo_current_stc=1.0, ideality_factor=1.3)
+        nvt = params.modified_thermal_voltage
+        assert nvt == 1.3 * thermal_voltage(300.0)
+        assert params.__dict__["modified_thermal_voltage"] == nvt
+        hot = params.with_temperature(330.0)
+        assert hot.modified_thermal_voltage == 1.3 * thermal_voltage(330.0)
+        assert params.modified_thermal_voltage == nvt
+        assert hot == params.with_temperature(330.0)  # equality ignores the cache
+
 
 class TestIVCurve:
     def test_short_circuit_current_close_to_photo_current(self, cell):

@@ -1,10 +1,15 @@
-"""Tests for the SQLite store sidecar (repro.sweep.sqlindex) and the
-filtered-read path it serves (ResultStore.query/count/stats)."""
+"""Tests for the SQLite inventory sidecar (repro.sweep.sqlindex), the
+inventory it serves (store_stats) and the store's filtered reads
+(ResultStore.query/count)."""
 
 import json
+import os
+import sqlite3
 
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan, FaultRule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import NULL_TRACER
@@ -41,37 +46,43 @@ def metrics_store(path) -> tuple[ResultStore, MetricsRegistry]:
 
 class TestLifecycle:
     def test_lazy_build_on_first_query(self, tmp_path):
-        """No sidecar exists until a filtered read needs one."""
+        """No sidecar exists until an inventory read queries it: record
+        queries and counts answer from the held records and never open it."""
         path = tmp_path / "store.jsonl"
         store, metrics = metrics_store(path)
         fill(store)
         db = sqlite_index_path(path)
+        assert len(store.query(status="ok")) == 5
+        assert store.count(status="error") == 1
         assert not db.exists()
-        records = store.query(status="ok")
+        stats = store.stats()
         assert db.exists()
-        assert len(records) == 5
-        counters = metrics.to_dict()["counters"]
-        assert counters["store.idx_hit"] == 1
-        assert counters["store.sqlite_build"] == 1
-        assert "store.idx_miss" not in counters
+        assert stats["records"] == 6
+        assert stats["by_status"] == {"error": 1, "ok": 5}
+        assert metrics.to_dict()["counters"]["store.sqlite_build"] == 1
 
     def test_appends_refresh_as_tail_scan(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store, metrics = metrics_store(path)
         fill(store)
-        assert store.count(status="ok") == 5
+        assert store.stats()["by_status"] == {"error": 1, "ok": 5}
         late = ScenarioConfig(governor="ondemand", seed=99)
         store.append(make_record(late))
-        assert store.count(status="ok") == 6
+        assert store.stats()["by_status"] == {"error": 1, "ok": 6}
         counters = metrics.to_dict()["counters"]
         assert counters["store.sqlite_build"] == 1  # built once, then tailed
         assert counters["store.sqlite_tail"] >= 1
+        index = SqliteIndex(path)
+        assert index.ensure() == "fresh"
+        store.append(make_record(ScenarioConfig(governor="ondemand", seed=100)))
+        assert index.ensure() == "tail"
+        assert index.status_counts() == {"error": 1, "ok": 7}
 
     def test_rebuild_when_file_rewritten_same_length(self, tmp_path):
         """Same byte length + different mtime must not be trusted."""
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
-        config = fill(store, n=2)[1]
+        fill(store, n=2)
         index = SqliteIndex(path)
         assert index.ensure() == "rebuild"
         assert index.ensure() == "fresh"
@@ -79,13 +90,11 @@ class TestLifecycle:
         mutated = text.replace('"status":"ok"', '"status":"xx"')
         assert len(mutated) == len(text) and mutated != text
         path.write_text(mutated, encoding="utf-8")
-        import os
-
         stat = path.stat()
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
         assert index.ensure() == "rebuild"
-        assert index.count({"status": "xx"}) == 1
-        assert config.scenario_id  # quieten the unused-name lint
+        assert index.status_counts() == {"error": 1, "xx": 1}
+        assert store_stats(path)["by_status"] == {"error": 1, "xx": 1}
 
     def test_rebuild_when_file_shrinks(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -96,7 +105,8 @@ class TestLifecycle:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:2]), encoding="utf-8")
         assert index.ensure() == "rebuild"
-        assert index.count(None) == 2
+        assert index.status_counts() == {"error": 1, "ok": 1}
+        assert store_stats(path)["records"] == 2
 
     def test_growth_that_is_not_append_only_rebuilds(self, tmp_path):
         """A compact that *grew* the file must not be tail-scanned."""
@@ -111,24 +121,28 @@ class TestLifecycle:
             record["padding"] = "x" * 64
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         assert index.ensure() == "rebuild"
-        assert index.count(None) == 3
+        assert index.status_counts() == {"error": 1, "ok": 2}
+        assert store_stats(path)["records"] == 3
 
     def test_byte_consistency_across_compact(self, tmp_path):
-        """After compact + append, sidecar offsets still load real records."""
+        """After compact + append, the sidecar counts the compacted records
+        and the appended tail."""
         path = tmp_path / "store.jsonl"
-        store, metrics = metrics_store(path)
+        store = ResultStore(path)
         configs = fill(store)
         store.append(make_record(configs[0], status="ok"))  # supersede the error
         assert len(store.query(status="ok")) == 6
         store.compact()
-        reopened, metrics = metrics_store(path)
+        reopened = ResultStore(path)
         records = reopened.query(status="ok")
         assert len(records) == 6
         assert {r["scenario_id"] for r in records} == {c.scenario_id for c in configs}
         extra = ScenarioConfig(governor="conservative", seed=7)
         reopened.append(make_record(extra))
         assert reopened.count(status="ok") == 7
-        assert "store.idx_miss" not in metrics.to_dict()["counters"]
+        stats = reopened.stats()
+        assert stats["by_status"] == {"ok": 7}
+        assert stats["appended_records_since_compact"] == 1
 
     def test_byte_consistency_across_merge(self, tmp_path):
         a, b = ResultStore(tmp_path / "a.jsonl"), ResultStore(tmp_path / "b.jsonl")
@@ -138,28 +152,30 @@ class TestLifecycle:
         stale = SqliteIndex(a.path)
         stale.ensure()  # build *before* the merge mutates the file
         a.merge(b)
-        store, metrics = metrics_store(a.path)
+        store = ResultStore(a.path)
         ids = {r["scenario_id"] for r in store.query(status="ok")}
         assert b_only.scenario_id in ids
-        assert "store.idx_miss" not in metrics.to_dict()["counters"]
+        assert stale.ensure() == "fresh"  # the merge's compaction rebuilt it
+        assert stale.status_counts() == {"error": 1, "ok": 3}
         assert ca and cb
 
     def test_deleted_sidecar_is_rebuilt_transparently(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
         fill(store)
-        assert store.count() == 6
+        assert store.stats()["records"] == 6
         sqlite_index_path(path).unlink()
-        fresh = ResultStore(path)
-        assert fresh.count() == 6
+        index = SqliteIndex(path)
+        assert index.ensure() == "rebuild"
+        assert index.status_counts() == {"error": 1, "ok": 5}
+        assert store_stats(path)["records"] == 6
 
     def test_corrupt_sidecar_file_is_replaced(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
         fill(store, n=2)
         sqlite_index_path(path).write_bytes(b"this is not a database")
-        fresh = ResultStore(path)
-        assert fresh.count() == 2
+        assert store_stats(path)["by_status"] == {"error": 1, "ok": 1}
 
 
 class TestQueries:
@@ -220,7 +236,7 @@ class TestQueries:
         }
 
     def test_thousand_record_store_serves_without_replay(self, tmp_path):
-        """Acceptance: >=1k records filtered via sidecar, zero idx misses."""
+        """Acceptance: >=1k records filtered from the held records."""
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)
         for i in range(1000):
@@ -228,13 +244,10 @@ class TestQueries:
             store.append(
                 make_record(config, status="ok" if i % 10 else "error", survived=i % 2)
             )
-        reopened, metrics = metrics_store(path)
+        reopened = ResultStore(path)
         ok = reopened.query(status="ok")
         assert len(ok) == 900
         assert reopened.count(status="error") == 100
-        counters = metrics.to_dict()["counters"]
-        assert counters["store.idx_hit"] == 2
-        assert "store.idx_miss" not in counters
 
 
 class TestStats:
@@ -311,3 +324,73 @@ class TestStats:
         assert stats["cache_hits"] == 3
         assert stats["executed"] == 1
         assert stats["cache_hit_ratio"] == pytest.approx(0.75)
+
+
+class TestBrokenSidecar:
+    @pytest.fixture
+    def broken_refresh(self):
+        """Every sidecar refresh raises an injected OSError."""
+        faults.install(
+            FaultPlan(rules=(FaultRule(site="sqlindex.refresh", error_type="io", times=0),))
+        )
+        yield
+        faults.reset()
+
+    def test_store_stats_opens_the_store_and_shows_no_baseline(self, tmp_path, request):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        fill(store, n=4)
+        store.compact()  # a baseline the broken sidecar cannot serve
+        store.append(make_record(ScenarioConfig(governor="ondemand", seed=50)))
+        request.getfixturevalue("broken_refresh")
+        stats = store_stats(path)
+        assert stats["records"] == 5
+        assert stats["by_status"] == {"error": 1, "ok": 4}
+        assert stats["by_schema_version"] == {SCHEMA_VERSION: 5}
+        assert "compacted_bytes" not in stats
+        assert "appended_records_since_compact" not in stats
+
+    def test_queries_never_touch_the_sidecar(self, tmp_path, broken_refresh):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        fill(store)
+        assert len(store.query(status="ok")) == 5
+        assert store.count(governor="powersave") == 3
+        assert not sqlite_index_path(path).exists()
+
+    def test_v1_layout_sidecar_is_rebuilt(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        fill(store)
+        conn = sqlite3.connect(sqlite_index_path(path))
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute(
+            "CREATE TABLE records (scenario_id TEXT PRIMARY KEY, "
+            "byte_offset INTEGER NOT NULL, byte_length INTEGER NOT NULL, status TEXT, "
+            "schema_version INTEGER, governor TEXT, supply TEXT, weather TEXT, "
+            "seed INTEGER, capacitance_f REAL, duration_s REAL, workload TEXT, "
+            "survived INTEGER)"
+        )
+        conn.execute("CREATE INDEX records_governor ON records(governor)")
+        conn.execute(
+            "INSERT INTO records VALUES ('stale', 0, 1, 'ok', 1, 'g', 's', 'w', 0, 0.1, "
+            "60.0, 'x', 1)"
+        )
+        size = path.stat().st_size
+        mtime_ns = path.stat().st_mtime_ns
+        conn.executemany(
+            "INSERT INTO meta VALUES (?, ?)",
+            [("version", "1"), ("data_bytes", str(size)), ("mtime_ns", str(mtime_ns))],
+        )
+        conn.commit()
+        conn.close()
+
+        stats = store_stats(path)
+        assert stats["records"] == 6
+        assert stats["by_status"] == {"error": 1, "ok": 5}
+        conn = sqlite3.connect(sqlite_index_path(path))
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(records)")]
+        conn.close()
+        assert columns == [
+            "scenario_id", "byte_offset", "byte_length", "status", "schema_version"
+        ]

@@ -474,19 +474,6 @@ class TestSeriesRoundTrip:
         assert parsed["scenario_id"] == config.scenario_id
 
 
-def _count_seek_loads(monkeypatch) -> list:
-    """Count ``ResultStore._read_at`` calls (records parsed from disk by a query)."""
-    calls: list = []
-    real = ResultStore._read_at
-
-    def read_at(fh, scenario_id, offset):
-        calls.append(scenario_id)
-        return real(fh, scenario_id, offset)
-
-    monkeypatch.setattr(ResultStore, "_read_at", staticmethod(read_at))
-    return calls
-
-
 def _disk_records(path) -> list:
     """The latest record per id, parsed from the data file, in byte order of
     each id's latest line."""
@@ -499,15 +486,12 @@ def _disk_records(path) -> list:
 
 
 class TestQueryFromMemory:
-    """A query answers from the records the store holds, and from disk
-    exactly when memory cannot vouch for the line."""
+    """A query answers from the records the store holds, in store order."""
 
     def _configs(self, n=4):
         return [ScenarioConfig(governor="power-neutral", seed=i) for i in range(n)]
 
-    def test_opened_appended_and_compacted_records_need_no_seek_loads(
-        self, tmp_path, monkeypatch
-    ):
+    def test_opened_appended_and_compacted_records_need_no_seek_loads(self, tmp_path):
         path = tmp_path / "store.jsonl"
         configs = self._configs()
         writer = ResultStore(path)
@@ -516,12 +500,10 @@ class TestQueryFromMemory:
         store = ResultStore(path)  # opened: two records parsed at open
         for config in configs[2:]:
             store.append(make_record(config))  # appended by this store
-        calls = _count_seek_loads(monkeypatch)
 
         assert store.query(status="ok") == _disk_records(path)
         ids = [c.scenario_id for c in configs]
         assert store.query(scenario_ids=ids[::-1]) == _disk_records(path)
-        assert calls == []
 
         store.append(make_record(configs[0], status="error", error="boom"))
         store.compact()
@@ -529,39 +511,10 @@ class TestQueryFromMemory:
         ok = [r for r in _disk_records(path) if r["status"] == "ok"]
         assert len(ok) == 3
         assert store.query(status="ok", governor="power-neutral") == ok
-        assert calls == []
-
-    def test_another_stores_append_is_read_from_disk(self, tmp_path, monkeypatch):
-        path = tmp_path / "store.jsonl"
-        config = ScenarioConfig(governor="power-neutral")
-        store = ResultStore(path)
-        store.append(make_record(config, elapsed_s=1.0))
-        ResultStore(path).append(make_record(config, elapsed_s=2.0))
-        calls = _count_seek_loads(monkeypatch)
-
-        (record,) = store.query(scenario_ids=[config.scenario_id])
-        assert record["elapsed_s"] == 2.0
-        assert calls == [config.scenario_id]
-
-    def test_another_stores_compaction_is_read_from_disk(self, tmp_path, monkeypatch):
-        """The replaced file holds a same-length line at the same offset: only
-        the file identity tells memory and disk apart."""
-        path = tmp_path / "store.jsonl"
-        first, second = self._configs(2)
-        store = ResultStore(path)
-        store.append(make_record(first, elapsed_s=1.0))
-        store.append(make_record(second, elapsed_s=1.0))
-        other = ResultStore(path)
-        other.append(make_record(first, elapsed_s=2.0))
-        other.compact()  # written beside the store, renamed over it
-        calls = _count_seek_loads(monkeypatch)
-
-        records = store.query(status="ok")
-        assert [r["elapsed_s"] for r in records] == [2.0, 1.0]
-        assert records == _disk_records(path)
-        assert len(calls) == 2
 
     def test_merged_only_record_is_never_served_as_on_disk(self, tmp_path):
+        """A record merged but not yet compacted is served as ``get`` returns
+        it, not as the superseded line still on disk."""
         path = tmp_path / "store.jsonl"
         config = ScenarioConfig(governor="power-neutral")
         store = ResultStore(path)
@@ -570,10 +523,12 @@ class TestQueryFromMemory:
         source.append(make_record(config))
         store.merge(source, compact=False)
         assert store.get(config)["status"] == "ok"  # held in memory only
+        assert _disk_records(path)[0]["status"] == "error"
 
         (record,) = store.query(scenario_ids=[config.scenario_id])
-        assert record["status"] == "error"
-        assert record == _disk_records(path)[0]
+        assert record == store.get(config)
+        assert store.query(status="ok") == [record]
+        assert store.count(status="error") == 0
         store.compact()
         (record,) = store.query(scenario_ids=[config.scenario_id])
         assert record["status"] == "ok"
@@ -589,23 +544,65 @@ class TestQueryFromMemory:
         assert store.get("c0ffee") == reopened
         assert json.dumps(store.get("c0ffee")) == json.dumps(reopened)
 
-    def test_id_list_query_looks_ids_up_by_primary_key(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        store = ResultStore(path)
-        configs = self._configs(8)
-        for config in configs:
-            store.append(make_record(config))
-        index = store.sqlite_index()
-        index.ensure()
-        statements: list = []
-        index._connect().set_trace_callback(statements.append)
-        ids = [c.scenario_id for c in configs]
-        store.query(status="ok", governor="power-neutral", scenario_ids=ids)
-        index._connect().set_trace_callback(None)
 
-        (select,) = [s for s in statements if "FROM records" in s]
-        plan = " ".join(
-            str(row[-1]) for row in index._connect().execute("EXPLAIN QUERY PLAN " + select)
+class TestStoreOrder:
+    """Every read lists records in the order of each id's latest line."""
+
+    def test_superseded_id_moves_to_the_end_everywhere(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        a, b, c = (ScenarioConfig(governor="power-neutral", seed=i) for i in range(3))
+        store = ResultStore(path)
+        for config in (a, b, c):
+            store.append(make_record(config, status="error", error="boom"))
+        store.append(make_record(a))
+        expected = [b.scenario_id, c.scenario_id, a.scenario_id]
+
+        def ids(records):
+            return [r["scenario_id"] for r in records]
+
+        assert ids(store.query()) == expected
+        assert ids(store.query(scenario_ids=[c.scenario_id, a.scenario_id, b.scenario_id])) == (
+            expected
         )
-        assert "sqlite_autoindex_records_1" in plan
-        assert "records_status" not in plan and "records_governor" not in plan
+        assert ids(store.records()) == expected
+        assert store.query() == _disk_records(path)
+        store.compact()
+        assert ids(json.loads(line) for line in path.read_text().splitlines()) == expected
+        assert ids(store.query()) == expected
+        assert store.query() == _disk_records(path)
+        assert ids(ResultStore(path).query()) == expected
+
+    def test_queries_see_each_id_once_while_another_thread_supersedes(self, tmp_path):
+        import sys
+        import threading
+        import time
+
+        configs = [ScenarioConfig(governor="power-neutral", seed=i) for i in range(50)]
+        ids = [c.scenario_id for c in configs]
+        source = ResultStore(tmp_path / "source.jsonl")
+        for config in configs:
+            source.append(make_record(config))
+        store = ResultStore(tmp_path / "store.jsonl")
+        store.merge(source, compact=False)
+
+        def supersede():
+            for _ in range(2000):
+                store.merge(source, compact=False)
+
+        writer = threading.Thread(target=supersede)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        answers = 0
+        try:
+            writer.start()
+            while writer.is_alive() or answers == 0:
+                for records in (store.query(scenario_ids=ids), store.query(status="ok")):
+                    assert sorted(r["scenario_id"] for r in records) == sorted(ids)
+                assert store.count(scenario_ids=ids) == len(ids)
+                answers += 1
+                time.sleep(0)  # let the writer in between answers
+        finally:
+            writer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert answers > 1
