@@ -23,6 +23,8 @@ listing and error message picks them up automatically.
 
 from __future__ import annotations
 
+import functools
+import json
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
@@ -153,6 +155,15 @@ class ComponentSpec:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params_dict()}
+
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        """Key-sorted compact JSON of :meth:`to_dict`, computed once per spec.
+
+        A sweep shares one spec object across many scenarios, so each
+        scenario hash reuses this fragment instead of re-serialising it.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

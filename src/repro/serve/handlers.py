@@ -263,9 +263,12 @@ class Api:
         limit = request.query.get("limit")
         offset = request.query.get("offset", "0")
         try:
-            return filters, (int(limit) if limit is not None else None), int(offset)
+            limit, offset = (int(limit) if limit is not None else None), int(offset)
         except ValueError:
             raise ValueError("limit/offset must be integers") from None
+        if (limit is not None and limit < 0) or offset < 0:
+            raise ValueError("limit/offset must not be negative")
+        return filters, limit, offset
 
     async def _records(self, campaign: Campaign, request: Request) -> JsonResponse:
         try:

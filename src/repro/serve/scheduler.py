@@ -44,6 +44,7 @@ __all__ = [
     "DONE",
     "FAILED",
     "TERMINAL_STATES",
+    "MAX_CAMPAIGN_CELLS",
     "Campaign",
     "CampaignScheduler",
     "parse_submission",
@@ -54,6 +55,11 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 TERMINAL_STATES = (DONE, FAILED)
+
+#: The most cells one submitted sweep may expand to.  A submission is
+#: network input: without a cap, one request could ask the service to
+#: expand (and hold) an arbitrarily large grid.
+MAX_CAMPAIGN_CELLS = 100_000
 
 
 @dataclass
@@ -110,9 +116,11 @@ def parse_submission(payload: Mapping) -> tuple[str, dict, str, tuple]:
     Returns ``(kind, canonical_snapshot, campaign_id, scenario_ids)``; raises
     :class:`ValueError` on anything unparseable (the handler maps that to a
     400).  The id is the *content hash* of the canonical snapshot, so any two
-    spellings of the same campaign collapse to one.  A sweep is expanded
-    once: its scenario ids are computed and the campaign hash is taken over
-    them (the same hash :meth:`SweepSpec.campaign_hash` gives).
+    spellings of the same campaign collapse to one.  A sweep of more than
+    :data:`MAX_CAMPAIGN_CELLS` cells is refused from ``len(spec)``, before
+    any scenario is built.  Otherwise it is expanded once: its scenario ids
+    are computed and the campaign hash is taken over them (the same hash
+    :meth:`SweepSpec.campaign_hash` gives).
     """
     if not isinstance(payload, Mapping):
         raise ValueError("submission must be a JSON object")
@@ -138,6 +146,11 @@ def parse_submission(payload: Mapping) -> tuple[str, dict, str, tuple]:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} snapshot: {exc}") from None
     if isinstance(spec, SweepSpec):
+        if len(spec) > MAX_CAMPAIGN_CELLS:
+            raise ValueError(
+                f"sweep expands to {len(spec):,} cells; a campaign may have at "
+                f"most {MAX_CAMPAIGN_CELLS:,}"
+            )
         ids = tuple(spec.scenario_ids())
         return "sweep", spec.to_dict(), campaign_hash_of(ids), ids
     return "boundary", spec.to_dict(), spec.query_hash(), ()

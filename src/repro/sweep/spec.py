@@ -397,30 +397,25 @@ class ScenarioConfig:
         """
         path = resolve_axis_path(path)
         head, _, sub = path.partition(".")
-        kwargs = {
-            "governor": self.governor,
-            "supply": self.supply,
-            "platform": self.platform,
-            "capacitor": self.capacitor,
-            "workload": self.workload,
-            "duration_s": self.duration_s,
-            "monitor_quantised": self.monitor_quantised,
-        }
         if head in _SCALAR_FIELDS:
-            kwargs[head] = value
-        else:
-            spec: ComponentSpec = kwargs[head]
-            registry = _COMPONENT_REGISTRIES[head]
-            if not sub:  # bare component, or "<comp>.kind" (canonicalised away)
-                if isinstance(value, str):
-                    spec = _switch_kind(spec, value, registry)
-                else:
-                    spec = ComponentSpec.coerce(value)
-            elif sub == "params":
-                spec = ComponentSpec(kind=spec.kind, params=dict(value or {}))
+            return self._replace(head, value)
+        spec: ComponentSpec = getattr(self, head)
+        registry = _COMPONENT_REGISTRIES[head]
+        if not sub:  # bare component, or "<comp>.kind" (canonicalised away)
+            if isinstance(value, str):
+                spec = _switch_kind(spec, value, registry)
             else:
-                spec = spec.with_params(**{sub: value})
-            kwargs[head] = registry.canonical(spec)
+                spec = ComponentSpec.coerce(value)
+        elif sub == "params":
+            spec = ComponentSpec(kind=spec.kind, params=dict(value or {}))
+        else:
+            spec = spec.with_params(**{sub: value})
+        return self._replace(head, registry.canonical(spec))
+
+    def _replace(self, field: str, value) -> "ScenarioConfig":
+        """A copy with one field set to an already-canonical value."""
+        kwargs = {name: getattr(self, name) for name in (*_COMPONENT_FIELDS, *_SCALAR_FIELDS)}
+        kwargs[field] = value
         # A fresh instance, not a copy of ``self.__dict__``: that holds the
         # cached ``scenario_id``, which must not carry over.
         config = object.__new__(ScenarioConfig)
@@ -495,8 +490,18 @@ class ScenarioConfig:
         )
 
     def canonical_json(self) -> str:
-        """Canonical serialisation used for content addressing."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Canonical serialisation used for content addressing.
+
+        Byte for byte ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``, assembled from each component's cached
+        :attr:`~repro.registry.ComponentSpec.canonical_json` fragment.
+        """
+        duration = self.duration_s
+        fields = {name: getattr(self, name).canonical_json for name in _COMPONENT_FIELDS}
+        fields["duration_s"] = str(int(duration)) if duration.is_integer() else json.dumps(duration)
+        fields["monitor_quantised"] = "true" if self.monitor_quantised else "false"
+        fields["schema"] = str(SCHEMA_VERSION)
+        return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}"
 
     @functools.cached_property
     def scenario_id(self) -> str:
@@ -601,22 +606,42 @@ class SweepSpec:
         return list(self.iter_scenarios())
 
     def iter_scenarios(self) -> Iterator[ScenarioConfig]:
-        """Expand the grid lazily, sharing axis prefixes.
+        """Expand the grid lazily, sharing axis prefixes and components.
 
         The axes are applied depth-first, so each prefix config is built
-        once and reused for every cell under it (an 8 × 3 × 5 × 5 grid makes
-        8 + 24 + 120 + 600 ``with_value`` steps instead of 4 × 600).  The
+        once and reused for every cell under it.  A component axis's result
+        depends only on the value and the prefix's component of that field,
+        so it is memoised per ``(depth, value index, prefix component)``:
+        an 8 × 3 × 5 × 5 grid over governor, weather, capacitance and seed
+        canonicalises 8 + 3 + 5 + 15 components instead of 752, and the
+        cells share component objects, whose cached JSON fragments make
+        hashing cheap too.  The key is the value's *index* (``True == 1``)
+        and the prefix component's ``id``, which the memo keeps alive.  The
         order is still ``itertools.product`` order — last axis fastest — and
-        an invalid value raises at the same cell a per-cell rebuild would.
+        a miss goes through :meth:`ScenarioConfig.with_value`, so an invalid
+        value raises at the same cell a per-cell rebuild would.
         """
+        heads = [resolve_axis_path(axis.name).partition(".")[0] for axis in self.axes]
+        memo: dict = {}
 
         def expand(config: ScenarioConfig, depth: int) -> Iterator[ScenarioConfig]:
             if depth == len(self.axes):
                 yield config
                 return
-            axis = self.axes[depth]
-            for value in axis.values:
-                yield from expand(config.with_value(axis.name, value), depth + 1)
+            axis, head = self.axes[depth], heads[depth]
+            for index, value in enumerate(axis.values):
+                if head in _SCALAR_FIELDS:
+                    child = config.with_value(axis.name, value)
+                else:
+                    prefix = getattr(config, head)
+                    key = (depth, index, id(prefix))
+                    hit = memo.get(key)
+                    if hit is None:
+                        child = config.with_value(axis.name, value)
+                        memo[key] = (prefix, getattr(child, head))
+                    else:
+                        child = config._replace(head, hit[1])
+                yield from expand(child, depth + 1)
 
         return expand(self.base, 0)
 

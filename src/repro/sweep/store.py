@@ -619,8 +619,11 @@ class ResultStore:
         ``status``/``schema_version``.  ``scenario_ids`` restricts to an
         explicit id set; an *empty* sequence matches nothing while ``None``
         leaves the id unconstrained.  Records are the store's own objects,
-        as :meth:`get` returns them: treat them as read-only.
+        as :meth:`get` returns them: treat them as read-only.  A negative
+        ``limit`` or ``offset`` raises ``ValueError``.
         """
+        if (limit is not None and limit < 0) or offset < 0:
+            raise ValueError(f"limit/offset must not be negative (got {limit}, {offset})")
         if status is not None:
             filters["status"] = status
         records = self._select(filters, scenario_ids)

@@ -2,6 +2,7 @@
 and the HTTP service end to end on an ephemeral port."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -16,12 +17,25 @@ from repro.serve import (
     parse_submission,
 )
 from repro.sweep import build_boundary_preset, build_preset
+from repro.sweep.spec import Axis, ScenarioConfig, SweepSpec
 
 from test_sweep_adaptive import fake_executor  # noqa: F401 — shared helper
 
 
 def smoke_spec():
     return build_preset("dist-smoke", duration_s=2.0)
+
+
+def huge_spec():
+    """A 10**9-cell grid: three axes of 1,000 values."""
+    return SweepSpec(
+        base=ScenarioConfig(governor="power-neutral"),
+        axes=(
+            Axis("supply.seed", range(1000)),
+            Axis("capacitor.capacitance_f", [(i + 1) * 1e-4 for i in range(1000)]),
+            Axis("duration_s", range(1, 1001)),
+        ),
+    )
 
 
 class TestServeConfig:
@@ -80,6 +94,17 @@ class TestParseSubmission:
         assert kind == "boundary"
         assert campaign_id == query.query_hash()
         assert ids == ()  # probes are discovered during the search
+
+    def test_oversized_sweep_is_refused_without_expanding(self, monkeypatch):
+        def no_expansion(self):
+            raise AssertionError("the sweep was expanded")
+
+        monkeypatch.setattr(SweepSpec, "iter_scenarios", no_expansion)
+        snapshot = huge_spec().to_dict()
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="cells"):
+            parse_submission(snapshot)
+        assert time.perf_counter() - t0 < 0.05
 
     def test_junk_is_rejected(self):
         with pytest.raises(ValueError):
@@ -196,14 +221,16 @@ class TestServiceEndToEnd:
             with pytest.raises(ServeError) as err:
                 client.campaign("no-such-id")
             assert err.value.status == 404
-            with pytest.raises(ServeError) as err:
-                client.submit({"nonsense": True})
-            assert err.value.status == 400
+            for payload in ({"nonsense": True}, huge_spec()):
+                with pytest.raises(ServeError) as err:
+                    client.submit(payload)
+                assert err.value.status == 400
 
             done = client.submit_and_wait(smoke_spec(), timeout_s=180)
-            with pytest.raises(ServeError) as err:
-                client.records(done["id"], bogus_filter="x")
-            assert err.value.status == 400
+            for query in ({"bogus_filter": "x"}, {"limit": -1}, {"offset": -5}):
+                with pytest.raises(ServeError) as err:
+                    client.records(done["id"], **query)
+                assert err.value.status == 400, query
 
     def test_plain_http_surface(self, tmp_path):
         """The endpoints answer plain urllib GETs (the curl surface)."""
@@ -227,7 +254,6 @@ class TestServiceEndToEnd:
 # ----------------------------------------------------------------------
 
 import asyncio  # noqa: E402
-import time  # noqa: E402
 
 from repro.obs.promexport import PROMETHEUS_CONTENT_TYPE  # noqa: E402
 from repro.serve import CampaignScheduler, route_template  # noqa: E402
@@ -638,7 +664,6 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import repro.serve.app as app_module  # noqa: E402
-from repro.sweep.spec import ScenarioConfig, SweepSpec  # noqa: E402
 
 
 class TestServiceRobustness:

@@ -1,18 +1,22 @@
 """Sweep expansion against a per-cell reference, and its work counts.
 
-``SweepSpec.iter_scenarios`` shares axis prefixes and
-``ScenarioConfig.with_value`` re-canonicalises only the component it
-replaces.  The reference below is the straightforward form of both: every
-cell rebuilt from ``base`` through ``itertools.product``, with a full
-``ScenarioConfig(**fields)`` construction per axis step.  The two must agree
-on every scenario id, campaign hash, canonical JSON and error.
+``SweepSpec.iter_scenarios`` shares axis prefixes and canonicalises each
+distinct component once; ``ScenarioConfig.with_value`` re-canonicalises only
+the component it replaces.  The reference below is the straightforward form
+of both: every cell rebuilt from ``base`` through ``itertools.product``, with
+a full ``ScenarioConfig(**fields)`` construction per axis step.  The two must
+agree on every scenario id, campaign hash and error, and each cell's
+``canonical_json()`` must equal a plain ``json.dumps`` of its ``to_dict()``.
 """
 
 import itertools
+import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.registry import ComponentSpec, Registry
+from repro.sweep.components import GOVERNORS
 from repro.serve.scheduler import parse_submission
 from repro.sweep.presets import build_preset, preset_names
 from repro.sweep.spec import (
@@ -92,11 +96,15 @@ def reference_ids(spec: SweepSpec) -> list[str]:
     return list(unique)
 
 
+def plain_json(config: ScenarioConfig) -> str:
+    return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
 def assert_expands_like_reference(spec: SweepSpec) -> None:
     configs = spec.scenarios()
     expected = list(reference_iter(spec))
     assert len(configs) == len(expected) == len(spec)
-    assert [c.canonical_json() for c in configs] == [c.canonical_json() for c in expected]
+    assert [c.canonical_json() for c in configs] == [plain_json(c) for c in expected]
     assert configs == expected
     ids = reference_ids(spec)
     assert spec.scenario_ids() == ids
@@ -128,6 +136,16 @@ def big_grid() -> SweepSpec:
 @pytest.mark.parametrize("name", preset_names())
 def test_presets_expand_like_reference(name):
     assert_expands_like_reference(build_preset(name))
+
+
+def test_preset_campaign_hashes_are_pinned():
+    assert {name: build_preset(name).campaign_hash() for name in preset_names()} == {
+        "constant-power-survival": "2a652de17549e187",
+        "dist-smoke": "9d0bcbc65fdd580d",
+        "fig11-governors": "ecb67e9ad89ad719",
+        "table2-pv": "dba874c821e9ffb0",
+        "table2-shootout": "d2703d4e87b598ec",
+    }
 
 
 BRANCH_SPECS = {
@@ -250,6 +268,68 @@ def test_invalid_cells_raise_like_reference(name, good_cells, message):
 
 
 # ----------------------------------------------------------------------
+# Random grids: duplicate values, and ``True``/``1`` spellings that are
+# equal in Python but are distinct parameter values
+# ----------------------------------------------------------------------
+BAD_VALUES = {
+    "governor": "no-such-governor",
+    "capacitor.capacitance_f": -1.0,
+    "duration_s": -1.0,
+    "supply.weather": "no-such-weather",
+    "supply.power_w": -1.0,
+}
+
+
+@st.composite
+def sweep_grids(draw):
+    """One to four axes, in random order, over one rig's sweepable paths."""
+
+    def values(elements):
+        return st.lists(elements, min_size=1, max_size=3)
+
+    axes = {
+        "governor": values(st.sampled_from(GOVERNORS.names())),
+        "governor.params": values(
+            st.sampled_from([{}, {"v_q": True}, {"v_q": 1}, {"v_q": 1.0}, {"v_q": 0.05}])
+        ),
+        "capacitor.capacitance_f": values(st.sampled_from([0.0154, 0.047, 0.047, 0.1])),
+        "duration_s": values(st.sampled_from([10, 10.0, 12.5])),
+    }
+    if draw(st.booleans()):
+        base = ScenarioConfig(governor="power-neutral", duration_s=20.0)
+        axes["supply.weather"] = values(st.sampled_from(["full_sun", "partial_sun", "cloud"]))
+        axes["supply.seed"] = values(st.integers(1, 4))
+    else:
+        base = ScenarioConfig(
+            governor="power-neutral", supply={"kind": "constant-power"}, duration_s=20.0
+        )
+        axes["supply.power_w"] = values(st.sampled_from([2, 2.0, 4.5, 6]))
+    names = draw(st.permutations(sorted(axes)))[: draw(st.integers(1, 4))]
+    return SweepSpec(base=base, axes=tuple(Axis(n, draw(axes[n])) for n in names))
+
+
+@given(spec=sweep_grids())
+@settings(max_examples=60, deadline=None)
+def test_random_grids_expand_like_reference(spec):
+    assert_expands_like_reference(spec)
+
+
+@given(spec=sweep_grids(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_invalid_value_raises_like_reference(spec, data):
+    depths = [i for i, axis in enumerate(spec.axes) if axis.name in BAD_VALUES]
+    assume(depths)
+    depth = data.draw(st.sampled_from(depths))
+    axis = spec.axes[depth]
+    values = list(axis.values)
+    values.insert(data.draw(st.integers(0, len(values))), BAD_VALUES[axis.name])
+    axes = list(spec.axes)
+    axes[depth] = Axis(axis.name, values)
+    spec = SweepSpec(base=spec.base, axes=tuple(axes))
+    assert first_error(spec.iter_scenarios()) == first_error(reference_iter(spec))
+
+
+# ----------------------------------------------------------------------
 # Work counts (deterministic, unlike wall time)
 # ----------------------------------------------------------------------
 def test_parse_submission_expands_once_with_bounded_canonical_calls(monkeypatch):
@@ -268,8 +348,9 @@ def test_parse_submission_expands_once_with_bounded_canonical_calls(monkeypatch)
     kind, _snapshot, campaign_id, ids = parse_submission(payload)
     assert kind == "sweep" and len(ids) == 600
     assert calls["scenarios"] == 1
-    # 5 for the base config, then 8 + 24 + 120 + 600 prefix steps.
-    assert calls["canonical"] <= 800
+    # 5 for the base config, then one per distinct component an axis makes:
+    # 8 governors, 3 weathers, 5 capacitors, 3 x 5 (weather, seed) supplies.
+    assert calls["canonical"] == 5 + 8 + 3 + 5 + 15
     monkeypatch.undo()
     assert campaign_id == big_grid().campaign_hash()
 

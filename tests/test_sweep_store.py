@@ -534,6 +534,14 @@ class TestQueryFromMemory:
         assert record["status"] == "ok"
         assert store.get(config) == _disk_records(path)[0]
 
+    def test_negative_paging_is_refused(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        store.append(make_record(ScenarioConfig(governor="power-neutral")))
+        for paging in ({"limit": -1}, {"offset": -5}):
+            with pytest.raises(ValueError, match="negative"):
+                store.query(**paging)
+        assert len(store.query(limit=0)) == 0 and len(store.query(offset=0)) == 1
+
     def test_get_after_append_equals_a_reopen(self, tmp_path):
         path = tmp_path / "store.jsonl"
         record = {"zeta": 1, "scenario_id": "c0ffee", "status": "ok", "pair": (1, 2)}
