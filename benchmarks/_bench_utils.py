@@ -8,7 +8,7 @@ regeneration itself.
 
 Durations are shortened relative to the paper's wall-clock experiments (a
 simulated hour costs tens of CPU seconds); every benchmark states the duration
-it used.  EXPERIMENTS.md records paper-vs-measured for the full-scale runs.
+it used.  ROADMAP.md item 7 records paper-vs-measured for the full-scale runs.
 """
 
 import sys

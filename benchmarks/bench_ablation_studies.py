@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md §5, run as
+"""Ablation benches for the paper's design choices (README "Scenario campaigns"), run as
 `repro.sweep` campaigns sharing one content-addressed result store:
 
 * buffer capacitance sweep (4.7 mF .. 141 mF) — a ``capacitor.capacitance_f``

@@ -1,13 +1,7 @@
 """Analysis: stability, energy accounting, MPPT, overhead, report formatting."""
 
 from .stability import StabilityReport, fraction_within_tolerance, voltage_stability_report
-from .energy_accounting import (
-    EnergyAccount,
-    Table2Row,
-    energy_account,
-    power_tracking_error,
-    table2_row,
-)
+from .energy_accounting import EnergyAccount, energy_account, power_tracking_error
 from .mppt import MPPTReport, mppt_report, operating_voltage_histogram
 from .overhead import OverheadReport, overhead_report
 from .reporting import format_kv, format_series, format_table
@@ -17,10 +11,8 @@ __all__ = [
     "fraction_within_tolerance",
     "voltage_stability_report",
     "EnergyAccount",
-    "Table2Row",
     "energy_account",
     "power_tracking_error",
-    "table2_row",
     "MPPTReport",
     "mppt_report",
     "operating_voltage_histogram",

@@ -1,10 +1,10 @@
-"""Energy and work accounting (paper Fig. 14 and Table II).
+"""Energy accounting (paper Fig. 14).
 
 Quantifies how well a power-management scheme used the available harvest:
 energy harvested vs. energy consumed vs. maximum harvestable energy, the
 instantaneous tracking error between consumed and available power (the gap in
-Fig. 14), and the work metrics of Table II (instructions completed, renders
-per minute, lifetime).
+Fig. 14).  Table II's work metrics are rebuilt from campaign records by
+:func:`repro.sweep.table2_rows`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sim.result import SimulationResult
-from ..workloads.workload import Workload
 
-__all__ = ["EnergyAccount", "Table2Row", "energy_account", "table2_row", "power_tracking_error"]
+__all__ = ["EnergyAccount", "energy_account", "power_tracking_error"]
 
 
 @dataclass(frozen=True)
@@ -38,27 +37,6 @@ class EnergyAccount:
             "harvest_utilisation": self.harvest_utilisation,
             "mean_available_power_w": self.mean_available_power_w,
             "mean_consumed_power_w": self.mean_consumed_power_w,
-        }
-
-
-@dataclass(frozen=True)
-class Table2Row:
-    """One row of the Table II governor comparison."""
-
-    scheme: str
-    renders_per_minute: float
-    lifetime_s: float
-    instructions_billions: float
-    survived: bool
-
-    def as_dict(self) -> dict:
-        minutes, seconds = divmod(int(round(self.lifetime_s)), 60)
-        return {
-            "scheme": self.scheme,
-            "avg_performance_render_per_min": self.renders_per_minute,
-            "lifetime_mm_ss": f"{minutes:02d}:{seconds:02d}",
-            "instructions_billions": self.instructions_billions,
-            "survived": self.survived,
         }
 
 
@@ -100,15 +78,3 @@ def power_tracking_error(result: SimulationResult) -> dict:
         "overdraw_fraction": float(np.mean(gap_running < 0.0)),
     }
 
-
-def table2_row(result: SimulationResult, render_workload: Workload, scheme: str | None = None) -> Table2Row:
-    """Build one Table II row from a governor-comparison run."""
-    renders = render_workload.units_completed(result.total_instructions)
-    duration_minutes = result.duration_s / 60.0 if result.duration_s > 0 else 1.0
-    return Table2Row(
-        scheme=scheme if scheme is not None else result.governor_name,
-        renders_per_minute=renders / duration_minutes,
-        lifetime_s=result.lifetime_s,
-        instructions_billions=result.total_instructions / 1e9,
-        survived=result.survived,
-    )

@@ -75,6 +75,7 @@ import inspect
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -98,36 +99,12 @@ from .obs import (
     run_top,
     summarize_run,
 )
-from .core.governor import PowerNeutralGovernor
-from .core.parameters import PAPER_TUNED_PARAMETERS
 from .energy.irradiance import WeatherCondition
 from .experiments import characterisation, evaluation
 from .experiments.scenarios import run_pv_experiment
-from .governors.base import Governor
-from .governors.linux import (
-    ConservativeGovernor,
-    InteractiveGovernor,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-)
-from .governors.single_core_dfs import SingleCoreDFSGovernor
-from .governors.solartune import SolarTuneGovernor
 from . import sweep as sweep_module
 
-__all__ = ["main", "build_parser", "GOVERNOR_FACTORIES"]
-
-#: Governors selectable from the command line.
-GOVERNOR_FACTORIES: dict[str, Callable[[], Governor]] = {
-    "power-neutral": lambda: PowerNeutralGovernor(PAPER_TUNED_PARAMETERS),
-    "performance": PerformanceGovernor,
-    "powersave": PowersaveGovernor,
-    "ondemand": OndemandGovernor,
-    "conservative": ConservativeGovernor,
-    "interactive": InteractiveGovernor,
-    "single-core-dfs": SingleCoreDFSGovernor,
-    "solartune": SolarTuneGovernor,
-}
+__all__ = ["main", "build_parser"]
 
 #: Characterisation figure generators selectable from the command line.
 FIGURE_FUNCTIONS: dict[str, Callable[[], dict]] = {
@@ -155,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one governor against a synthetic solar harvest")
-    run.add_argument("--governor", choices=sorted(GOVERNOR_FACTORIES), default="power-neutral")
+    run.add_argument("--governor", choices=sorted(sweep_module.GOVERNORS), default="power-neutral")
     run.add_argument("--duration", type=float, default=600.0, help="simulated duration in seconds")
     run.add_argument(
         "--weather",
@@ -837,7 +814,7 @@ def _add_export_flags(parser: argparse.ArgumentParser, what: str) -> None:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    governor = GOVERNOR_FACTORIES[args.governor]()
+    governor = sweep_module.build_governor(args.governor)
     result = run_pv_experiment(
         governor,
         duration_s=args.duration,
@@ -853,15 +830,30 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_table2(args: argparse.Namespace) -> int:
-    data = evaluation.table2_governor_comparison(duration_s=args.duration, seed=args.seed)
-    print(format_table(data["rows"], title=f"Table II ({args.duration:.0f} s test)"))
-    if data["instruction_improvement_vs_powersave"] is not None:
+    spec = sweep_module.build_preset(
+        "table2-shootout", duration_s=args.duration, seeds=[args.seed]
+    )
+    # Inline and serial, into a throwaway store: the campaign engine is the
+    # one Table II path, and this command leaves no file behind.
+    with tempfile.TemporaryDirectory() as tmp:
+        store = sweep_module.ResultStore(Path(tmp) / "table2.jsonl")
+        report = sweep_module.SweepRunner(store, workers=1).run(spec)
+    rows = sweep_module.table2_rows(report.ok_records())
+    print(format_table(rows, title=f"Table II ({args.duration:.0f} s test)"))
+    by_scheme = {row["scheme"]: row["instructions_billions"] for row in rows}
+    proposed = by_scheme.get("Proposed Approach")
+    powersave = by_scheme.get("Linux Powersave")
+    if proposed is not None and powersave:
+        paper = evaluation.TABLE2_PAPER_REFERENCE["improvement_vs_powersave"]
         print(
             f"\nInstructions vs Linux Powersave: "
-            f"{100.0 * data['instruction_improvement_vs_powersave']:.1f}% more "
-            f"(paper: +69.0%)"
+            f"{100.0 * (proposed / powersave - 1.0):.1f}% more "
+            f"(paper: +{100.0 * paper:.1f}%)"
         )
-    return 0
+    for record in report.records:
+        if record.get("status") != "ok":
+            print(f"FAILED {record.get('scenario_id')}: {record.get('error')}", file=sys.stderr)
+    return 0 if report.succeeded else 1
 
 
 def _command_figure(args: argparse.Namespace) -> int:

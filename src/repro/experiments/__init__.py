@@ -19,16 +19,11 @@ from .characterisation import (
     table1_buffer_capacitance,
 )
 from .evaluation import (
-    ablation_capacitance,
-    ablation_control_modes,
-    ablation_threshold_quantisation,
-    default_table2_governors,
     fig11_controlled_supply,
     fig12_voltage_stability,
     fig13_iv_and_operating_voltage,
     fig14_power_tracking,
     fig15_overhead,
-    table2_governor_comparison,
 )
 
 __all__ = [
@@ -46,14 +41,9 @@ __all__ = [
     "fig7_performance_vs_power",
     "fig10_transition_latency",
     "table1_buffer_capacitance",
-    "ablation_capacitance",
-    "ablation_control_modes",
-    "ablation_threshold_quantisation",
-    "default_table2_governors",
     "fig11_controlled_supply",
     "fig12_voltage_stability",
     "fig13_iv_and_operating_voltage",
     "fig14_power_tracking",
     "fig15_overhead",
-    "table2_governor_comparison",
 ]

@@ -1,11 +1,13 @@
-"""Reproductions of the paper's evaluation section (Figs. 11-15, Table II) and
-the ablation studies DESIGN.md calls out.
+"""Reproductions of the paper's evaluation section (Figs. 11-15) and the
+paper's published Table II reference values.
 
 Every function runs the relevant closed-loop experiment on the calibrated
 system models and returns plain rows/series dictionaries plus the paper's
 reference values, so the benchmark harness can print a side-by-side view and
 the tests can assert the qualitative outcomes (who wins, by roughly what
-factor, where the crossovers fall).
+factor, where the crossovers fall).  Table II itself and the ablation studies
+run as :mod:`repro.sweep` campaigns (``repro table2``, the ``table2-shootout``
+preset, ``benchmarks/bench_ablation_studies.py``).
 
 Durations are parameters: the defaults are shortened relative to the paper's
 wall-clock tests (an hour of simulated time costs tens of seconds of CPU) but
@@ -14,11 +16,9 @@ preserve the relevant dynamics; the benchmarks state which duration they ran.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
-
 import numpy as np
 
-from ..analysis.energy_accounting import energy_account, power_tracking_error, table2_row
+from ..analysis.energy_accounting import energy_account, power_tracking_error
 from ..analysis.mppt import mppt_report, operating_voltage_histogram
 from ..analysis.overhead import overhead_report
 from ..analysis.stability import voltage_stability_report
@@ -30,20 +30,8 @@ from ..core.parameters import (
 )
 from ..energy.irradiance import WeatherCondition
 from ..energy.pv_array import paper_pv_array
-from ..energy.supercapacitor import PAPER_BUFFER_CAPACITANCE_F
-from ..governors.base import Governor
-from ..governors.linux import (
-    ConservativeGovernor,
-    InteractiveGovernor,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-)
-from ..governors.single_core_dfs import SingleCoreDFSGovernor
-from ..governors.solartune import SolarTuneGovernor
 from ..soc.exynos5422 import build_exynos5422_platform
 from ..soc.opp import GHZ
-from ..workloads.workload import TABLE2_RENDER
 from .scenarios import (
     PV_TARGET_VOLTAGE,
     fig11_supply_profile,
@@ -57,12 +45,7 @@ __all__ = [
     "fig13_iv_and_operating_voltage",
     "fig14_power_tracking",
     "TABLE2_PAPER_REFERENCE",
-    "table2_governor_comparison",
     "fig15_overhead",
-    "ablation_capacitance",
-    "ablation_control_modes",
-    "ablation_threshold_quantisation",
-    "default_table2_governors",
 ]
 
 
@@ -221,67 +204,13 @@ def fig14_power_tracking(
 # ----------------------------------------------------------------------
 #: The paper's published Table II rows (60-minute outdoor test), shared by the
 #: CLI, the benches and the examples so the reference numbers live in one place.
+#: The reproduction runs as the ``table2-shootout`` campaign preset.
 TABLE2_PAPER_REFERENCE: dict = {
     "Linux Conservative": {"renders_per_min": 1.0127, "lifetime": "00:05", "instructions_b": 24.0},
     "Linux Powersave": {"renders_per_min": 0.1456, "lifetime": "60:00", "instructions_b": 2485.6},
     "Proposed Approach": {"renders_per_min": 0.2460, "lifetime": "60:00", "instructions_b": 4200.4},
     "improvement_vs_powersave": 0.69,
 }
-
-
-def default_table2_governors() -> dict[str, Callable[[], Governor]]:
-    """Factories for the schemes compared in (and around) Table II."""
-    return {
-        "Linux Performance": PerformanceGovernor,
-        "Linux Ondemand": OndemandGovernor,
-        "Linux Interactive": InteractiveGovernor,
-        "Linux Conservative": ConservativeGovernor,
-        "Linux Powersave": PowersaveGovernor,
-        "Single-core DFS [11]": SingleCoreDFSGovernor,
-        "SolarTune-style [9]": SolarTuneGovernor,
-        "Proposed Approach": lambda: PowerNeutralGovernor(PAPER_TUNED_PARAMETERS),
-    }
-
-
-def table2_governor_comparison(
-    duration_s: float = 900.0,
-    seed: int = 11,
-    weather: WeatherCondition = WeatherCondition.FULL_SUN,
-    governors: Optional[dict[str, Callable[[], Governor]]] = None,
-) -> dict:
-    """Run every scheme on the same harvest trace and build Table II.
-
-    The paper's test ran for 60 minutes under sunlight strong enough that the
-    powersave governor (and the proposed approach) could operate throughout;
-    the default weather preset is therefore full sun.  The duration is a
-    parameter — the shape of the comparison (which schemes die, who wins) is
-    already established within the first few minutes.
-    """
-    factories = governors if governors is not None else default_table2_governors()
-    rows = []
-    results = {}
-    for label, factory in factories.items():
-        result = run_pv_experiment(
-            factory(), duration_s=duration_s, weather=weather, seed=seed
-        )
-        results[label] = result
-        rows.append(table2_row(result, TABLE2_RENDER, scheme=label).as_dict())
-
-    by_scheme = {row["scheme"]: row for row in rows}
-    proposed = by_scheme.get("Proposed Approach")
-    powersave = by_scheme.get("Linux Powersave")
-    improvement = None
-    if proposed and powersave and powersave["instructions_billions"] > 0:
-        improvement = (
-            proposed["instructions_billions"] / powersave["instructions_billions"] - 1.0
-        )
-    return {
-        "rows": rows,
-        "duration_s": duration_s,
-        "instruction_improvement_vs_powersave": improvement,
-        "paper_reference": TABLE2_PAPER_REFERENCE,
-        "_results": results,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -309,87 +238,3 @@ def fig15_overhead(duration_s: float = 900.0, seed: int = 7) -> dict:
             "monitor_percent_of_min_power": 0.82,
         },
     }
-
-
-# ----------------------------------------------------------------------
-# Ablations (DESIGN.md §5)
-# ----------------------------------------------------------------------
-def ablation_capacitance(
-    capacitances_f: Sequence[float] = (4.7e-3, 15.4e-3, 47e-3, 141e-3, 470e-3),
-    duration_s: float = 300.0,
-    seed: int = 5,
-) -> dict:
-    """Sweep the buffer capacitance and measure stability / survival."""
-    rows = []
-    for c in capacitances_f:
-        governor = PowerNeutralGovernor()
-        result = run_pv_experiment(
-            governor,
-            duration_s=duration_s,
-            weather=WeatherCondition.PARTIAL_SUN,
-            seed=seed,
-            capacitance_f=c,
-        )
-        report = voltage_stability_report(result, target_voltage=PV_TARGET_VOLTAGE)
-        rows.append(
-            {
-                "capacitance_mf": 1e3 * c,
-                "fraction_within_5pct": report.fraction_within,
-                "brownouts": result.brownout_count,
-                "instructions_g": result.total_instructions / 1e9,
-            }
-        )
-    return {
-        "rows": rows,
-        "paper_reference": {"chosen_mf": 47.0, "minimum_required_mf": 15.4},
-    }
-
-
-def ablation_control_modes(duration_s: float = 600.0, seed: int = 9) -> dict:
-    """Compare DVFS-only, hot-plug-only and combined control."""
-    modes = {
-        "DVFS only": PAPER_TUNED_PARAMETERS.with_overrides(use_hotplug=False),
-        "Hot-plug only": PAPER_TUNED_PARAMETERS.with_overrides(use_dvfs=False),
-        "DVFS + hot-plug (proposed)": PAPER_TUNED_PARAMETERS,
-    }
-    rows = []
-    for label, params in modes.items():
-        governor = PowerNeutralGovernor(params)
-        result = run_pv_experiment(
-            governor, duration_s=duration_s, weather=WeatherCondition.PARTIAL_SUN, seed=seed
-        )
-        report = voltage_stability_report(result, target_voltage=PV_TARGET_VOLTAGE)
-        rows.append(
-            {
-                "mode": label,
-                "fraction_within_5pct": report.fraction_within,
-                "instructions_g": result.total_instructions / 1e9,
-                "brownouts": result.brownout_count,
-                "transitions": result.transition_count,
-            }
-        )
-    return {"rows": rows, "paper_reference": {"claim": "combined control is the proposed design"}}
-
-
-def ablation_threshold_quantisation(duration_s: float = 600.0, seed: int = 13) -> dict:
-    """Ideal (continuous) thresholds vs MCP4131-quantised thresholds."""
-    rows = []
-    for label, quantised in (("ideal thresholds", False), ("MCP4131-quantised", True)):
-        governor = PowerNeutralGovernor()
-        result = run_pv_experiment(
-            governor,
-            duration_s=duration_s,
-            weather=WeatherCondition.FULL_SUN,
-            seed=seed,
-            monitor_quantised=quantised,
-        )
-        report = voltage_stability_report(result, target_voltage=PV_TARGET_VOLTAGE)
-        rows.append(
-            {
-                "monitor": label,
-                "fraction_within_5pct": report.fraction_within,
-                "interrupts": result.interrupt_count,
-                "instructions_g": result.total_instructions / 1e9,
-            }
-        )
-    return {"rows": rows, "paper_reference": {"claim": "7-bit quantisation is sufficient"}}

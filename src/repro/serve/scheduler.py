@@ -23,6 +23,7 @@ the SSE endpoint tails.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
 from ..sweep.adaptive import BoundaryQuery, BoundarySearch
 from ..sweep.presets import build_preset
 from ..sweep.runner import SweepRunner
-from ..sweep.spec import SweepSpec, campaign_hash_of
+from ..sweep.spec import SweepSpec, campaign_hash_of, resolve_axis_path
 from ..sweep.store import ResultStore
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "FAILED",
     "TERMINAL_STATES",
     "MAX_CAMPAIGN_CELLS",
+    "MAX_SCENARIO_DURATION_S",
     "Campaign",
     "CampaignScheduler",
     "parse_submission",
@@ -60,6 +62,45 @@ TERMINAL_STATES = (DONE, FAILED)
 #: network input: without a cap, one request could ask the service to
 #: expand (and hold) an arbitrarily large grid.
 MAX_CAMPAIGN_CELLS = 100_000
+
+#: The longest simulated duration (s) any scenario of a submitted campaign
+#: may have: one simulated day.  A scenario's work and recorder memory grow
+#: with its duration, and the service sets no per-scenario timeout by
+#: default, so one unbounded cell could hold the FIFO queue.
+MAX_SCENARIO_DURATION_S = 86_400
+
+
+def _refuse_long_scenarios(spec: "Union[SweepSpec, BoundaryQuery]") -> None:
+    """Raise ``ValueError`` if any scenario of ``spec`` could run too long.
+
+    Reads the spec and expands nothing: the base duration, every value of
+    an axis on ``duration_s`` and, for a boundary search on ``duration_s``,
+    the furthest its bracket can grow above ``hi``.
+    """
+    durations = [spec.base.duration_s]
+    axes = spec.axes if isinstance(spec, SweepSpec) else spec.outer_axes
+    for axis in axes:
+        if resolve_axis_path(axis.name) == "duration_s":
+            durations.extend(axis.values)
+    if isinstance(spec, BoundaryQuery) and resolve_axis_path(spec.path) == "duration_s":
+        factor, times = spec.expansion_factor, spec.max_expansions
+        try:
+            if spec.scale == "log":
+                durations.append(spec.hi * factor**times)
+            else:
+                durations.append(spec.lo + (spec.hi - spec.lo) * (1.0 + factor) ** times)
+        except OverflowError:
+            durations.append(math.inf)
+    for duration in durations:
+        try:
+            duration = float(duration)
+        except (TypeError, ValueError):
+            raise ValueError(f"duration_s must be a number (got {duration!r})") from None
+        if not duration <= MAX_SCENARIO_DURATION_S:
+            raise ValueError(
+                f"a scenario could simulate {duration:g} s; a campaign may simulate "
+                f"at most {MAX_SCENARIO_DURATION_S:,} s per scenario"
+            )
 
 
 @dataclass
@@ -118,9 +159,11 @@ def parse_submission(payload: Mapping) -> tuple[str, dict, str, tuple]:
     400).  The id is the *content hash* of the canonical snapshot, so any two
     spellings of the same campaign collapse to one.  A sweep of more than
     :data:`MAX_CAMPAIGN_CELLS` cells is refused from ``len(spec)``, before
-    any scenario is built.  Otherwise it is expanded once: its scenario ids
-    are computed and the campaign hash is taken over them (the same hash
-    :meth:`SweepSpec.campaign_hash` gives).
+    any scenario is built, and so is any campaign a scenario of which could
+    simulate more than :data:`MAX_SCENARIO_DURATION_S`.  Otherwise a sweep
+    is expanded once: its scenario ids are computed and the campaign hash
+    is taken over them (the same hash :meth:`SweepSpec.campaign_hash`
+    gives).
     """
     if not isinstance(payload, Mapping):
         raise ValueError("submission must be a JSON object")
@@ -145,6 +188,7 @@ def parse_submission(payload: Mapping) -> tuple[str, dict, str, tuple]:
                 raise ValueError(f"unknown campaign kind {kind!r} (sweep or boundary)")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {kind} snapshot: {exc}") from None
+    _refuse_long_scenarios(spec)
     if isinstance(spec, SweepSpec):
         if len(spec) > MAX_CAMPAIGN_CELLS:
             raise ValueError(

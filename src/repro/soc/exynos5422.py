@@ -8,9 +8,10 @@ the measurements reported in the paper:
 * DVFS / hot-plug transition latencies (Fig. 10),
 * the 4.1 V - 5.7 V operating-voltage window (Section IV).
 
-Calibration anchors and the reasoning behind the chosen constants are listed
-in DESIGN.md §6; EXPERIMENTS.md records how closely the resulting curves match
-the paper's figures.
+Calibration anchors and the reasoning behind the chosen constants sit in the
+docstrings of :func:`exynos5422_power_model` and
+:func:`exynos5422_performance_model` below; ROADMAP.md item 7 records how
+closely the reproduced values match the paper's.
 """
 
 from __future__ import annotations

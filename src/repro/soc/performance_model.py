@@ -12,9 +12,10 @@ and CPU-bound, so throughput scales with the sum over online cores of
 ``IPC_eff * f`` where ``IPC_eff`` is the workload's effective instructions
 per cycle on that core type.
 
-Calibration (see DESIGN.md §6): ``IPC_eff = 0.23`` for the A7 and ``0.644``
-for the A15 reproduce, simultaneously, the Fig. 7 frame rates (with a 5-spp
-frame costing about 19.6 G instructions) and the Table II instruction counts.
+Calibration (see :func:`repro.soc.exynos5422.exynos5422_performance_model`):
+``IPC_eff = 0.23`` for the A7 and ``0.644`` for the A15 reproduce,
+simultaneously, the Fig. 7 frame rates (with a 5-spp frame costing about
+19.6 G instructions) and the Table II instruction counts.
 """
 
 from __future__ import annotations

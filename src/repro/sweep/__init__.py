@@ -103,11 +103,9 @@ from .presets import (
 )
 from .runner import SweepReport, SweepRunner, expand_unique
 from .scenario import (
-    GOVERNOR_SPECS,
     SHARD_INDEX_ENV,
     TABLE2_GOVERNOR_AXIS,
     WORKLOADS,
-    GovernorSpec,
     governor_label,
     run_scenario,
     scenario_summary,
@@ -181,8 +179,6 @@ __all__ = [
     "ShardPlan",
     "shard_index_of",
     "partition_scenarios",
-    "GovernorSpec",
-    "GOVERNOR_SPECS",
     "TABLE2_GOVERNOR_AXIS",
     "WORKLOADS",
     "governor_label",

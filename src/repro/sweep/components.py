@@ -350,12 +350,7 @@ CAPACITORS.register(
 # Governors
 # ----------------------------------------------------------------------
 def _register_power_neutral(name: str, label: str, base: ControllerParameters) -> None:
-    def build(overrides: Optional[Mapping] = None, **kwargs):
-        # Registry builds pass overrides as keyword arguments; the PR-1
-        # GOVERNOR_SPECS contract passed one mapping positionally.  Accept
-        # both (keywords win on conflict).
-        if overrides:
-            kwargs = {**dict(overrides), **kwargs}
+    def build(**kwargs):
         params = base.with_overrides(**kwargs) if kwargs else base
         return PowerNeutralGovernor(params)
 

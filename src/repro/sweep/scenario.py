@@ -5,9 +5,8 @@ The component registries themselves live in :mod:`repro.sweep.components`
 assembly in :mod:`repro.sweep.build`; this module keeps the campaign-facing
 surface:
 
-* :data:`GOVERNOR_SPECS` / :data:`WORKLOADS` — dict views over the governor
-  and workload registries, for CLI choice lists and compatibility with the
-  PR-1 flat API;
+* :data:`TABLE2_GOVERNOR_AXIS` — the paper's Table II governor axis;
+* :data:`WORKLOADS` — a dict view over the workload registry;
 * :func:`run_scenario` — the single worker entry point: it resolves the
   config through :func:`~repro.sweep.build.build_system`, runs the
   closed-loop simulation and returns a JSON-ready *record* holding the
@@ -20,12 +19,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable
 
 from .. import __version__
 from ..energy.profiles import PV_TARGET_VOLTAGE
-from ..governors.base import Governor
 from ..sim.result import SimulationResult
 from ..workloads.workload import Workload
 from .build import build_governor, build_system, build_workload
@@ -33,8 +29,6 @@ from .components import GOVERNORS, WORKLOADS_REGISTRY
 from .spec import SCHEMA_VERSION, ScenarioConfig
 
 __all__ = [
-    "GovernorSpec",
-    "GOVERNOR_SPECS",
     "TABLE2_GOVERNOR_AXIS",
     "WORKLOADS",
     "governor_label",
@@ -66,40 +60,6 @@ def worker_stamp() -> dict:
             pass
     return stamp
 
-
-@dataclass(frozen=True)
-class GovernorSpec:
-    """A registered governor: config name, report label, factory (dict view).
-
-    Kept as a stable, flat projection of the governor registry for callers
-    that enumerate governors (CLI choices, docs, tests).  ``factory`` takes
-    :class:`~repro.core.parameters.ControllerParameters` overrides as keyword
-    arguments when the governor is ``tunable``.
-    """
-
-    name: str
-    label: str
-    factory: Callable[..., Governor]
-    tunable: bool = False
-
-
-def _governor_specs() -> dict[str, GovernorSpec]:
-    return {
-        name: GovernorSpec(
-            name=name,
-            label=GOVERNORS.get(name).label,
-            factory=GOVERNORS.get(name).factory,
-            tunable=bool(GOVERNORS.get(name).metadata.get("tunable", False)),
-        )
-        for name in GOVERNORS
-    }
-
-
-#: Every governor selectable in a sweep, keyed by its config name.  The labels
-#: match the scheme names of the paper's Table II so aggregated rows read like
-#: the published table.  (A live view would see late registrations; sweeps
-#: should consult :data:`repro.sweep.components.GOVERNORS` directly for that.)
-GOVERNOR_SPECS: dict[str, GovernorSpec] = _governor_specs()
 
 #: The governor axis reproducing the paper's Table II, in the table's row
 #: order.  Shared by the CLI, the shoot-out example and the Table II bench.

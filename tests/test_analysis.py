@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.energy_accounting import energy_account, power_tracking_error, table2_row
+from repro.analysis.energy_accounting import energy_account, power_tracking_error
 from repro.analysis.mppt import mppt_report, operating_voltage_histogram
 from repro.analysis.overhead import overhead_report
 from repro.analysis.reporting import format_kv, format_series, format_table
@@ -11,6 +11,7 @@ from repro.analysis.stability import fraction_within_tolerance, voltage_stabilit
 from repro.energy.pv_array import paper_pv_array
 from repro.sim.result import SimulationResult
 from repro.soc.exynos5422 import build_exynos5422_platform
+from repro.sweep import ScenarioConfig, scenario_summary, table2_rows
 from repro.workloads.workload import SyntheticWorkload
 
 
@@ -95,14 +96,18 @@ class TestEnergyAccounting:
         assert tracking["overdraw_fraction"] == 0.0
 
     def test_table2_row(self):
-        workload = SyntheticWorkload()
-        row = table2_row(make_result(), workload, scheme="Test Scheme")
-        assert row.scheme == "Test Scheme"
-        assert row.instructions_billions == pytest.approx(100.0)
-        assert row.survived
+        record = {
+            "status": "ok",
+            "config": ScenarioConfig(governor="powersave", duration_s=100.0).to_dict(),
+            "summary": scenario_summary(make_result(), SyntheticWorkload()),
+        }
+        (row,) = table2_rows([record])
+        assert row["scheme"] == "Linux Powersave"
+        assert row["instructions_billions"] == pytest.approx(100.0)
+        assert row["survived"]
         # 100 units over 100 s -> 60 units/minute.
-        assert row.renders_per_minute == pytest.approx(60.0)
-        assert row.as_dict()["lifetime_mm_ss"] == "01:40"
+        assert row["avg_performance_render_per_min"] == pytest.approx(60.0)
+        assert row["lifetime_mm_ss"] == "01:40"
 
 
 class TestMPPT:

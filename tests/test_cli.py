@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cli import FIGURE_FUNCTIONS, GOVERNOR_FACTORIES, build_parser, main
+from repro.cli import FIGURE_FUNCTIONS, build_parser, main
 from repro.governors.base import Governor
+from repro.sweep import GOVERNORS, TABLE2_GOVERNOR_AXIS, build_governor, governor_label
 
 
 class TestParser:
@@ -28,8 +29,8 @@ class TestParser:
 
 class TestFactories:
     def test_every_factory_builds_a_governor(self):
-        for name, factory in GOVERNOR_FACTORIES.items():
-            assert isinstance(factory(), Governor), name
+        for name in GOVERNORS:
+            assert isinstance(build_governor(name), Governor), name
 
     def test_figure_registry_covers_paper_artifacts(self):
         for key in ("fig1", "fig4", "fig7", "fig10", "table1", "fig12", "fig14"):
@@ -54,3 +55,18 @@ class TestExecution:
         code = main(["figure", "table1"])
         assert code == 0
         assert "required_capacitance_mf" in capsys.readouterr().out
+
+    def test_table2_runs_the_campaign_inline_and_leaves_no_file(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["table2", "--duration", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Table II (20 s test)"
+        schemes = [line.split("|")[0].strip() for line in lines[3:11]]
+        assert schemes == [governor_label(name) for name in TABLE2_GOVERNOR_AXIS]
+        assert any(
+            line.startswith("Instructions vs Linux Powersave:") and "(paper: +69.0%)" in line
+            for line in lines
+        )
+        assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,8 @@
 """Tests for the evaluation reproductions (Figs. 11-15, Table II, ablations).
 
 Durations are kept short so the whole suite stays fast; the assertions target
-the qualitative outcomes the paper reports.
+the qualitative outcomes the paper reports.  Table II and the ablations run as
+:mod:`repro.sweep` campaigns, the one path the CLI and the benches use.
 """
 
 import numpy as np
@@ -10,19 +11,30 @@ import pytest
 from repro.core.governor import PowerNeutralGovernor
 from repro.energy.irradiance import WeatherCondition
 from repro.experiments.evaluation import (
-    ablation_capacitance,
-    ablation_control_modes,
-    ablation_threshold_quantisation,
-    default_table2_governors,
     fig11_controlled_supply,
     fig12_voltage_stability,
     fig13_iv_and_operating_voltage,
     fig14_power_tracking,
     fig15_overhead,
-    table2_governor_comparison,
 )
 from repro.experiments.scenarios import PV_TARGET_VOLTAGE, run_pv_experiment
-from repro.governors.linux import PerformanceGovernor, PowersaveGovernor
+from repro.sweep import (
+    TABLE2_GOVERNOR_AXIS,
+    Axis,
+    ResultStore,
+    ScenarioConfig,
+    SweepRunner,
+    SweepSpec,
+    governor_label,
+    table2_rows,
+)
+
+
+def run_campaign(spec: SweepSpec, tmp_path) -> list[dict]:
+    """Run a campaign inline into a throwaway store; return its ok records."""
+    report = SweepRunner(ResultStore(tmp_path / "campaign.jsonl")).run(spec)
+    assert report.succeeded, report.summary()
+    return report.ok_records()
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +101,16 @@ class TestFig12And13And14:
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def data(self):
-        governors = {
-            "Linux Performance": PerformanceGovernor,
-            "Linux Powersave": PowersaveGovernor,
-            "Proposed Approach": PowerNeutralGovernor,
-        }
-        return table2_governor_comparison(duration_s=240.0, seed=11, governors=governors)
+    def data(self, tmp_path_factory):
+        spec = SweepSpec.grid(
+            governors=["performance", "powersave", "power-neutral"],
+            seeds=[11],
+            duration_s=240.0,
+        )
+        rows = table2_rows(run_campaign(spec, tmp_path_factory.mktemp("table2")))
+        by_scheme = {r["scheme"]: r["instructions_billions"] for r in rows}
+        improvement = by_scheme["Proposed Approach"] / by_scheme["Linux Powersave"] - 1.0
+        return {"rows": rows, "instruction_improvement_vs_powersave": improvement}
 
     def test_performance_governor_dies_almost_immediately(self, data):
         row = next(r for r in data["rows"] if r["scheme"] == "Linux Performance")
@@ -115,10 +130,10 @@ class TestTable2:
         assert data["instruction_improvement_vs_powersave"] > 0.3
 
     def test_default_governor_set_includes_paper_schemes(self):
-        factories = default_table2_governors()
-        assert "Proposed Approach" in factories
-        assert "Linux Powersave" in factories
-        assert len(factories) >= 6
+        schemes = [governor_label(name) for name in TABLE2_GOVERNOR_AXIS]
+        assert "Proposed Approach" in schemes
+        assert "Linux Powersave" in schemes
+        assert len(set(schemes)) >= 6
 
 
 class TestFig15:
@@ -130,27 +145,57 @@ class TestFig15:
 
 
 class TestAblations:
-    def test_capacitance_sweep_structure(self):
-        data = ablation_capacitance(capacitances_f=(15.4e-3, 47e-3), duration_s=90.0)
-        assert len(data["rows"]) == 2
-        for row in data["rows"]:
-            assert 0.0 <= row["fraction_within_5pct"] <= 1.0
+    #: Control-mode label -> the registered power-neutral variant running it.
+    MODES = {
+        "DVFS only": "power-neutral-dvfs-only",
+        "Hot-plug only": "power-neutral-hotplug-only",
+        "DVFS + hot-plug (proposed)": "power-neutral",
+    }
 
-    def test_control_mode_ablation_runs_all_modes(self):
-        data = ablation_control_modes(duration_s=90.0)
-        modes = {row["mode"] for row in data["rows"]}
+    def test_capacitance_sweep_structure(self, tmp_path):
+        spec = SweepSpec.grid(
+            governors=["power-neutral"],
+            weather=["partial_sun"],
+            capacitances_f=[15.4e-3, 47e-3],
+            seeds=[5],
+            duration_s=90.0,
+        )
+        records = run_campaign(spec, tmp_path)
+        assert len(records) == 2
+        for record in records:
+            assert 0.0 <= record["summary"]["fraction_within_5pct"] <= 1.0
+
+    def test_control_mode_ablation_runs_all_modes(self, tmp_path):
+        spec = SweepSpec.grid(
+            governors=list(self.MODES.values()),
+            weather=["partial_sun"],
+            seeds=[9],
+            duration_s=90.0,
+        )
+        by_kind = {
+            r["config"]["governor"]["kind"]: r["summary"] for r in run_campaign(spec, tmp_path)
+        }
+        modes = {label for label, kind in self.MODES.items() if kind in by_kind}
         assert "DVFS only" in modes
         assert "DVFS + hot-plug (proposed)" in modes
         # The proposed combined mode must not be the worst at completing work.
-        instructions = {row["mode"]: row["instructions_g"] for row in data["rows"]}
+        instructions = {
+            label: by_kind[kind]["instructions_billions"] for label, kind in self.MODES.items()
+        }
         assert instructions["DVFS + hot-plug (proposed)"] >= min(instructions.values())
 
-    def test_quantisation_ablation_shows_small_effect(self):
-        data = ablation_threshold_quantisation(duration_s=300.0)
-        fractions = [row["fraction_within_5pct"] for row in data["rows"]]
+    def test_quantisation_ablation_shows_small_effect(self, tmp_path):
+        spec = SweepSpec(
+            base=ScenarioConfig(
+                governor="power-neutral", weather="full_sun", seed=13, duration_s=300.0
+            ),
+            axes=(Axis("monitor_quantised", [False, True]),),
+        )
+        summaries = [r["summary"] for r in run_campaign(spec, tmp_path)]
+        fractions = [s["fraction_within_5pct"] for s in summaries]
         # The 7-bit quantised thresholds must not break the scheme: both
         # variants keep the voltage in the ±5 % band most of the time and the
         # instructions completed stay within ~15 % of each other.
         assert min(fractions) > 0.5
-        instructions = [row["instructions_g"] for row in data["rows"]]
+        instructions = [s["instructions_billions"] for s in summaries]
         assert abs(instructions[0] - instructions[1]) / max(instructions) < 0.15

@@ -16,7 +16,8 @@ from repro.serve import (
     ServiceThread,
     parse_submission,
 )
-from repro.sweep import build_boundary_preset, build_preset
+from repro.serve.scheduler import MAX_SCENARIO_DURATION_S
+from repro.sweep import BoundaryQuery, build_boundary_preset, build_preset
 from repro.sweep.spec import Axis, ScenarioConfig, SweepSpec
 
 from test_sweep_adaptive import fake_executor  # noqa: F401 — shared helper
@@ -35,6 +36,13 @@ def huge_spec():
             Axis("capacitor.capacitance_f", [(i + 1) * 1e-4 for i in range(1000)]),
             Axis("duration_s", range(1, 1001)),
         ),
+    )
+
+
+def overlong_spec():
+    """One cell that would simulate a second longer than the cap."""
+    return SweepSpec(
+        base=ScenarioConfig(governor="power-neutral", duration_s=MAX_SCENARIO_DURATION_S + 1)
     )
 
 
@@ -105,6 +113,45 @@ class TestParseSubmission:
         with pytest.raises(ValueError, match="cells"):
             parse_submission(snapshot)
         assert time.perf_counter() - t0 < 0.05
+
+    def test_overlong_base_duration_is_refused_without_expanding(self, monkeypatch):
+        at_cap = SweepSpec(
+            base=ScenarioConfig(governor="power-neutral", duration_s=MAX_SCENARIO_DURATION_S)
+        )
+        assert len(parse_submission(at_cap.to_dict())[3]) == 1
+
+        def no_expansion(self):
+            raise AssertionError("the sweep was expanded")
+
+        monkeypatch.setattr(SweepSpec, "iter_scenarios", no_expansion)
+        with pytest.raises(ValueError, match="per scenario"):
+            parse_submission(overlong_spec().to_dict())
+
+    def test_overlong_duration_axis_value_is_refused(self):
+        spec = SweepSpec(
+            base=ScenarioConfig(governor="power-neutral"),
+            axes=(Axis("duration_s", [60.0, MAX_SCENARIO_DURATION_S + 1]),),
+        )
+        with pytest.raises(ValueError, match="per scenario"):
+            parse_submission({"kind": "sweep", "spec": spec.to_dict()})
+        junk = spec.to_dict()
+        junk["axes"] = [{"name": "duration_s", "values": [60.0, None]}]
+        with pytest.raises(ValueError, match="must be a number"):
+            parse_submission(junk)
+
+    def test_overlong_boundary_hi_is_refused(self):
+        base = ScenarioConfig(governor="power-neutral", duration_s=10.0)
+        query = BoundaryQuery(base=base, path="duration_s", lo=10.0, hi=2 * MAX_SCENARIO_DURATION_S)
+        with pytest.raises(ValueError, match="per scenario"):
+            parse_submission(query.to_dict())
+        # The bracket may grow above hi: its furthest reach counts too.
+        growing = BoundaryQuery(base=base, path="duration_s", lo=10.0, hi=600.0)
+        with pytest.raises(ValueError, match="per scenario"):
+            parse_submission(growing.to_dict())
+        fixed = BoundaryQuery(
+            base=base, path="duration_s", lo=10.0, hi=600.0, max_expansions=0
+        )
+        assert parse_submission(fixed.to_dict())[0] == "boundary"
 
     def test_junk_is_rejected(self):
         with pytest.raises(ValueError):
@@ -221,7 +268,7 @@ class TestServiceEndToEnd:
             with pytest.raises(ServeError) as err:
                 client.campaign("no-such-id")
             assert err.value.status == 404
-            for payload in ({"nonsense": True}, huge_spec()):
+            for payload in ({"nonsense": True}, huge_spec(), overlong_spec()):
                 with pytest.raises(ServeError) as err:
                     client.submit(payload)
                 assert err.value.status == 400

@@ -70,7 +70,7 @@ class TestBigLittleModel:
         assert model.core_power(CoreType.BIG, f) > model.core_power(CoreType.LITTLE, f)
 
     def test_fig4_calibration_anchors(self, model):
-        """Anchor points from paper Fig. 4 / Fig. 7 (see DESIGN.md §6)."""
+        """Anchor points from paper Fig. 4 / Fig. 7 (see ``exynos5422_power_model``)."""
         lowest = model.power_of(CoreConfig(1, 0), 0.2 * GHZ)
         assert lowest == pytest.approx(1.8, abs=0.15)
         four_little = model.power_of(CoreConfig(4, 0), 1.4 * GHZ)

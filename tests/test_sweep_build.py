@@ -63,17 +63,6 @@ class TestComponentBuilders:
         assert cap.capacitance_f == pytest.approx(0.02)
         assert cap.esr_ohm == pytest.approx(0.1)
 
-    def test_governor_specs_factory_accepts_pr1_calling_convention(self):
-        """Compat: the PR-1 contract was factory(overrides_mapping)."""
-        from repro.sweep import GOVERNOR_SPECS
-
-        spec = GOVERNOR_SPECS["power-neutral"]
-        assert spec.tunable
-        legacy = spec.factory({"v_q": 0.06})
-        modern = spec.factory(v_q=0.06)
-        assert legacy.parameters.v_q == modern.parameters.v_q == 0.06
-        assert spec.factory().parameters.v_q != 0.06
-
     def test_preset_seeds_rejected_for_deterministic_presets(self):
         from repro.sweep import build_preset
 
@@ -87,6 +76,8 @@ class TestComponentBuilders:
     def test_build_governor_from_spec_and_config(self):
         gov = build_governor({"kind": "power-neutral", "v_q": 0.06})
         assert gov.name
+        assert gov.parameters.v_q == 0.06
+        assert build_governor("power-neutral").parameters.v_q != 0.06
         config = ScenarioConfig(governor="powersave")
         assert build_governor(config).name
         with pytest.raises(ValueError, match="does not accept parameter overrides"):

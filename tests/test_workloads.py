@@ -106,7 +106,7 @@ class TestWorkloadModels:
         assert workload.utilization == 1.0
 
     def test_fig7_frame_cost_matches_calibration(self):
-        # ~19.6 G instructions for a 1024x768, 5-spp frame (DESIGN.md §6).
+        # ~19.6 G instructions for a 1024x768, 5-spp frame (exynos5422_performance_model).
         assert FIG7_FRAME.instructions_per_unit == pytest.approx(19.6e9, rel=0.03)
 
     def test_table2_render_cost_matches_calibration(self):
