@@ -1206,22 +1206,23 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
     print()
     print(format_kv(report.summary(), title="Campaign"))
+    tables = sweep_module.campaign_tables(report.records, [axis.name for axis in spec.axes])
     ok_records = report.ok_records()
     if ok_records:
         print()
-        print(format_kv(sweep_module.campaign_overview(report.records), title="Totals"))
+        print(format_kv(tables["overview"], title="Totals"))
         for axis in spec.axes:
             print()
             print(
                 format_table(
-                    sweep_module.axis_summary(ok_records, axis.name),
+                    tables["axes"][axis.name],
                     title=f"By {axis.name} (mean/p50/p95 across the other axes)",
                 )
             )
         if any(sweep_module.resolve_axis_path(axis.name) == "governor" for axis in spec.axes):
             print()
             print(format_table(sweep_module.table2_rows(ok_records), title="Table II view"))
-    _export_rows(args, sweep_module.records_table(report.records))
+    _export_rows(args, tables["rows"])
     for record in report.records:
         if record.get("status") not in (None, "ok"):
             config = record.get("config", {})

@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..obs.promexport import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from ..sweep.aggregate import axis_summary, campaign_overview, records_table
+from ..sweep.aggregate import campaign_tables
+from ..sweep.aggregate import (  # noqa: F401 — the layer benchmark wraps these names
+    axis_summary,
+    campaign_overview,
+    records_table,
+)
 from ..sweep.store import FILTER_COLUMNS, ResultStore
 from .dashboard import render_dashboard
 from .scheduler import Campaign, CampaignScheduler
@@ -290,9 +295,9 @@ class Api:
         )
 
     async def _aggregate(self, campaign: Campaign, request: Request) -> JsonResponse:
-        # The whole document is built in a worker thread: the tables over a
-        # large campaign take tens of milliseconds, which the event loop
-        # must spend answering other requests.
+        # The whole document is built in a worker thread: one pass over a
+        # large campaign's records still takes milliseconds, which the event
+        # loop must spend answering other requests.
         doc = await asyncio.to_thread(
             self._aggregate_doc, campaign, list(campaign.scenario_ids), request.query.get("axis")
         )
@@ -302,23 +307,10 @@ class Api:
         self, campaign: Campaign, scenario_ids: list, axis: Optional[str]
     ) -> dict:
         ok = self.store.query(status="ok", scenario_ids=scenario_ids)
-        doc = {
-            "campaign": campaign.id,
-            "records": len(ok),
-            "overview": campaign_overview(ok),
-            "rows": records_table(ok),
-        }
         axis_names = (
             [axis]
             if axis
             else [a["name"] for a in campaign.snapshot.get("axes", [])]
             + [a["name"] for a in campaign.snapshot.get("outer_axes", [])]
         )
-        axes: dict = {}
-        for name in axis_names:
-            try:
-                axes[name] = axis_summary(ok, name)
-            except (ValueError, KeyError):
-                axes[name] = []
-        doc["axes"] = axes
-        return doc
+        return {"campaign": campaign.id, "records": len(ok), **campaign_tables(ok, axis_names)}

@@ -117,13 +117,19 @@ _RECORD_COLUMNS = (
 )
 
 
+#: Most rows the recorder allocates before the run asks for more: a short
+#: run fits at once, and a long one grows by doubling as it goes.
+_INITIAL_RECORD_ROWS = 1024
+
+
 class _Recorder:
     """Accumulates the decimated output series in a preallocated buffer.
 
     Rows are written positionally into one ``(capacity, 12)`` float array —
-    no per-step kwargs dicts, no Python lists, no growth in the common case
-    (capacity is sized from the run duration; forced extra records trigger a
-    doubling growth).
+    no per-step kwargs dicts, no Python lists.  Capacity is sized from the
+    run duration up to :data:`_INITIAL_RECORD_ROWS`; a run that records more
+    rows doubles the buffer, so memory follows what the run has recorded,
+    not what its configured duration could reach.
     """
 
     __slots__ = ("record_interval_s", "next_record_time", "_buf", "_n")
@@ -131,7 +137,7 @@ class _Recorder:
     def __init__(self, record_interval_s: float, duration_s: float):
         self.record_interval_s = record_interval_s
         self.next_record_time = 0.0
-        capacity = int(duration_s / record_interval_s) + 8
+        capacity = min(int(duration_s / record_interval_s) + 8, _INITIAL_RECORD_ROWS)
         self._buf = np.empty((capacity, len(_RECORD_COLUMNS)), dtype=float)
         self._n = 0
 

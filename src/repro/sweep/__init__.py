@@ -72,6 +72,7 @@ from .aggregate import (
     METRIC_FIELDS,
     axis_summary,
     campaign_overview,
+    campaign_tables,
     records_table,
     rows_to_csv,
     table2_rows,
@@ -188,6 +189,7 @@ __all__ = [
     "SHARD_INDEX_ENV",
     "axis_summary",
     "campaign_overview",
+    "campaign_tables",
     "records_table",
     "rows_to_csv",
     "table2_rows",

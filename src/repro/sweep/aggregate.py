@@ -3,6 +3,9 @@
 The store holds one summary dict per scenario; this module reduces those into
 the tables a report prints:
 
+* :func:`campaign_tables` — the overview, the export rows and every
+  requested axis summary from **one pass** over the records: what
+  ``GET /campaigns/{id}/aggregate`` serves and ``repro sweep`` prints;
 * :func:`axis_summary` — group records by one config path (``"governor"``,
   ``"supply.weather"``, ``"capacitor.capacitance_f"``, or any dotted
   component path / flat alias) and report mean/p50/p95 of the headline
@@ -16,6 +19,13 @@ the tables a report prints:
   aggregates can leave the JSONL store without custom scripts;
 * :func:`rows_to_csv` — render any list of row dicts (axis summaries,
   Table II views, boundary reports) as CSV text.
+
+:func:`axis_summary`, :func:`records_table` and :func:`campaign_overview`
+are views of the same pass, asked for one table each.  The pass resolves
+each axis path once, reads each record's identity (its parsed config, the
+columns an export row names, its axis keys) from a cache keyed by scenario
+id, and computes each group's statistics with one percentile and one mean
+call over a metrics × records array.
 
 Record configs are upgraded through
 :meth:`~repro.sweep.spec.ScenarioConfig.from_dict` before grouping, so
@@ -37,12 +47,19 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .scenario import governor_label
-from .spec import _SCALAR_FIELDS, ScenarioConfig, component_label, resolve_axis_path
+from .spec import (
+    _COMPONENT_REGISTRIES,
+    _SCALAR_FIELDS,
+    ScenarioConfig,
+    component_label,
+    resolve_axis_path,
+)
 
 __all__ = [
     "axis_summary",
     "table2_rows",
     "campaign_overview",
+    "campaign_tables",
     "records_table",
     "rows_to_csv",
     "METRIC_FIELDS",
@@ -56,96 +73,262 @@ METRIC_FIELDS: dict[str, str] = {
     "instructions_billions": "instr_b",
 }
 
-
-#: Parsed configs keyed by scenario_id (itself the config's content hash, so
-#: a sound cache key).  Aggregation touches every record once per rendered
-#: table; the cache keeps the registry canonicalisation (validation hooks
-#: included) from running O(records x tables) times.
-_CONFIG_CACHE: dict[str, ScenarioConfig] = {}
-_CONFIG_CACHE_LIMIT = 8192
-
-
-def _record_config(record: dict) -> ScenarioConfig:
-    scenario_id = record.get("scenario_id")
-    if scenario_id:
-        cached = _CONFIG_CACHE.get(scenario_id)
-        if cached is not None:
-            return cached
-    config = ScenarioConfig.from_dict(record.get("config", {}))
-    if scenario_id:
-        if len(_CONFIG_CACHE) >= _CONFIG_CACHE_LIMIT:
-            _CONFIG_CACHE.clear()
-        _CONFIG_CACHE[scenario_id] = config
-    return config
+#: Summary metrics carried into the flat per-record export rows.
+_EXPORT_METRICS: tuple[str, ...] = (
+    "survived",
+    "lifetime_s",
+    "uptime_fraction",
+    "brownouts",
+    "consumed_energy_j",
+    "instructions_billions",
+    "renders_per_minute",
+)
 
 
-def _hashable(value):
-    """Coerce a raw config value into something usable as a group key."""
-    if isinstance(value, dict):
-        return value.get("kind", json.dumps(value, sort_keys=True))
-    if isinstance(value, list):
-        return json.dumps(value, sort_keys=True)
-    return value
+class _Identity:
+    """What one record's config contributes to every table, derived once.
 
-
-def _label_memo():
-    """:func:`component_label`, computed once per distinct component.
-
-    Scoped to one call, not the module: labels depend on registry defaults,
-    which may be re-registered between calls.  Keyed by ``repr`` of the
-    parameters rather than the spec: specs compare ``True`` equal to ``1``,
-    but their labels differ.
+    ``columns`` and the plain axis values depend on the config alone.
+    Component labels also depend on the kind's registered defaults, so each
+    is held with the :class:`~repro.registry.RegistryEntry` it was computed
+    against and recomputed once that kind is re-registered.  Holding the
+    entry keeps its identity from being reused by a later registration.
     """
-    labels: dict = {}
 
-    def label(spec, field: str) -> str:
-        key = (field, spec.kind, repr(spec.params))
-        value = labels.get(key)
-        if value is None:
-            value = labels[key] = component_label(spec, field)
+    __slots__ = ("config", "columns", "_values", "_labels")
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.columns = {
+            "weather": config.weather,
+            "seed": config.seed,
+            "capacitance_mf": 1e3 * config.capacitance_f,
+            "workload": config.workload.kind,
+            "duration_s": config.duration_s,
+        }
+        self._values: dict = {}
+        self._labels: dict = {}
+
+    def label(self, field: str) -> tuple[str, str]:
+        """(report label, axis group) of one whole component.
+
+        Raises ``ValueError`` when the component's kind is not registered.
+        """
+        spec = getattr(self.config, field)
+        entry = _COMPONENT_REGISTRIES[field].get(spec.kind)
+        held = self._labels.get(field)
+        if held is None or held[0] is not entry:
+            label = group = component_label(spec, field)
+            if field == "governor":
+                # Pretty Table II scheme name, but parameter variants of one
+                # scheme stay distinct groups (e.g. two v_q settings of the
+                # proposed governor must not be averaged together).
+                scheme = governor_label(spec.kind)
+                group = f"{scheme} {label[label.index('('):]}" if "(" in label else scheme
+            held = self._labels[field] = (entry, label, group)
+        return held[1], held[2]
+
+    def axis_key(self, path: str):
+        """The (formatted) value this record takes on a resolved axis path."""
+        if "." not in path and path not in _SCALAR_FIELDS:
+            # Whole-component axis: the label distinguishes parameter
+            # variants, not just the kind (two constant-power supplies at
+            # different power_w are different groups).
+            return self.label(path)[1]
+        try:
+            return self._values[path]
+        except KeyError:
+            pass
+        value = self.config.get(path)
+        if path == "capacitor.capacitance_f" and value is not None:
+            value = f"{1e3 * float(value):g} mF"
+        elif path == "supply.shadowing" and isinstance(value, list):
+            value = f"{len(value)} events"
+        elif path == "governor.params" and isinstance(value, dict):
+            value = "+".join(f"{k}={v}" for k, v in sorted(value.items())) or "(none)"
+        self._values[path] = value
         return value
 
-    return label
+
+#: Identities keyed by scenario_id (itself the config's content hash, so a
+#: sound cache key): a campaign read back again, or one table after another,
+#: parses and labels each record once, not once per table.
+_IDENTITIES: dict[str, _Identity] = {}
+_IDENTITY_LIMIT = 8192
 
 
-def _axis_value(record: dict, axis: str, path: Optional[str] = None, label=component_label):
-    """The (formatted) value one record takes on a swept axis.
-
-    ``path`` is ``resolve_axis_path(axis)`` when the caller resolved it
-    already; ``label`` stands in for :func:`component_label`.
-    """
-    config_data = record.get("config", {})
+def _identity(record: dict) -> Optional[_Identity]:
+    """The record's identity, or None when its config does not load."""
+    scenario_id = record.get("scenario_id")
+    if scenario_id:
+        identity = _IDENTITIES.get(scenario_id)
+        if identity is not None:
+            return identity
     try:
-        config = _record_config(record)
+        config = ScenarioConfig.from_dict(record.get("config", {}))
     except (KeyError, ValueError, TypeError):
-        # Unloadable config (e.g. a kind no longer registered): fall back to
-        # the raw dict so the record still lands in *some* group.
-        raw = config_data.get(axis.split(".", 1)[0], "?") if isinstance(config_data, dict) else "?"
-        return _hashable(raw)
-    if path is None:
-        path = resolve_axis_path(axis)
-    if path == "governor":
-        # Pretty Table II scheme name, but parameter variants of one scheme
-        # stay distinct groups (e.g. two v_q settings of the proposed
-        # governor must not be averaged together).
-        variant = label(config.governor, "governor")
-        scheme = governor_label(config.governor.kind)
-        if "(" in variant:
-            return f"{scheme} {variant[variant.index('('):]}"
-        return scheme
-    if "." not in path and path not in _SCALAR_FIELDS:
-        # Whole-component axis: label must distinguish parameter variants,
-        # not just the kind (two constant-power supplies at different power_w
-        # are different groups).
-        return label(getattr(config, path), path)
-    value = config.get(path)
-    if path == "capacitor.capacitance_f" and value is not None:
-        return f"{1e3 * float(value):g} mF"
-    if path == "supply.shadowing" and isinstance(value, list):
-        return f"{len(value)} events"
-    if path == "governor.params" and isinstance(value, dict):
-        return "+".join(f"{k}={v}" for k, v in sorted(value.items())) or "(none)"
-    return value
+        # E.g. a kind no longer registered; not cached, so the record
+        # loads again once the kind is back.
+        return None
+    identity = _Identity(config)
+    if scenario_id:
+        if len(_IDENTITIES) >= _IDENTITY_LIMIT:
+            _IDENTITIES.clear()
+        _IDENTITIES[scenario_id] = identity
+    return identity
+
+
+def _fallback_key(record: dict, axis: str):
+    """The group of a record whose config does not load: its raw value."""
+    config_data = record.get("config", {})
+    raw = config_data.get(axis.split(".", 1)[0], "?") if isinstance(config_data, dict) else "?"
+    if isinstance(raw, dict):
+        return raw.get("kind", json.dumps(raw, sort_keys=True))
+    if isinstance(raw, list):
+        return json.dumps(raw, sort_keys=True)
+    return raw
+
+
+def _walk(
+    records: Iterable[dict],
+    axes: Sequence[str] = (),
+    metrics: Optional[Sequence[str]] = None,
+    *,
+    overview: bool = False,
+    rows: bool = False,
+) -> dict:
+    """The one pass: the overview, export rows and axis summaries asked for.
+
+    Only ``status == "ok"`` records contribute to the rows and the axis
+    tables.  Returns ``{"overview": dict | None, "rows": list | None,
+    "axes": {axis: list | exception}}``.  An axis whose path is unknown, or
+    whose key raises ``ValueError``/``KeyError`` for a loadable record, maps
+    to that exception.
+    """
+    metric_names = list(metrics) if metrics is not None else list(METRIC_FIELDS)
+    paths: dict = {}
+    failed: dict = {}
+    for axis in axes:
+        try:
+            paths[axis] = resolve_axis_path(axis)
+        except ValueError as exc:
+            # Raised only at a loadable record: records whose config does
+            # not load still group by their raw value.
+            paths[axis] = exc
+    groups: dict = {axis: {} for axis in paths}
+    need_identity = rows or bool(paths)
+    total = 0
+    summaries: list = []
+    totals: list = []
+    table: list = []
+    for record in records:
+        total += 1
+        if record.get("status") != "ok":
+            continue
+        summary = record.get("summary", {})
+        index = len(summaries)
+        summaries.append(summary)
+        if overview:
+            totals.append(
+                (
+                    float(summary.get("duration_s", 0.0)),
+                    # Wall time inside the workers, and the CPU time they stamped.
+                    float(record.get("elapsed_s", 0.0)),
+                    float((record.get("timings") or {}).get("cpu_s", 0.0)),
+                    bool(summary.get("survived")),
+                    float(summary.get("instructions_billions", 0.0)),
+                    float(summary.get("consumed_energy_j", 0.0)),
+                )
+            )
+        if not need_identity:
+            continue
+        identity = _identity(record)
+        if rows:
+            row: dict = {"scenario_id": record.get("scenario_id")}
+            if identity is None:
+                row["governor"] = "?"
+            else:
+                row["governor"] = identity.label("governor")[0]
+                row["supply"] = identity.label("supply")[0]
+                row.update(identity.columns)
+            row.update(zip(_EXPORT_METRICS, map(summary.get, _EXPORT_METRICS)))
+            table.append(row)
+        for axis, path in paths.items():
+            if axis in failed:
+                continue
+            if identity is None:
+                key = _fallback_key(record, axis)
+            elif isinstance(path, Exception):
+                failed[axis] = path
+                continue
+            else:
+                try:
+                    key = identity.axis_key(path)
+                except (ValueError, KeyError) as exc:
+                    failed[axis] = exc
+                    continue
+            groups[axis].setdefault(key, []).append(index)
+
+    tables: dict = {"overview": None, "rows": table if rows else None, "axes": {}}
+    if overview:
+        simulated, wall, cpu, survived, instructions, energy = (
+            zip(*totals) if totals else ((),) * 6
+        )
+        tables["overview"] = {
+            "scenarios": total,
+            "ok": len(summaries),
+            "failed": total - len(summaries),
+            "simulated_s": sum(simulated),
+            "scenario_wall_s": sum(wall),
+            "worker_cpu_s": sum(cpu),
+            "survival_rate": float(np.mean(survived)) if survived else 0.0,
+            "total_instructions_billions": sum(instructions),
+            "total_consumed_energy_j": sum(energy),
+        }
+    matrix = None
+    for axis in paths:
+        if axis in failed:
+            tables["axes"][axis] = failed[axis]
+            continue
+        if matrix is None and metric_names and groups[axis]:
+            # metrics x records, built once for every axis.
+            matrix = np.array(
+                [[float(s.get(metric, 0.0)) for s in summaries] for metric in metric_names],
+                dtype=float,
+            )
+        summary_rows = []
+        for key, indices in groups[axis].items():
+            row = {axis: key, "n": len(indices)}
+            if metric_names:
+                # C-contiguous, so each metric reduces along one contiguous
+                # row, as a 1-D array of the group's values would.
+                values = np.ascontiguousarray(matrix[:, indices])
+                means = values.mean(axis=1)
+                p50s, p95s = np.percentile(values, (50, 95), axis=1)
+                for j, metric in enumerate(metric_names):
+                    prefix = METRIC_FIELDS.get(metric, metric)
+                    row[f"{prefix}_mean"] = float(means[j])
+                    row[f"{prefix}_p50"] = float(p50s[j])
+                    row[f"{prefix}_p95"] = float(p95s[j])
+            summary_rows.append(row)
+        tables["axes"][axis] = summary_rows
+    return tables
+
+
+def campaign_tables(records: Iterable[dict], axes: Sequence[str] = ()) -> dict:
+    """``{"overview", "rows", "axes"}`` of a campaign, from one pass.
+
+    ``overview`` is :func:`campaign_overview`, ``rows`` is
+    :func:`records_table` and ``axes`` maps each name in ``axes`` to its
+    :func:`axis_summary`, or to ``[]`` when that axis cannot be summarised
+    (an unknown path, a kind no longer registered).
+    """
+    tables = _walk(records, axes, overview=True, rows=True)
+    tables["axes"] = {
+        axis: [] if isinstance(summary, Exception) else summary
+        for axis, summary in tables["axes"].items()
+    }
+    return tables
 
 
 def axis_summary(
@@ -156,36 +339,28 @@ def axis_summary(
     """Mean/p50/p95 of each metric, grouped by one swept config path.
 
     Only ``status == "ok"`` records contribute.  Rows keep first-seen group
-    order (i.e. the sweep's axis order).  The axis path is resolved once per
-    call, and each distinct component is labelled once.  An unknown axis
-    raises ``ValueError`` at the first record whose config loads.
+    order (i.e. the sweep's axis order).  An unknown axis raises
+    ``ValueError`` when any record's config loads.
     """
-    metric_names = list(metrics) if metrics is not None else list(METRIC_FIELDS)
-    label = _label_memo()
-    try:
-        path: Optional[str] = resolve_axis_path(axis)
-    except ValueError:
-        path = None  # _axis_value raises it again for a loadable record
-    groups: dict = {}
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        key = _axis_value(record, axis, path, label)
-        groups.setdefault(key, []).append(record.get("summary", {}))
-    rows = []
-    for key, summaries in groups.items():
-        row: dict = {axis: key, "n": len(summaries)}
-        for metric in metric_names:
-            prefix = METRIC_FIELDS.get(metric, metric)
-            values = np.asarray(
-                [float(s.get(metric, 0.0)) for s in summaries], dtype=float
-            )
-            p50, p95 = np.percentile(values, (50, 95))
-            row[f"{prefix}_mean"] = float(np.mean(values))
-            row[f"{prefix}_p50"] = float(p50)
-            row[f"{prefix}_p95"] = float(p95)
-        rows.append(row)
-    return rows
+    summary = _walk(records, (axis,), metrics)["axes"][axis]
+    if isinstance(summary, Exception):
+        raise summary
+    return summary
+
+
+def records_table(records: Iterable[dict]) -> list[dict]:
+    """One flat row per successful record: scenario identity + metrics.
+
+    This is the denormalised view ``--export csv`` writes — every row names
+    its cell (governor / supply / weather / seed / capacitance / workload /
+    duration) so the CSV stands alone outside the JSONL store.
+    """
+    return _walk(records, rows=True)["rows"]
+
+
+def campaign_overview(records: Iterable[dict]) -> dict:
+    """Whole-campaign totals across the successful records."""
+    return _walk(records, overview=True)["overview"]
 
 
 def table2_rows(records: Iterable[dict]) -> list[dict]:
@@ -200,7 +375,11 @@ def table2_rows(records: Iterable[dict]) -> list[dict]:
     for record in records:
         if record.get("status") != "ok":
             continue
-        label = _axis_value(record, "governor")
+        identity = _identity(record)
+        if identity is None:
+            label = _fallback_key(record, "governor")
+        else:
+            label = identity.axis_key("governor")
         groups.setdefault(label, []).append(record.get("summary", {}))
     rows = []
     for label, summaries in groups.items():
@@ -222,53 +401,6 @@ def table2_rows(records: Iterable[dict]) -> list[dict]:
     return rows
 
 
-#: Summary metrics carried into the flat per-record export rows.
-_EXPORT_METRICS: tuple[str, ...] = (
-    "survived",
-    "lifetime_s",
-    "uptime_fraction",
-    "brownouts",
-    "consumed_energy_j",
-    "instructions_billions",
-    "renders_per_minute",
-)
-
-
-def records_table(records: Iterable[dict]) -> list[dict]:
-    """One flat row per successful record: scenario identity + metrics.
-
-    This is the denormalised view ``--export csv`` writes — every row names
-    its cell (governor / supply / weather / seed / capacitance / workload /
-    duration) so the CSV stands alone outside the JSONL store.
-    """
-    label = _label_memo()
-    rows = []
-    for record in records:
-        if record.get("status") != "ok":
-            continue
-        summary = record.get("summary", {})
-        row: dict = {"scenario_id": record.get("scenario_id")}
-        try:
-            config = _record_config(record)
-        except (KeyError, ValueError, TypeError):
-            row["governor"] = "?"
-        else:
-            row.update(
-                {
-                    "governor": label(config.governor, "governor"),
-                    "supply": label(config.supply, "supply"),
-                    "weather": config.weather,
-                    "seed": config.seed,
-                    "capacitance_mf": 1e3 * config.capacitance_f,
-                    "workload": config.workload.kind,
-                    "duration_s": config.duration_s,
-                }
-            )
-        row.update({metric: summary.get(metric) for metric in _EXPORT_METRICS})
-        rows.append(row)
-    return rows
-
-
 def rows_to_csv(rows: Sequence[dict]) -> str:
     """Render row dicts as CSV text (column order: first appearance)."""
     columns: list[str] = []
@@ -282,29 +414,3 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     for row in rows:
         writer.writerow(row)
     return out.getvalue()
-
-
-def campaign_overview(records: Iterable[dict]) -> dict:
-    """Whole-campaign totals across the successful records."""
-    records = list(records)
-    ok = [r for r in records if r.get("status") == "ok"]
-    summaries = [r.get("summary", {}) for r in ok]
-    simulated = sum(float(s.get("duration_s", 0.0)) for s in summaries)
-    return {
-        "scenarios": len(records),
-        "ok": len(ok),
-        "failed": len(records) - len(ok),
-        "simulated_s": simulated,
-        # Wall time inside the workers, and the CPU time they stamped.
-        "scenario_wall_s": sum(float(r.get("elapsed_s", 0.0)) for r in ok),
-        "worker_cpu_s": sum(float((r.get("timings") or {}).get("cpu_s", 0.0)) for r in ok),
-        "survival_rate": (
-            float(np.mean([bool(s.get("survived")) for s in summaries])) if summaries else 0.0
-        ),
-        "total_instructions_billions": sum(
-            float(s.get("instructions_billions", 0.0)) for s in summaries
-        ),
-        "total_consumed_energy_j": sum(
-            float(s.get("consumed_energy_j", 0.0)) for s in summaries
-        ),
-    }

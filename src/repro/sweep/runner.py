@@ -55,6 +55,7 @@ class SweepReport:
     timed_out: int = 0
     retried: int = 0
     elapsed_s: float = 0.0
+    #: One record per scenario, in the campaign's expansion order.
     records: list[dict] = field(default_factory=list)
 
     @property
@@ -390,6 +391,12 @@ class SweepRunner:
             prev, mark = mark, time.perf_counter()
             tracer.span_event("campaign.phase", mark - prev, phase="execute")
 
+        # Cache hits come first and worker slots finish out of order; the
+        # report lists records in the campaign's expansion order.
+        position = {config.scenario_id: i for i, config in enumerate(configs)}
+        report.records.sort(
+            key=lambda record: position.get(record.get("scenario_id"), len(configs))
+        )
         report.elapsed_s = mark - started
         tracer.span_event(
             "campaign.run", mark - started, workers=self.workers, **report.summary()

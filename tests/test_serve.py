@@ -851,14 +851,14 @@ class TestAggregateOffTheEventLoop:
             lambda self, campaign: {"kind": "sweep", "succeeded": True},
         )
         started, release = threading.Event(), threading.Event()
-        real_table = handlers_module.records_table
+        real_tables = handlers_module.campaign_tables
 
-        def records_table(records):
+        def campaign_tables(records, axes):
             started.set()
-            assert release.wait(timeout=60), "records_table was never released"
-            return real_table(records)
+            assert release.wait(timeout=60), "campaign_tables was never released"
+            return real_tables(records, axes)
 
-        monkeypatch.setattr(handlers_module, "records_table", records_table)
+        monkeypatch.setattr(handlers_module, "campaign_tables", campaign_tables)
         docs: list = []
         with ServiceThread(store_path=tmp_path / "store.jsonl", port=0, workers=1) as service:
             client = ServeClient(ServeConfig(base_url=service.base_url, timeout_s=10.0))
@@ -869,7 +869,7 @@ class TestAggregateOffTheEventLoop:
             )
             reader.start()
             try:
-                assert started.wait(timeout=30), "the aggregate never reached records_table"
+                assert started.wait(timeout=30), "the aggregate never reached campaign_tables"
                 # The document is blocked in its thread; the loop still serves.
                 assert client.health()["status"] == "ok"
                 assert docs == []

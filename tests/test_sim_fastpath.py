@@ -517,3 +517,26 @@ class TestEndToEndParity:
         np.testing.assert_allclose(arrays["times"], np.arange(100.0))
         assert arrays["n_little"].dtype.kind == "i"
         assert list(arrays["n_little"][:3]) == [4, 4, 4]
+
+    @pytest.mark.parametrize("record_interval_s", [0.05, 0.25])
+    def test_recorder_starts_small_for_a_day_long_run(self, record_interval_s):
+        from repro.sim import simulator
+
+        recorder = simulator._Recorder(record_interval_s=record_interval_s, duration_s=86_400.0)
+        assert recorder._buf.shape[0] == simulator._INITIAL_RECORD_ROWS
+        assert recorder._buf.nbytes <= 128 * 1024
+
+    def test_series_unchanged_by_a_small_initial_buffer(self, monkeypatch):
+        """A 60 s run grows past the initial rows; its series match a run
+        whose buffer was sized from the duration up front."""
+        from repro.sim import simulator
+
+        config = ScenarioConfig(governor="power-neutral", supply="pv-array", duration_s=60.0)
+        grown = build_system(config, record_interval_s=0.05).run()
+        assert len(grown.times) > simulator._INITIAL_RECORD_ROWS
+        monkeypatch.setattr(simulator, "_INITIAL_RECORD_ROWS", 10**9)
+        presized = build_system(config, record_interval_s=0.05).run()
+        for name in ARRAY_FIELDS:
+            a, b = getattr(grown, name), getattr(presized, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert grown.to_dict() == presized.to_dict()

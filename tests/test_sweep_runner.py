@@ -75,6 +75,21 @@ class TestCachingAndResume:
         # Cached rows aggregate identically to computed ones.
         assert len(table2_rows(second.ok_records())) == 2
 
+    def test_report_lists_records_in_expansion_order(self, tmp_path):
+        # The last cell is cached, so the cache scan reports it before the
+        # cells it executes; the report still follows the spec.
+        spec = tiny_spec(governors=("power-neutral", "powersave", "ondemand"))
+        store = ResultStore(tmp_path / "s.jsonl")
+        SweepRunner(store, workers=1).run(spec.scenarios()[-1:])
+        report = SweepRunner(store, workers=1).run(spec)
+        assert (report.executed, report.cached) == (2, 1)
+        assert [r["scenario_id"] for r in report.records] == spec.scenario_ids()
+        assert [row["scheme"] for row in table2_rows(report.records)] == [
+            "Proposed Approach",
+            "Linux Powersave",
+            "Linux Ondemand",
+        ]
+
     def test_resume_after_interrupt_computes_only_the_remainder(self, tmp_path):
         """Simulate an interrupted campaign: half the grid done, then resume."""
         path = tmp_path / "s.jsonl"
