@@ -123,6 +123,123 @@ FIGURE_FUNCTIONS: dict[str, Callable[[], dict]] = {
 }
 
 
+def _bounded(convert: Callable, minimum: float, strict: bool = False) -> Callable:
+    """An argparse ``type``: ``convert`` the text and refuse values below
+    ``minimum`` (or equal to it, when ``strict``), so a bad value exits 2
+    with a one-line message before any work starts."""
+
+    def parse(text: str):
+        value = convert(text)  # a ValueError reads "invalid <convert> value"
+        if not (value > minimum if strict else value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {minimum:g} (got {text})"
+            )
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+#: The ``type`` of every duration flag: a positive number of seconds.
+_SECONDS = _bounded(float, 0.0, strict=True)
+
+#: The run flags the campaign commands share, each declared once here; a
+#: command takes the ones it needs through ``parents=[_run_flags(...)]``.
+_RUN_FLAGS: dict[str, dict] = {
+    "--workers": {
+        "type": _bounded(int, 1),
+        "default": 2,
+        "help": "worker processes (1 = inline; default: %(default)s)",
+    },
+    "--timeout": {
+        "type": _SECONDS,
+        "default": 600.0,
+        "metavar": "S",
+        "help": "per-scenario wall-clock budget in seconds (default: %(default)s)",
+    },
+    "--store": {
+        "default": "sweep_results.jsonl",
+        "help": "JSONL result store path (default: %(default)s)",
+    },
+    "--fresh": {
+        "action": "store_true",
+        "help": "delete the existing store (and a shard's manifest) first and recompute everything",
+    },
+    "--series": {
+        "type": _bounded(int, 0),
+        "default": 0,
+        "metavar": "N",
+        "help": "store each scenario's time series decimated to N samples (0 = summaries only)",
+    },
+    "--exact": {
+        "action": "store_true",
+        "help": (
+            "solve the PV supply exactly (Lambert-W per step, build_system(fast=False)) "
+            "instead of interpolating the tabulated I-V surface; same simulator loop, "
+            "an execution detail only — stores stay comparable because the engine "
+            "is not part of the scenario hash"
+        ),
+    },
+    "--quiet": {
+        "action": "store_true",
+        "help": "suppress the progress lines (serve: the startup banner)",
+    },
+    "--trace": {
+        "default": None,
+        "metavar": "DIR",
+        "help": (
+            "write JSONL trace events (phase spans, per-scenario timings, "
+            "counters; serve: request spans and resource gauges) to "
+            "per-process files in DIR, plus a metrics.json sidecar next to "
+            "the store; inspect with 'obs tail DIR' / 'obs report DIR' / "
+            "'obs top DIR'"
+        ),
+    },
+    "--profile": {
+        "action": "store_true",
+        "help": (
+            "run the campaign under cProfile: print the hottest functions and "
+            "dump the full profile next to the trace (or the store)"
+        ),
+    },
+    "--ledger": {
+        "default": None,
+        "metavar": "FILE",
+        "help": (
+            "append a run summary to this performance-history ledger after a "
+            "traced run (default: <store>.ledger.jsonl; pass 'none' to "
+            "disable); compare runs with 'obs diff'"
+        ),
+    },
+}
+
+#: The run flags of the commands that execute a campaign into a store.
+_CAMPAIGN_FLAGS = (
+    "--workers",
+    "--timeout",
+    "--store",
+    "--fresh",
+    "--exact",
+    "--quiet",
+    "--trace",
+    "--profile",
+    "--ledger",
+)
+
+
+def _run_flags(*names: str, **defaults) -> argparse.ArgumentParser:
+    """A parent parser holding the named :data:`_RUN_FLAGS` with ``defaults``.
+
+    A new parser per command: argparse shares a parent's actions with every
+    child, so a default set on a shared parent would leak into the others.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parent.add_argument(name, **_RUN_FLAGS[name])
+    parent.set_defaults(**defaults)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -163,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
+        parents=[_run_flags(*_CAMPAIGN_FLAGS, "--series")],
         help="run a scenario campaign (any supply/platform/capacitor/governor combination) over worker processes",
         description=(
             "Expand a declarative scenario grid, run it serially or over a process "
@@ -175,15 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_grid_flags(sweep)
-    sweep.add_argument("--workers", type=int, default=2, help="worker processes (1 = inline)")
-    sweep.add_argument(
-        "--timeout", type=float, default=600.0, help="per-scenario wall-clock budget in seconds"
-    )
-    sweep.add_argument(
-        "--store",
-        default="sweep_results.jsonl",
-        help="JSONL result store path (default: %(default)s)",
-    )
     sweep.add_argument(
         "--resume",
         action="store_true",
@@ -192,27 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
             "completed (this is also the default behaviour; the flag makes it explicit)"
         ),
     )
-    sweep.add_argument(
-        "--fresh",
-        action="store_true",
-        help="delete the existing store first and recompute every scenario",
-    )
-    sweep.add_argument(
-        "--series",
-        type=int,
-        default=0,
-        metavar="N",
-        help="store each scenario's time series decimated to N samples (0 = summaries only)",
-    )
-    _add_exact_flag(sweep)
-    sweep.add_argument(
-        "--quiet", action="store_true", help="suppress the per-scenario progress lines"
-    )
-    _add_obs_flags(sweep)
     _add_export_flags(sweep, "per-record summary rows")
 
     shard = sub.add_parser(
         "shard",
+        parents=[_run_flags(*_CAMPAIGN_FLAGS, "--series", workers=1, store=None)],
         help="run one shard of a partitioned campaign against its own store (distributed worker)",
         description=(
             "Execute shard INDEX of a campaign split NUM ways. Sharding is "
@@ -222,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
             "subsets covering the whole campaign. The shard's store carries a "
             "JSON manifest (<store>.manifest.json) stamping the campaign hash, "
             "shard geometry and engine; re-invocations verify it and refuse to "
-            "mix campaigns in one shard store. Assemble the final store with "
+            "mix campaigns in one shard store (default store: "
+            "shard-<INDEX>.jsonl). Assemble the final store with "
             "'store merge'; re-running a shard against the merged store "
             "recomputes nothing."
         ),
@@ -244,42 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-index", type=int, required=True, metavar="I", help="this worker's shard (0-based)"
     )
     shard.add_argument(
-        "--workers", type=int, default=1, help="worker processes inside this shard (1 = inline)"
-    )
-    shard.add_argument(
-        "--timeout", type=float, default=600.0, help="per-scenario wall-clock budget in seconds"
-    )
-    shard.add_argument(
-        "--series",
-        type=int,
-        default=0,
-        metavar="N",
-        help="store each scenario's time series decimated to N samples (0 = summaries only)",
-    )
-    _add_exact_flag(shard)
-    shard.add_argument(
-        "--store",
-        default=None,
-        help="shard result store path (default: shard-<INDEX>.jsonl)",
-    )
-    shard.add_argument(
         "--manifest",
         default=None,
         metavar="FILE",
         help="shard manifest path (default: <store>.manifest.json)",
     )
-    shard.add_argument(
-        "--fresh",
-        action="store_true",
-        help="delete the existing shard store (and its manifest) first",
-    )
-    shard.add_argument(
-        "--quiet", action="store_true", help="suppress the per-scenario progress lines"
-    )
-    _add_obs_flags(shard)
 
     boundary = sub.add_parser(
         "boundary",
+        parents=[_run_flags(*_CAMPAIGN_FLAGS, store="boundary_results.jsonl")],
         help="bisect a numeric scenario parameter to its survival (or custom-predicate) boundary",
         description=(
             "Find the critical value of one numeric dotted config path "
@@ -373,29 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulated seconds per probe (default: 60, or the preset's own default)",
     )
-    boundary.add_argument("--workers", type=int, default=2, help="worker processes (1 = inline)")
-    boundary.add_argument(
-        "--timeout", type=float, default=600.0, help="per-probe wall-clock budget in seconds"
-    )
-    boundary.add_argument(
-        "--store",
-        default="boundary_results.jsonl",
-        help="JSONL result store path, shareable with sweep campaigns (default: %(default)s)",
-    )
-    boundary.add_argument(
-        "--fresh",
-        action="store_true",
-        help="delete the existing store first and recompute every probe",
-    )
-    _add_exact_flag(boundary)
-    boundary.add_argument(
-        "--quiet", action="store_true", help="suppress the per-round progress lines"
-    )
-    _add_obs_flags(boundary)
     _add_export_flags(boundary, "per-cell boundary rows")
 
     store = sub.add_parser(
         "store",
+        parents=[_run_flags("--store")],
         help="maintain JSONL result stores (compact, merge shards, stats)",
         description=(
             "Store maintenance. 'compact' rewrites the JSONL keeping only the "
@@ -425,14 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
             "(ignored by compact, which uses --store)"
         ),
     )
-    store.add_argument(
-        "--store",
-        default="sweep_results.jsonl",
-        help="JSONL result store path for compact/stats (default: %(default)s)",
-    )
 
     serve = sub.add_parser(
         "serve",
+        parents=[
+            _run_flags(
+                "--workers", "--timeout", "--store", "--series", "--exact", "--quiet", "--trace",
+                store="serve_results.jsonl",
+            )
+        ],
         help="run the long-lived campaign service (HTTP submissions + SSE progress)",
         description=(
             "Start the asyncio campaign service. Clients POST SweepSpec / "
@@ -450,57 +500,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8765, help="TCP port, 0 = ephemeral (default: %(default)s)"
     )
     serve.add_argument(
-        "--store",
-        default="serve_results.jsonl",
-        help="the shared JSONL result store all campaigns run against (default: %(default)s)",
-    )
-    serve.add_argument(
         "--data-dir",
         default=None,
         metavar="DIR",
         help="campaign trace/scratch directory (default: <store>.serve/)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes per campaign (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-scenario wall-clock budget (default: none)",
-    )
-    serve.add_argument(
-        "--series",
-        type=int,
-        default=0,
-        metavar="N",
-        help="store each record's series decimated to N samples (default: summaries only)",
-    )
-    _add_exact_flag(serve)
-    serve.add_argument(
         "--token",
         default=None,
         help="require 'Authorization: Bearer TOKEN' on every endpoint except /healthz",
     )
     serve.add_argument(
-        "--quiet", action="store_true", help="suppress the startup banner"
-    )
-    serve.add_argument(
-        "--trace",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write the service's own trace (request spans, resource gauges) "
-            "to per-process files in DIR; watch live with 'obs top DIR'"
-        ),
-    )
-    serve.add_argument(
         "--resource-interval",
-        type=float,
+        type=_SECONDS,
         default=5.0,
         metavar="S",
         help=(
@@ -510,11 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--watchdog",
-        type=float,
+        type=_SECONDS,
         default=None,
         metavar="S",
         help=(
-            "per-campaign wall-clock budget: a campaign running longer is "
+            "per-campaign wall-clock budget: a campaign running longer is stopped and "
             "failed (scheduler.watchdog_timeout) so it cannot wedge the "
             "queue (default: no limit)"
         ),
@@ -690,39 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The telemetry flags shared by every campaign-shaped command."""
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write JSONL trace events (phase spans, per-scenario timings, "
-            "counters) to per-process files in DIR, plus a metrics.json "
-            "sidecar next to the store; inspect with 'obs tail DIR' / "
-            "'obs report DIR'"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run the campaign under cProfile: print the hottest functions and "
-            "dump the full profile next to the trace (or the store)"
-        ),
-    )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="FILE",
-        help=(
-            "append a run summary to this performance-history ledger after a "
-            "traced run (default: <store>.ledger.jsonl; pass 'none' to "
-            "disable); compare runs with 'obs diff'"
-        ),
-    )
-
-
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     """The campaign-shaping flags shared by ``sweep`` and ``shard``."""
     parser.add_argument(
@@ -785,19 +764,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_exact_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--exact",
-        action="store_true",
-        help=(
-            "solve the PV supply exactly (Lambert-W per step, build_system(fast=False)) "
-            "instead of interpolating the tabulated I-V surface; same simulator loop, "
-            "an execution detail only — stores stay comparable because the engine "
-            "is not part of the scenario hash"
-        ),
-    )
-
-
 def _add_export_flags(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
         "--export",
@@ -850,9 +816,7 @@ def _command_table2(args: argparse.Namespace) -> int:
             f"{100.0 * (proposed / powersave - 1.0):.1f}% more "
             f"(paper: +{100.0 * paper:.1f}%)"
         )
-    for record in report.records:
-        if record.get("status") != "ok":
-            print(f"FAILED {record.get('scenario_id')}: {record.get('error')}", file=sys.stderr)
+    _print_failures(report.records)
     return 0 if report.succeeded else 1
 
 
@@ -1060,30 +1024,62 @@ def _export_rows(args: argparse.Namespace, rows: list[dict], payload=None) -> No
     print(f"exported {len(rows)} row(s) to {destination}")
 
 
-def _telemetry_for(
-    args: argparse.Namespace, worker: str = "main", campaign: "str | None" = None
-) -> Telemetry:
-    """The command's telemetry bundle: enabled iff --trace DIR was passed."""
-    trace_dir = getattr(args, "trace", None)
-    if trace_dir:
-        return Telemetry.create(trace_dir, worker=worker, campaign=campaign)
-    return DISABLED
+def _run_campaign(
+    args: argparse.Namespace,
+    body: Callable,
+    kind: str,
+    campaign: str,
+    engine: str,
+    progress=None,
+    worker: str = "main",
+):
+    """The execution sweep, shard and boundary share; returns ``body(runner)``.
 
-
-def _finish_telemetry(
-    telemetry: Telemetry,
-    store: "sweep_module.ResultStore",
-    args: "argparse.Namespace | None" = None,
-    kind: str = "sweep",
-    campaign: "str | None" = None,
-    engine: "str | None" = None,
-) -> None:
-    """End-of-command roll-up: metrics sidecar next to the store, tracer closed.
-
-    Traced runs also append a :class:`RunSummary` to the performance-history
-    ledger (``--ledger``, default ``<store>.ledger.jsonl``) so ``obs diff``
-    can compare this run against earlier ones.
+    Opens the store (:func:`_open_store`) with telemetry enabled iff
+    ``--trace DIR`` was passed, builds the :class:`SweepRunner` from the run
+    flags and calls ``body`` under the resource sampler (a no-op without
+    --trace; with it, RSS/CPU gauges land in the trace and the metrics
+    sidecar is re-flushed every few seconds, so a killed run still leaves a
+    snapshot) and, with --profile, under cProfile: the binary profile lands
+    in ``<trace>/profile.prof`` (or ``<store>.prof``) and the 15 hottest
+    functions are printed.  Then it writes the metrics sidecar next to the
+    store and closes the tracer; a traced run also appends a
+    :class:`RunSummary` to the performance-history ledger (``--ledger``,
+    default ``<store>.ledger.jsonl``) for ``obs diff``.
     """
+    telemetry = (
+        Telemetry.create(args.trace, worker=worker, campaign=campaign) if args.trace else DISABLED
+    )
+    store = _open_store(args, telemetry)
+    runner = sweep_module.SweepRunner(
+        store,
+        workers=args.workers,
+        timeout_s=args.timeout,
+        series_samples=getattr(args, "series", 0),
+        progress=progress,
+        fast=engine == "fast",
+        telemetry=telemetry,
+    )
+    with ResourceSampler(telemetry, flush_path=metrics_sidecar_path(store.path)):
+        if not args.profile:
+            result = body(runner)
+        else:
+            import cProfile
+            import io
+            import pstats
+
+            profiler = cProfile.Profile()
+            result = profiler.runcall(body, runner)
+            destination = (
+                Path(args.trace) / "profile.prof" if args.trace else Path(str(store.path) + ".prof")
+            )
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            profiler.dump_stats(destination)
+            stream = io.StringIO()
+            pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(15)
+            print(f"profile written to {destination}")
+            print(stream.getvalue())
+
     sidecar = telemetry.write_metrics(store.path)
     telemetry.close()
     if sidecar is not None:
@@ -1091,12 +1087,9 @@ def _finish_telemetry(
             f"telemetry: trace in {telemetry.trace_dir}/ (obs report "
             f"{telemetry.trace_dir}), metrics in {sidecar}"
         )
-    if telemetry.trace_dir is None:
-        return
-    chosen = getattr(args, "ledger", None) if args is not None else None
-    if chosen == "none":
-        return
-    ledger_file = Path(chosen) if chosen else ledger_path(store.path)
+    if telemetry.trace_dir is None or args.ledger == "none":
+        return result
+    ledger_file = Path(args.ledger) if args.ledger else ledger_path(store.path)
     try:
         summary = summarize_run(
             telemetry.trace_dir, kind=kind, campaign=campaign, engine=engine
@@ -1104,42 +1097,38 @@ def _finish_telemetry(
         RunLedger(ledger_file).append(summary)
     except (OSError, FileNotFoundError, ValueError) as exc:
         print(f"ledger: skipped ({exc})", file=sys.stderr)
-        return
+        return result
     print(f"ledger: appended run summary to {ledger_file} (compare with 'obs diff')")
-
-
-def _maybe_profile(args: argparse.Namespace, run: Callable[[], object]):
-    """Run the campaign body, under cProfile when --profile was passed.
-
-    The binary profile lands in ``<trace>/profile.prof`` (or
-    ``<store>.prof`` without --trace) for ``snakeviz``/``pstats`` digging;
-    the 15 hottest functions by cumulative time are printed immediately.
-    """
-    if not getattr(args, "profile", False):
-        return run()
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    result = profiler.runcall(run)
-    trace_dir = getattr(args, "trace", None)
-    destination = (
-        Path(trace_dir) / "profile.prof" if trace_dir else Path(str(args.store) + ".prof")
-    )
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    profiler.dump_stats(destination)
-    stream = io.StringIO()
-    pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(15)
-    print(f"profile written to {destination}")
-    print(stream.getvalue())
     return result
 
 
-def _open_store(
-    args: argparse.Namespace, telemetry: Telemetry = DISABLED
-) -> "sweep_module.ResultStore":
-    """Open the campaign store honouring --fresh, with resume/legacy notes."""
+def _mode(args: argparse.Namespace) -> str:
+    """How a campaign command runs its scenarios, for its header line."""
+    mode = f"{args.workers} worker processes" if args.workers > 1 else "inline"
+    mode += f", {args.timeout:g} s per scenario"
+    return mode + (", exact engine" if args.exact else "")
+
+
+def _print_failures(records: list[dict]) -> None:
+    """One ``FAILED`` line on stderr per record that did not succeed."""
+    for record in records:
+        if record.get("status") not in (None, "ok"):
+            governor = record.get("config", {}).get("governor")
+            if isinstance(governor, dict):
+                governor = governor.get("kind")
+            print(
+                f"FAILED {record.get('scenario_id')} ({governor}): {record.get('error')}",
+                file=sys.stderr,
+            )
+
+
+def _open_store(args: argparse.Namespace, telemetry: Telemetry) -> "sweep_module.ResultStore":
+    """Open the campaign store honouring --fresh, with resume/legacy notes.
+
+    The store file is created even when the run will append nothing: a
+    content-addressed shard may be left with no scenarios, and the merge
+    step expects one store per shard.
+    """
     store_path = Path(args.store)
     if store_path.exists() and args.fresh:
         store_path.unlink()
@@ -1163,6 +1152,8 @@ def _open_store(
             f"note: {store.legacy_count} record(s) use an older config schema "
             f"({versions}); they are kept but will not cache-hit new-schema scenarios"
         )
+    store_path.parent.mkdir(parents=True, exist_ok=True)
+    store_path.touch(exist_ok=True)
     return store
 
 
@@ -1171,37 +1162,15 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
     if args.fresh and args.resume:
         raise SystemExit("--fresh and --resume are mutually exclusive")
-    telemetry = _telemetry_for(args)
-    store = _open_store(args, telemetry=telemetry)
-    store_path = store.path
-
-    renderer = ProgressRenderer(quiet=args.quiet)
-    runner = sweep_module.SweepRunner(
-        store,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        series_samples=args.series,
-        progress=renderer.scenario,
-        fast=not args.exact,
-        telemetry=telemetry,
-    )
-    mode = f"{args.workers} worker processes" if args.workers > 1 else "inline (serial)"
-    if args.exact:
-        mode += ", exact engine"
     title = f"preset {args.preset!r}" if args.preset else "sweep"
-    print(f"{title}: {len(spec)} scenarios over {mode} -> {store_path}")
-    # The sampler no-ops without --trace; with it, RSS/CPU gauges land in the
-    # trace and the metrics sidecar is re-flushed (atomically) every few
-    # seconds, so a killed run still leaves a readable snapshot behind.
-    with ResourceSampler(telemetry, flush_path=metrics_sidecar_path(store_path)):
-        report = _maybe_profile(args, lambda: runner.run(spec))
-    _finish_telemetry(
-        telemetry,
-        store,
-        args=args,
+    print(f"{title}: {len(spec)} scenarios over {_mode(args)} -> {args.store}")
+    report = _run_campaign(
+        args,
+        lambda runner: runner.run(spec),
         kind="sweep",
         campaign=spec.campaign_hash(),
         engine="exact" if args.exact else "fast",
+        progress=ProgressRenderer(quiet=args.quiet).scenario,
     )
 
     print()
@@ -1223,17 +1192,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             print()
             print(format_table(sweep_module.table2_rows(ok_records), title="Table II view"))
     _export_rows(args, tables["rows"])
-    for record in report.records:
-        if record.get("status") not in (None, "ok"):
-            config = record.get("config", {})
-            governor = config.get("governor")
-            if isinstance(governor, dict):
-                governor = governor.get("kind")
-            print(
-                f"FAILED {record.get('scenario_id')} "
-                f"({governor}): {record.get('error')}",
-                file=sys.stderr,
-            )
+    _print_failures(report.records)
     return 0 if report.succeeded else 1
 
 
@@ -1339,35 +1298,18 @@ def _build_boundary_query(args: argparse.Namespace) -> "sweep_module.BoundaryQue
 
 def _command_boundary(args: argparse.Namespace) -> int:
     query = _build_boundary_query(args)
-    telemetry = _telemetry_for(args)
-    store = _open_store(args, telemetry=telemetry)
-
-    runner = sweep_module.SweepRunner(
-        store,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        fast=not args.exact,
-        telemetry=telemetry,
-    )
-    mode = f"{args.workers} worker processes" if args.workers > 1 else "inline (serial)"
-    if args.exact:
-        mode += ", exact engine"
     title = f"preset {args.preset!r}" if args.preset else f"search on {query.path!r}"
     print(
         f"boundary {title}: {len(query.cells())} cell(s), predicate "
-        f"{query.predicate_name!r}, bracket [{query.lo:g}, {query.hi:g}] over {mode} "
-        f"-> {store.path}"
+        f"{query.predicate_name!r}, bracket [{query.lo:g}, {query.hi:g}] over {_mode(args)} "
+        f"-> {args.store}"
     )
     renderer = ProgressRenderer(quiet=args.quiet)
-    search = sweep_module.BoundarySearch(
-        query, runner, progress=renderer.round, telemetry=telemetry
-    )
-    with ResourceSampler(telemetry, flush_path=metrics_sidecar_path(store.path)):
-        report = _maybe_profile(args, search.run)
-    _finish_telemetry(
-        telemetry,
-        store,
-        args=args,
+    report = _run_campaign(
+        args,
+        lambda runner: sweep_module.BoundarySearch(
+            query, runner, progress=renderer.round, telemetry=runner.telemetry
+        ).run(),
         kind="boundary",
         campaign=query.query_hash(),
         engine="exact" if args.exact else "fast",
@@ -1464,11 +1406,6 @@ def _command_shard(args: argparse.Namespace) -> int:
     )
     if args.fresh and manifest_path.exists():
         manifest_path.unlink()
-    telemetry = _telemetry_for(
-        args, worker=f"shard-{plan.shard_index}", campaign=plan.campaign_hash
-    )
-    store = _open_store(args, telemetry=telemetry)  # honours --fresh for store + index
-
     if manifest_path.exists():
         # Compare the stamped identity fields only — the snapshot behind
         # them is irrelevant here (this invocation runs `plan` either way),
@@ -1488,7 +1425,7 @@ def _command_shard(args: argparse.Namespace) -> int:
         )
         if not matches:
             raise SystemExit(
-                f"store {store.path} belongs to campaign "
+                f"store {args.store} belongs to campaign "
                 f"{stamped.get('campaign_hash')} shard "
                 f"{stamped.get('shard_index', 0) + 1}/{stamped.get('n_shards', 0)} "
                 f"({stamped.get('engine', 'fast')} engine) but this invocation is "
@@ -1499,61 +1436,39 @@ def _command_shard(args: argparse.Namespace) -> int:
     else:
         plan.write_manifest(manifest_path)
 
-    # Materialise the store file even for an empty (or fully cached) shard:
-    # the merge step expects one store per shard, and a content-addressed
-    # partition is allowed to leave a shard with nothing to do.
-    store.path.parent.mkdir(parents=True, exist_ok=True)
-    store.path.touch(exist_ok=True)
-
     configs = plan.configs()
     print(
         f"shard {plan.shard_index + 1}/{plan.n_shards} of campaign {plan.campaign_hash}: "
-        f"{len(configs)} of {len(spec)} scenario(s), {plan.engine} engine -> {store.path}"
+        f"{len(configs)} of {len(spec)} scenario(s), {plan.engine} engine -> {args.store}"
     )
 
-    renderer = ProgressRenderer(quiet=args.quiet)
-    runner = sweep_module.SweepRunner(
-        store,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        series_samples=args.series,
-        progress=renderer.scenario,
-        fast=plan.engine == "fast",
-        telemetry=telemetry,
-    )
     # Records computed during the run (in this process or in the worker
     # slots it forks, which inherit the environment) carry the shard index
     # in their worker stamp; the caller's environment is restored after.
     previous_shard = os.environ.get(sweep_module.SHARD_INDEX_ENV)
     os.environ[sweep_module.SHARD_INDEX_ENV] = str(plan.shard_index)
     try:
-        with ResourceSampler(telemetry, flush_path=metrics_sidecar_path(store.path)):
-            report = _maybe_profile(args, lambda: runner.run(configs))
+        report = _run_campaign(
+            args,
+            lambda runner: runner.run(configs),
+            kind="shard",
+            campaign=plan.campaign_hash,
+            engine=plan.engine,
+            progress=ProgressRenderer(quiet=args.quiet).scenario,
+            worker=f"shard-{plan.shard_index}",
+        )
     finally:
         if previous_shard is None:
             os.environ.pop(sweep_module.SHARD_INDEX_ENV, None)
         else:
             os.environ[sweep_module.SHARD_INDEX_ENV] = previous_shard
-    _finish_telemetry(
-        telemetry,
-        store,
-        args=args,
-        kind="shard",
-        campaign=plan.campaign_hash,
-        engine=plan.engine,
-    )
     print()
     print(
         format_kv(
             report.summary(), title=f"Shard {plan.shard_index + 1}/{plan.n_shards}"
         )
     )
-    for record in report.records:
-        if record.get("status") not in (None, "ok"):
-            print(
-                f"FAILED {record.get('scenario_id')}: {record.get('error')}",
-                file=sys.stderr,
-            )
+    _print_failures(report.records)
     return 0 if report.succeeded else 1
 
 

@@ -34,6 +34,7 @@ plan would crash forever.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import threading
@@ -111,8 +112,9 @@ class FaultRule:
         The call-site name the rule arms (see :data:`FAULT_SITES`).
     kind:
         ``error`` raises, ``crash`` calls ``os._exit(exit_code)``, ``delay``
-        sleeps ``delay_s``, ``torn-write`` asks the site to half-write (only
-        ``store.append`` enacts it; elsewhere it degrades to a no-op hit).
+        sleeps ``delay_s`` (no later than the site's deadline), ``torn-write``
+        asks the site to half-write (only ``store.append`` enacts it;
+        elsewhere it degrades to a no-op hit).
     times:
         How many triggers before the rule disarms; ``0`` means unlimited.
     after:
@@ -231,12 +233,15 @@ class FaultInjector:
         self._applied = [0] * len(plan.rules)
         self._lock = threading.Lock()
 
-    def fire(self, site: str, telemetry=None, metrics=None, **attrs) -> Optional[FaultRule]:
+    def fire(
+        self, site: str, telemetry=None, metrics=None, deadline: float = math.inf, **attrs
+    ) -> Optional[FaultRule]:
         """Offer an injection opportunity at ``site``.
 
         Returns the triggered rule (after enacting delays; ``torn-write`` is
-        returned for the caller to enact) or ``None``.  ``error`` raises and
-        ``crash`` never returns.  Injections are counted into
+        returned for the caller to enact) or ``None``.  A delay sleeps no
+        later than ``deadline``, a :func:`time.monotonic` instant.  ``error``
+        raises and ``crash`` never returns.  Injections are counted into
         ``faults.injected`` *before* enacting, so even a crash leaves its
         trace (the tracer flushes per event, like the store fsyncs per
         append).
@@ -263,7 +268,7 @@ class FaultInjector:
                 self._applied[index] += 1
             self._count(rule, site, telemetry, metrics)
             if rule.kind == "delay":
-                time.sleep(rule.delay_s)
+                time.sleep(max(0.0, min(rule.delay_s, deadline - time.monotonic())))
                 return rule
             if rule.kind == "error":
                 message = rule.message or f"injected fault at {site}"

@@ -17,7 +17,9 @@ campaign (the :class:`~repro.sweep.runner.SweepRunner` worker pool), not
 across campaigns.  Each execution happens in a thread
 (:func:`asyncio.to_thread`) so the event loop keeps serving requests, and
 writes its trace under ``<data_dir>/traces/<campaign_id>/`` — the directory
-the SSE endpoint tails.
+the SSE endpoint tails.  The watchdog and :meth:`CampaignScheduler.stop`
+hand the running campaign's runner a deadline and wait for its thread to
+return, so a campaign that has ended appends nothing more to the store.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ MAX_CAMPAIGN_CELLS = 100_000
 
 #: The longest simulated duration (s) any scenario of a submitted campaign
 #: may have: one simulated day.  A scenario's work and recorder memory grow
-#: with its duration, and the service sets no per-scenario timeout by
-#: default, so one unbounded cell could hold the FIFO queue.
+#: with its duration, and a service started without a per-scenario budget
+#: could let one unbounded cell hold the FIFO queue.
 MAX_SCENARIO_DURATION_S = 86_400
 
 
@@ -227,8 +229,8 @@ class CampaignScheduler:
         #: the disabled bundle's no-op registry.
         self.metrics = metrics if metrics is not None else DISABLED.metrics
         #: Per-campaign wall-clock budget: a campaign running longer is
-        #: failed honestly (``scheduler.watchdog_timeout``) instead of
-        #: wedging the FIFO queue forever.
+        #: stopped and failed honestly (``scheduler.watchdog_timeout``)
+        #: instead of wedging the FIFO queue forever.
         self.watchdog_s = watchdog_s
         #: Run-ledger path: every finished campaign appends a RunSummary.
         self.ledger = Path(ledger) if ledger is not None else None
@@ -239,6 +241,9 @@ class CampaignScheduler:
         self._queue: "asyncio.Queue[Campaign]" = asyncio.Queue()
         self._task: Optional[asyncio.Task] = None
         self._stopping = False
+        #: The running campaign's deadline (``time.monotonic``) and runner.
+        self._deadline = math.inf
+        self._runner: Optional[SweepRunner] = None
 
     @property
     def alive(self) -> bool:
@@ -346,7 +351,14 @@ class CampaignScheduler:
             await asyncio.sleep(poll_s)
 
     async def stop(self) -> None:
+        """Stop the worker task; a running campaign dispatches nothing more and fails.
+
+        Returns after the campaign's thread has returned, so nothing is
+        appended afterwards; a scenario already running ends first, by its
+        own ``timeout_s`` at the latest.
+        """
         self._stopping = True
+        self._stop_campaign()
         if self._task is not None:
             self._task.cancel()
             try:
@@ -354,6 +366,18 @@ class CampaignScheduler:
             except asyncio.CancelledError:
                 pass
             self._task = None
+
+    def _stop_campaign(self) -> None:
+        """Hand the running campaign (if any) a deadline of now.
+
+        Writes ``_deadline`` before it reads ``_runner``, and ``_execute``
+        publishes ``_runner`` before it reads ``_deadline``: whichever runs
+        second hands the runner the deadline.
+        """
+        self._deadline = time.monotonic()
+        runner = self._runner
+        if runner is not None:
+            runner.stop_at(self._deadline)
 
     async def _worker(self) -> None:
         while True:
@@ -366,30 +390,31 @@ class CampaignScheduler:
             campaign = await self._queue.get()
             campaign.state = RUNNING
             campaign.started_t = time.time()
+            # No runner exists yet: the last campaign's thread has returned.
+            self._deadline = (
+                math.inf if self.watchdog_s is None else time.monotonic() + self.watchdog_s
+            )
+            work = asyncio.ensure_future(asyncio.to_thread(self._execute, campaign))
             try:
-                work = asyncio.to_thread(self._execute, campaign)
-                if self.watchdog_s is not None:
-                    campaign.result = await asyncio.wait_for(work, timeout=self.watchdog_s)
-                else:
-                    campaign.result = await work
+                campaign.result = await asyncio.shield(work)
                 campaign.state = DONE
             except asyncio.CancelledError:
                 campaign.state = FAILED
                 campaign.error = "service shut down mid-run"
+                self._stop_campaign()
+                await asyncio.wait({work})
+                work.exception()  # retrieved: the campaign has failed either way
                 campaign.finished_t = time.time()
                 raise
-            except TimeoutError:
-                # The execution thread cannot be killed and keeps running to
-                # waste-free completion (records land in the shared store);
-                # the *campaign* fails honestly and the queue moves on.
-                campaign.state = FAILED
-                campaign.error = (
-                    f"campaign exceeded the {self.watchdog_s:g} s watchdog budget"
-                )
-                self.metrics.counter("scheduler.watchdog_timeout")
             except Exception as exc:  # noqa: BLE001 — a bad campaign must not kill the worker
                 campaign.state = FAILED
-                campaign.error = f"{type(exc).__name__}: {exc}"
+                if self.watchdog_s is not None and time.monotonic() >= self._deadline:
+                    campaign.error = (
+                        f"campaign exceeded the {self.watchdog_s:g} s watchdog budget"
+                    )
+                    self.metrics.counter("scheduler.watchdog_timeout")
+                else:
+                    campaign.error = f"{type(exc).__name__}: {exc}"
             finally:
                 if campaign.finished_t is None:
                     campaign.finished_t = time.time()
@@ -433,6 +458,8 @@ class CampaignScheduler:
                 fast=self.fast,
                 telemetry=telemetry,
             )
+            self._runner = runner
+            runner.stop_at(self._deadline)
             if campaign.kind == "sweep":
                 report = runner.run(SweepSpec.from_dict(campaign.snapshot))
                 result = {
@@ -460,6 +487,7 @@ class CampaignScheduler:
             self._append_ledger(campaign)
             return result
         finally:
+            self._runner = None
             telemetry.close()
 
     def _append_ledger(self, campaign: Campaign) -> None:

@@ -36,6 +36,8 @@ selects.  Both run through this one loop.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +50,11 @@ from ..soc.platform import SoCPlatform
 from .result import SimulationEvent, SimulationResult
 from .supplies import Supply
 
-__all__ = ["SimulationConfig", "EnergyHarvestingSimulation", "simulate"]
+__all__ = ["DeadlineExceeded", "SimulationConfig", "EnergyHarvestingSimulation", "simulate"]
+
+
+class DeadlineExceeded(TimeoutError):
+    """Raised by :meth:`EnergyHarvestingSimulation.run` once its deadline passes."""
 
 
 @dataclass
@@ -221,6 +227,9 @@ class EnergyHarvestingSimulation:
         self.capacitor = capacitor if capacitor is not None else Supercapacitor(PAPER_BUFFER_CAPACITANCE_F)
         self.config = config if config is not None else SimulationConfig()
         self.monitor = VoltageMonitor(quantised=self.config.monitor_quantised)
+        #: A time.monotonic() instant: run() raises DeadlineExceeded at the
+        #: first record tick past it.
+        self.deadline = math.inf
 
     # ------------------------------------------------------------------
     # Initial conditions
@@ -303,6 +312,8 @@ class EnergyHarvestingSimulation:
         monitor_sample = monitor.sample
         platform_advance = platform.advance
         next_record = recorder.next_record_time
+        deadline = self.deadline
+        monotonic = time.monotonic
 
         # Event-driven load power: platform power and instruction rate are
         # piecewise constant between actuation events; re-read them only when
@@ -457,6 +468,8 @@ class EnergyHarvestingSimulation:
             #    when this step actually lands on a record tick)
             # --------------------------------------------------------------
             if t + 1e-12 >= next_record:
+                if monotonic() >= deadline:
+                    raise DeadlineExceeded(f"deadline passed at simulated t={t:.3f} s")
                 if running:
                     opp = platform.current_opp
                     recorder.record_tick(

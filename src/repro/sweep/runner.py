@@ -9,10 +9,13 @@ is appended to the store *immediately*, so interrupting a campaign (Ctrl-C,
 OOM kill, power loss) costs at most the scenarios in flight — rerunning with
 the same store resumes where it stopped.
 
-Worker failures, a slot dying mid-scenario included, are captured as
-``status == "error"`` records and per-scenario timeouts as ``status ==
-"timeout"`` (the overrunning slot is killed and respawned); both are persisted
-for post-mortems and retried on the next run.  A progress callback receives
+Work stops one way: the process running a scenario checks its deadline,
+``min(start + timeout_s, campaign deadline)``, at every simulator record
+tick.  Past its own budget a scenario gets a ``status == "timeout"`` record;
+the campaign deadline (:meth:`SweepRunner.stop_at`) records and dispatches
+nothing more.  Worker failures, a slot dying mid-scenario included, are
+captured as ``status == "error"`` records.  Both are persisted for
+post-mortems and retried on the next run.  A progress callback receives
 every completed cell (cached or computed) for live reporting.
 
 The slots are the one local fan-out; a campaign spread over several hosts
@@ -23,8 +26,10 @@ shard stores afterwards (``repro store merge``).
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing.connection
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -34,6 +39,7 @@ from .. import faults
 from ..faults import DEFAULT_RETRY_POLICY, RetryPolicy, classify_error
 from ..obs.telemetry import DISABLED, Telemetry
 from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
+from ..sim.simulator import DeadlineExceeded
 from .scenario import run_scenario, worker_stamp
 from .spec import ScenarioConfig, SweepSpec, expand_unique
 from .store import ResultStore
@@ -90,14 +96,15 @@ def _reset_inherited_signals() -> None:
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
-def _execute_payload(payload: "tuple[dict, int, bool] | tuple") -> dict:
+def _execute_payload(payload: tuple) -> Optional[dict]:
     """Top-level worker entry point (picklable for multiprocessing).
 
-    The optional fourth element is the coordinator's wall-clock submission
-    time; the gap to the worker actually starting is the scenario's
-    **queue-wait** phase (same machine, same clock), folded into the
-    record's ``timings``.  The optional fifth element is a serialised
-    :class:`~repro.faults.RetryPolicy` governing in-worker retries.
+    ``payload`` is built by :meth:`SweepRunner._payload`.  The gap from its
+    ``enqueued_wall`` (the coordinator's wall-clock submission time) to the
+    worker actually starting is the scenario's **queue-wait** phase (same
+    machine, same clock), folded into the record's ``timings``.  A scenario
+    that passes its deadline is never retried: past its own budget it gets a
+    ``timeout`` record, stopped by the campaign deadline it gets ``None``.
 
     Transient failures (I/O, injected chaos — see
     :func:`~repro.faults.classify_error`) are retried here, inside the
@@ -107,13 +114,12 @@ def _execute_payload(payload: "tuple[dict, int, bool] | tuple") -> dict:
     from identity) so the coordinator can count ``retry.*`` without a
     second channel.
     """
-    config_dict, series_samples, fast = payload[:3]
-    queue_wait_s = (
-        max(0.0, time.time() - payload[3])
-        if len(payload) > 3 and payload[3] is not None
-        else 0.0
-    )
-    retry = RetryPolicy.from_dict(payload[4]) if len(payload) > 4 else DEFAULT_RETRY_POLICY
+    config_dict, series_samples, fast, enqueued_wall, retry, timeout_s, campaign_deadline = payload
+    started = time.monotonic()
+    queue_wait_s = max(0.0, time.time() - enqueued_wall)
+    own_deadline = started + timeout_s if timeout_s is not None else math.inf
+    deadline = min(own_deadline, campaign_deadline)
+    retry = RetryPolicy.from_dict(retry)
     config = ScenarioConfig.from_dict(config_dict)
     injector = faults.active()
     attempt = 0
@@ -123,11 +129,27 @@ def _execute_payload(payload: "tuple[dict, int, bool] | tuple") -> dict:
         try:
             if injector is not None:
                 rule = injector.fire(
-                    "worker.simulate", scenario_id=config.scenario_id, attempt=attempt
+                    "worker.simulate",
+                    deadline=deadline,
+                    scenario_id=config.scenario_id,
+                    attempt=attempt,
                 )
                 if rule is not None:
                     injected += 1
-            record = run_scenario(config, series_samples=series_samples, fast=fast)
+            record = run_scenario(
+                config, series_samples=series_samples, fast=fast, deadline=deadline
+            )
+        except DeadlineExceeded:
+            if own_deadline > campaign_deadline:
+                return None
+            record = {
+                "scenario_id": config.scenario_id,
+                "config": config.to_dict(),
+                "status": "timeout",
+                "error": f"scenario exceeded {timeout_s:g} s budget",
+                "elapsed_s": time.monotonic() - started,
+                "worker": worker_stamp(),
+            }
         except Exception as exc:  # noqa: BLE001 — workers must not crash the pool
             if getattr(exc, "site", None) is not None:
                 injected += 1
@@ -187,23 +209,22 @@ class _Slot:
         child.close()
         self.keys: set = set()
         self.config: Optional[ScenarioConfig] = None  # the scenario in flight
-        self.deadline: Optional[float] = None
 
-    def submit(self, config: ScenarioConfig, key, payload: tuple, timeout_s) -> None:
+    def submit(self, config: ScenarioConfig, key, payload: tuple) -> None:
         self.keys.add(key)
         self.config = config
-        self.deadline = time.monotonic() + timeout_s if timeout_s is not None else None
         with contextlib.suppress(OSError):  # died idle: reported at its pipe's EOF
             self.conn.send(payload)
 
-    def lost(self, status: str, error: str) -> dict:
-        """The record of the scenario in flight when this (reaped) slot died."""
+    def lost(self) -> dict:
+        """The error record of the scenario in flight when this (reaped) slot died."""
         self.conn.close()
         return {
             "scenario_id": self.config.scenario_id,
             "config": self.config.to_dict(),
-            "status": status,
-            "error": error,
+            "status": "error",
+            "error": f"worker exited with code {self.proc.exitcode} mid-scenario",
+            "error_kind": "transient",
             "worker": {**worker_stamp(), "pid": self.proc.pid},
         }
 
@@ -226,13 +247,12 @@ class SweepRunner:
     store:
         The :class:`~repro.sweep.store.ResultStore` holding completed cells.
     workers:
-        Number of worker processes; ``<= 1`` runs inline in this process.
+        Number of worker processes; ``1`` runs inline in this process.
     timeout_s:
-        Per-scenario wall-clock budget; a slot still running at its deadline
-        is killed and respawned.  Setting it forces slot execution — one
-        worker slot when ``workers == 1`` — because an inline run cannot be
-        interrupted without signals; leave it ``None`` for true inline
-        execution.
+        Per-scenario wall-clock budget.  The process running a scenario
+        stops it at ``start + timeout_s`` (the simulator loop checks the
+        deadline at every record tick) and records ``status == "timeout"``;
+        ``None`` sets no budget.
     series_samples:
         When > 0, each record stores the simulation series decimated to this
         many samples.
@@ -284,10 +304,24 @@ class SweepRunner:
         self.fast = bool(fast)
         self.telemetry = telemetry if telemetry is not None else DISABLED
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
+        self.deadline = math.inf  # the campaign deadline: see stop_at
+        self._deadline_lock = threading.Lock()
+
+    def stop_at(self, deadline: float) -> None:
+        """Stop the campaign at ``deadline``, a :func:`time.monotonic` instant.
+
+        May be called from another thread while :meth:`run` executes; a
+        scenario already running keeps the deadline it was dispatched with.
+        """
+        with self._deadline_lock:
+            self.deadline = min(self.deadline, deadline)
 
     # ------------------------------------------------------------------
     def run(self, campaign: Union[SweepSpec, Sequence[ScenarioConfig]]) -> SweepReport:
         """Run every scenario not already completed in the store.
+
+        Raises :class:`TimeoutError` when the campaign deadline left
+        scenarios unrun (every record computed before it is in the store).
 
         Phase spans are measured with *shared* clock marks — each phase ends
         exactly where the next begins — so the ``campaign.phase`` spans tile
@@ -325,12 +359,8 @@ class SweepRunner:
         tracer.span_event("campaign.phase", mark - prev, phase="cache-scan")
 
         if pending:
-            # A timeout is a promise of enforcement: honour it even at
-            # workers == 1 by running one worker slot (the serial path
-            # cannot interrupt a hung scenario).
-            use_pool = self.workers > 1 or self.timeout_s is not None
-            runner = self._run_pool if use_pool else self._run_serial
-            for record in runner(pending):
+            execute = self._run_pool if self.workers > 1 else self._run_serial
+            for record in execute(pending):
                 write_t0 = time.perf_counter()
                 self.store.append(record)
                 write_s = time.perf_counter() - write_t0
@@ -401,6 +431,11 @@ class SweepRunner:
         tracer.span_event(
             "campaign.run", mark - started, workers=self.workers, **report.summary()
         )
+        unrun = report.total - len(report.records)
+        if unrun:
+            raise TimeoutError(
+                f"campaign deadline passed with {unrun} of {report.total} scenario(s) not run"
+            )
         return report
 
     # ------------------------------------------------------------------
@@ -411,31 +446,36 @@ class SweepRunner:
         if self.progress is not None:
             self.progress(done, total, record, cached)
 
+    def _payload(self, config: ScenarioConfig, enqueued_wall: float) -> tuple:
+        """The :func:`_execute_payload` argument for ``config``, dispatched now."""
+        retry = self.retry.to_dict()
+        fields = (self.series_samples, self.fast, enqueued_wall, retry, self.timeout_s)
+        return (config.to_dict(), *fields, self.deadline)
+
     def _run_serial(self, pending: list[ScenarioConfig]):
         # Queue-wait is measured from when the batch was enqueued: a
         # scenario's wait is the time it spent behind earlier work.
         enqueued_wall = time.time()
-        retry = self.retry.to_dict()
         for config in pending:
-            yield _execute_payload(
-                (config.to_dict(), self.series_samples, self.fast, enqueued_wall, retry)
-            )
+            if time.monotonic() >= self.deadline:
+                return
+            record = _execute_payload(self._payload(config, enqueued_wall))
+            if record is not None:
+                yield record
 
     def _run_pool(self, pending: list[ScenarioConfig]):
         """Yield records in completion order from dedicated worker slots.
 
         Each of ``workers`` slots is one process fed over its own pipe, one
-        scenario at a time, so a scenario's deadline measures its actual
-        runtime.  The coordinator sleeps in ``connection.wait`` until a slot
-        answers or the nearest deadline passes.  A freed slot takes the
-        scenario :func:`_next_for_slot` picks, which keeps scenarios sharing
-        a supply on the slot that already tabulated it.  Records are yielded
-        (and so persisted by the caller) the moment they complete, so an
-        interrupt loses at most the scenarios in flight.  A slot whose
-        scenario overruns is killed at its deadline (a ``timeout`` record); a
-        slot that dies mid-scenario yields a transient ``error`` record with
-        its exit code.  Either way the slot is respawned and the campaign
-        goes on.
+        scenario at a time.  The coordinator sleeps in ``connection.wait``
+        until a slot answers.  A freed slot takes the scenario
+        :func:`_next_for_slot` picks, which keeps scenarios sharing a supply
+        on the slot that already tabulated it (none after the campaign
+        deadline).  Records are yielded (and so persisted by the caller) the
+        moment they complete, so an interrupt loses at most the scenarios in
+        flight; busy slots are killed only then.  A slot that dies
+        mid-scenario yields a transient ``error`` record with its exit code
+        and is respawned, and the campaign goes on.
         """
         ctx = multiprocessing.get_context()
         queue = list(pending)
@@ -445,44 +485,33 @@ class SweepRunner:
         # now; a worker's measured wait is the time its cell spent queued
         # behind earlier cells (plus dispatch latency).
         enqueued_wall = time.time()
-        shared = (self.series_samples, self.fast, enqueued_wall, self.retry.to_dict())
         slots = [_Slot(ctx) for _ in range(min(self.workers, len(pending)))]
         try:
             while True:
+                if time.monotonic() >= self.deadline:
+                    queue.clear()
                 for slot in slots:
                     if slot.config is None and queue:
                         others = set().union(*(s.keys for s in slots if s is not slot))
                         index = _next_for_slot(keys, slot.keys, others)
                         config = queue.pop(index)
-                        payload = (config.to_dict(), *shared)
-                        slot.submit(config, keys.pop(index), payload, self.timeout_s)
+                        slot.submit(config, keys.pop(index), self._payload(config, enqueued_wall))
                 busy = [slot for slot in slots if slot.config is not None]
                 if not busy:
                     return
-                deadlines = [slot.deadline for slot in busy if slot.deadline is not None]
-                wait_s = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-                ready = multiprocessing.connection.wait([slot.conn for slot in busy], wait_s)
+                ready = multiprocessing.connection.wait([slot.conn for slot in busy])
                 for i, slot in enumerate(slots):
-                    if slot.config is None:
+                    if slot.config is None or slot.conn not in ready:
                         continue
-                    if slot.conn in ready:
-                        try:
-                            record = slot.conn.recv()
-                            slot.config = None
-                        except (EOFError, OSError):
-                            slot.proc.join()
-                            error = f"worker exited with code {slot.proc.exitcode} mid-scenario"
-                            record = {**slot.lost("error", error), "error_kind": "transient"}
-                            slots[i] = _Slot(ctx)
-                    elif slot.deadline is not None and time.monotonic() >= slot.deadline:
-                        slot.proc.kill()
+                    try:
+                        record = slot.conn.recv()
+                        slot.config = None
+                    except (EOFError, OSError):
                         slot.proc.join()
-                        error = f"scenario exceeded {self.timeout_s:g} s budget"
-                        record = slot.lost("timeout", error)
+                        record = slot.lost()
                         slots[i] = _Slot(ctx)
-                    else:
-                        continue
-                    yield record
+                    if record is not None:
+                        yield record
         finally:
             for slot in slots:
                 slot.stop()

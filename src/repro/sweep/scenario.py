@@ -17,6 +17,7 @@ surface:
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -106,6 +107,7 @@ def run_scenario(
     config: ScenarioConfig,
     series_samples: int = 0,
     fast: bool = True,
+    deadline: float = math.inf,
 ) -> dict:
     """Run one scenario and return its store record.
 
@@ -117,7 +119,10 @@ def run_scenario(
     (``build_system(fast=False)``: Lambert-W supply solves on the same
     simulator loop); the choice is stamped into the record as ``"engine"``
     for post-mortems but is *not* part of the scenario identity, so stores
-    stay comparable across engines.
+    stay comparable across engines.  ``deadline`` (a :func:`time.monotonic`
+    instant) is set on the built simulation, which raises
+    :class:`~repro.sim.simulator.DeadlineExceeded` at the first record tick
+    past it.
 
     Telemetry stamps (all additive, all outside the scenario hash):
     ``wall_time_s`` (Unix completion time), ``worker`` (pid, shard index
@@ -131,6 +136,7 @@ def run_scenario(
     cpu_started = time.process_time()
     started = time.perf_counter()
     built = build_system(config, fast=fast)
+    built.simulation.deadline = deadline
     built_at = time.perf_counter()
     # Materialise a fast-mode PV table (a cache hit once this process has
     # built it; None for exact or non-PV supplies) so simulate_s is the loop.

@@ -553,28 +553,53 @@ class TestSchedulerSupervision:
 
         asyncio.run(scenario())
 
+    @staticmethod
+    def _wedge_first_scenario(spec) -> None:
+        """Delay the first scenario of ``spec`` far past any budget."""
+        from repro import faults
+        from repro.faults import FaultPlan, FaultRule
+
+        wedged = spec.scenarios()[0].scenario_id
+        rule = FaultRule(
+            site="worker.simulate", kind="delay", delay_s=60.0, match={"scenario_id": wedged}
+        )
+        faults.install(FaultPlan(rules=(rule,)))
+
+    @staticmethod
+    def _lines_of(store_path, scenario_ids) -> int:
+        if not store_path.exists():
+            return 0
+        lines = store_path.read_text(encoding="utf-8").splitlines()
+        return sum(json.loads(line)["scenario_id"] in scenario_ids for line in lines)
+
     def test_watchdog_fails_wedged_campaign_and_queue_moves_on(
         self, tmp_path, monkeypatch
     ):
         from repro.obs import MetricsRegistry
 
+        stuck_spec = build_preset("dist-smoke")
+        self._wedge_first_scenario(stuck_spec)
+        store_path = tmp_path / "s.jsonl"
+        stuck_ids = set(stuck_spec.scenario_ids())
         executions = []
+        execute = CampaignScheduler._execute
 
-        def fake_execute(self, campaign):
-            executions.append(campaign.id)
-            if len(executions) == 1:
-                time.sleep(0.6)  # wedged far past the watchdog budget
-            return {"kind": "sweep", "succeeded": True}
+        def traced_execute(self, campaign):
+            executions.append(("start", campaign.id))
+            try:
+                return execute(self, campaign)
+            finally:
+                executions.append(("end", campaign.id))
 
-        monkeypatch.setattr(CampaignScheduler, "_execute", fake_execute)
+        monkeypatch.setattr(CampaignScheduler, "_execute", traced_execute)
 
         async def scenario():
             registry = MetricsRegistry()
             scheduler = CampaignScheduler(
-                ResultStore(tmp_path / "s.jsonl"),
+                ResultStore(store_path),
                 tmp_path / "data",
                 metrics=registry,
-                watchdog_s=0.1,
+                watchdog_s=2.0,
             )
             await scheduler.start()
             stuck, _ = await scheduler.submit({"preset": "dist-smoke"})
@@ -582,16 +607,57 @@ class TestSchedulerSupervision:
                 {"kind": "sweep", "spec": smoke_spec().to_dict()}
             )
             deadline = time.monotonic() + 30
+            stuck_lines_at_failure = None
             while healthy.state not in TERMINAL_STATES:
                 assert time.monotonic() < deadline, "queue never moved on"
+                if stuck_lines_at_failure is None and stuck.state == "failed":
+                    stuck_lines_at_failure = self._lines_of(store_path, stuck_ids)
                 await asyncio.sleep(0.01)
             assert stuck.state == "failed"
             assert "watchdog" in stuck.error
             assert healthy.state == "done"
             assert registry.to_dict()["counters"]["scheduler.watchdog_timeout"] == 1
+            # The wedged scenario was stopped, not left running: the failed
+            # campaign appended nothing more, and the next campaign started
+            # only after its thread had returned.
+            await asyncio.sleep(0.5)
+            assert stuck_lines_at_failure is not None
+            assert self._lines_of(store_path, stuck_ids) == stuck_lines_at_failure
+            assert stuck_lines_at_failure < len(stuck_ids)
+            assert executions == [
+                ("start", stuck.id),
+                ("end", stuck.id),
+                ("start", healthy.id),
+                ("end", healthy.id),
+            ]
             await scheduler.stop()
 
         asyncio.run(scenario())
+
+    def test_stop_mid_campaign_returns_after_the_last_append(self, tmp_path):
+        spec = build_preset("dist-smoke")
+        self._wedge_first_scenario(spec)
+        store_path = tmp_path / "s.jsonl"
+        ids = set(spec.scenario_ids())
+
+        async def scenario():
+            scheduler = CampaignScheduler(
+                ResultStore(store_path), tmp_path / "data", timeout_s=2.0
+            )
+            await scheduler.start()
+            campaign, _ = await scheduler.submit({"preset": "dist-smoke"})
+            deadline = time.monotonic() + 30
+            while self._lines_of(store_path, ids) == 0:
+                assert time.monotonic() < deadline, "campaign never appended"
+                await asyncio.sleep(0.01)
+            await scheduler.stop()
+            assert campaign.state == "failed"
+            assert campaign.error == "service shut down mid-run"
+            return self._lines_of(store_path, ids)
+
+        lines_at_stop = asyncio.run(scenario())
+        time.sleep(0.5)
+        assert self._lines_of(store_path, ids) == lines_at_stop
 
     def test_watchdog_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="watchdog_s"):

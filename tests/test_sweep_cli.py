@@ -100,6 +100,63 @@ class TestParser:
         assert args.action == "compact" and args.store == "x.jsonl"
 
 
+class TestRunFlagValidation:
+    """Bad run flags stop at the parser: exit 2 and one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--timeout", "0"], "argument --timeout: must be > 0 (got 0)"),
+            (["sweep", "--timeout", "-5"], "argument --timeout: must be > 0 (got -5)"),
+            (["sweep", "--timeout", "soon"], "argument --timeout: invalid float value: 'soon'"),
+            (["sweep", "--workers", "0"], "argument --workers: must be >= 1 (got 0)"),
+            (["sweep", "--series", "-3"], "argument --series: must be >= 0 (got -3)"),
+            (["boundary", "--timeout", "0"], "argument --timeout: must be > 0"),
+            (
+                ["shard", "--num-shards", "1", "--shard-index", "0", "--workers", "0"],
+                "argument --workers: must be >= 1",
+            ),
+            (["serve", "--timeout", "-1"], "argument --timeout: must be > 0"),
+            (["serve", "--watchdog", "0"], "argument --watchdog: must be > 0"),
+            (["serve", "--resource-interval", "0"], "argument --resource-interval: must be > 0"),
+            (["serve", "--series", "-1"], "argument --series: must be >= 0"),
+        ],
+    )
+    def test_bad_value_exits_2_with_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert message in errors[0]
+
+    def test_commands_keep_their_own_defaults(self):
+        parser = build_parser()
+        sweep = parser.parse_args(["sweep"])
+        shard = parser.parse_args(["shard", "--num-shards", "2", "--shard-index", "0"])
+        boundary = parser.parse_args(["boundary"])
+        serve = parser.parse_args(["serve"])
+        assert (sweep.workers, shard.workers, boundary.workers, serve.workers) == (2, 1, 2, 2)
+        assert (sweep.store, shard.store, boundary.store, serve.store) == (
+            "sweep_results.jsonl",
+            None,
+            "boundary_results.jsonl",
+            "serve_results.jsonl",
+        )
+        assert parser.parse_args(["store", "compact"]).store == "sweep_results.jsonl"
+        for args in (sweep, shard, boundary, serve):
+            assert args.timeout == 600.0
+
+    def test_serve_passes_the_default_budget_to_the_service(self, monkeypatch):
+        import repro.serve
+
+        received = {}
+        monkeypatch.setattr(repro.serve, "run_service", lambda **kwargs: received.update(kwargs) or 0)
+        assert main(["serve", "--port", "0"]) == 0
+        assert received["timeout_s"] == 600.0
+        assert received["workers"] == 2
+
+
 class TestExecution:
     def test_sweep_runs_writes_store_and_caches(self, tmp_path, capsys):
         store = tmp_path / "campaign.jsonl"

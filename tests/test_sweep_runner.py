@@ -1,9 +1,12 @@
 """Tests for campaign execution: caching, resume, failures, parallelism."""
 
-import os
+import sys
+import threading
+import time
 
 import pytest
 
+import repro.sweep.runner as runner_module
 from repro import faults
 from repro.faults import FaultPlan, FaultRule
 from repro.sweep import (
@@ -163,9 +166,9 @@ class TestParallelExecution:
         assert not ResultStore(path).is_complete(config)
 
     def test_timeout_is_enforced_at_workers_1(self, tmp_path):
-        """A timeout is a promise: even workers=1 must interrupt a hung
-        scenario (via a 1-slot pool) instead of silently ignoring the
-        budget."""
+        """A timeout is a promise: even workers=1 must stop an overrunning
+        scenario (the simulator loop checks the deadline inline) instead of
+        silently ignoring the budget."""
         config = ScenarioConfig(governor="power-neutral", duration_s=120.0)
         report = SweepRunner(
             ResultStore(tmp_path / "s.jsonl"), workers=1, timeout_s=1e-3
@@ -217,6 +220,8 @@ class TestWorkerSlots:
         assert resumed.succeeded
 
     def test_overrunning_worker_is_killed_at_its_deadline(self, tmp_path):
+        """The slot stops its overrunning scenario at the deadline itself,
+        is not killed, and runs the next scenario."""
         spec = tiny_spec(seeds=(1, 2))
         slow = spec.scenarios()[0].scenario_id
         faults.install(
@@ -231,24 +236,127 @@ class TestWorkerSlots:
                 )
             )
         )
-        alive_at_report = []
+        seen = []
 
         def progress(done, total, record, cached):
-            if record["status"] == "timeout":
-                pid = record["worker"]["pid"]
-                try:
-                    os.kill(pid, 0)
-                    alive_at_report.append(True)
-                except ProcessLookupError:
-                    alive_at_report.append(False)
+            seen.append((record["status"], record["worker"]["pid"]))
+            if len(seen) == 1:
+                # Hold the coordinator past the slow scenario's deadline, so
+                # work is still queued when its slot comes free.
+                time.sleep(2.5)
 
         report = SweepRunner(
             ResultStore(tmp_path / "s.jsonl"), workers=2, timeout_s=2.0, progress=progress
         ).run(spec)
         assert report.timed_out == 1
-        assert alive_at_report == [False]
         (timed_out,) = [r for r in report.records if r["status"] == "timeout"]
         assert timed_out["scenario_id"] == slow
+        assert 2.0 <= timed_out["elapsed_s"] < 4.0
+        slot_runs = [status for status, pid in seen if pid == timed_out["worker"]["pid"]]
+        assert slot_runs[0] == "timeout"
+        assert "ok" in slot_runs[1:]
+
+    def test_inline_delay_past_the_budget_times_out_without_a_process(
+        self, tmp_path, monkeypatch
+    ):
+        def no_slot(ctx):
+            raise AssertionError("workers=1 must not start a worker process")
+
+        monkeypatch.setattr(runner_module, "_Slot", no_slot)
+        faults.install(
+            FaultPlan(rules=(FaultRule(site="worker.simulate", kind="delay", delay_s=60.0),))
+        )
+        config = ScenarioConfig(governor="power-neutral", duration_s=DURATION_S)
+        started = time.monotonic()
+        report = SweepRunner(
+            ResultStore(tmp_path / "s.jsonl"), workers=1, timeout_s=2.0
+        ).run([config])
+        assert time.monotonic() - started < 10.0
+        (record,) = report.records
+        assert record["status"] == "timeout"
+        assert record["error"] == "scenario exceeded 2 s budget"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timed_out_scenario_is_not_retried(self, tmp_path, workers):
+        # The deadline's exit is a TimeoutError, which classify_error calls
+        # transient; it must still be recorded at once.
+        config = ScenarioConfig(governor="power-neutral", duration_s=120.0)
+        report = SweepRunner(
+            ResultStore(tmp_path / "s.jsonl"), workers=workers, timeout_s=1e-3
+        ).run([config])
+        (record,) = report.records
+        assert record["status"] == "timeout"
+        assert record["attempts"] == 1
+        assert report.retried == 0
+
+
+class TestCampaignDeadline:
+    @pytest.fixture(autouse=True)
+    def _clean_injector(self):
+        faults.reset()
+        yield
+        faults.reset()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nothing_is_dispatched_after_the_deadline(self, tmp_path, workers):
+        store = ResultStore(tmp_path / "s.jsonl")
+        runner = SweepRunner(store, workers=workers)
+
+        def progress(done, total, record, cached):
+            runner.stop_at(time.monotonic())
+
+        runner.progress = progress
+        with pytest.raises(TimeoutError, match="not run"):
+            runner.run(tiny_spec(seeds=(1, 2, 3)))
+        # The first record stopped the campaign; at workers=2 the other slot
+        # may finish the scenario it was already running.
+        assert 1 <= len(ResultStore(tmp_path / "s.jsonl")) <= workers
+
+    def test_concurrent_stop_at_keeps_the_earliest_deadline(self, tmp_path):
+        runner = SweepRunner(ResultStore(tmp_path / "s.jsonl"))
+        deadlines = [[1000.0 + 8 * i + j for i in range(200)] for j in range(8)]
+
+        def hand(values):
+            for value in reversed(values):
+                runner.stop_at(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hand, args=(d,)) for d in deadlines]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert runner.deadline == 1000.0
+
+    def test_scenario_stopped_by_the_campaign_deadline_leaves_no_record(self, tmp_path):
+        spec = tiny_spec(seeds=(1, 2))
+        slow = spec.scenarios()[0].scenario_id
+        faults.install(
+            FaultPlan(
+                rules=(
+                    FaultRule(
+                        site="worker.simulate",
+                        kind="delay",
+                        delay_s=60.0,
+                        match={"scenario_id": slow},
+                    ),
+                )
+            )
+        )
+        runner = SweepRunner(ResultStore(tmp_path / "s.jsonl"), workers=2, timeout_s=60.0)
+        runner.stop_at(time.monotonic() + 2.0)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="1 of 4 scenario"):
+            runner.run(spec)
+        assert time.monotonic() - started < 10.0
+        records = ResultStore(tmp_path / "s.jsonl").records()
+        assert [r["status"] for r in records] == ["ok"] * 3
+        assert slow not in {r["scenario_id"] for r in records}
 
 
 class TestAggregation:
