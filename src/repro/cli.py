@@ -84,7 +84,6 @@ from .obs import (
     DISABLED,
     DiffThresholds,
     ProgressRenderer,
-    ResourceSampler,
     RunLedger,
     Telemetry,
     build_report,
@@ -95,7 +94,6 @@ from .obs import (
     format_report,
     ledger_path,
     load_events,
-    metrics_sidecar_path,
     run_top,
     summarize_run,
 )
@@ -189,10 +187,10 @@ _RUN_FLAGS: dict[str, dict] = {
         "metavar": "DIR",
         "help": (
             "write JSONL trace events (phase spans, per-scenario timings, "
-            "counters; serve: request spans and resource gauges) to "
-            "per-process files in DIR, plus a metrics.json sidecar next to "
-            "the store; inspect with 'obs tail DIR' / 'obs report DIR' / "
-            "'obs top DIR'"
+            "counters, the campaign's CPU seconds and peak RSS from "
+            "getrusage; serve: request spans) to per-process files in DIR, "
+            "plus a metrics.json sidecar next to the store; inspect with "
+            "'obs tail DIR' / 'obs report DIR' / 'obs top DIR'"
         ),
     },
     "--profile": {
@@ -491,8 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
             "poll /campaigns/{id}, stream live trace events from "
             "/campaigns/{id}/events (Server-Sent Events), and fetch results "
             "from /campaigns/{id}/records and /aggregate, filtered from the "
-            "records the open store holds. Submit with 'repro submit' or any "
-            "HTTP client; stop with Ctrl-C."
+            "records the open store holds. GET /metrics reads the process's "
+            "RSS, CPU seconds, open fds and threads when it is scraped; the "
+            "registry is written to <data-dir>/metrics.json at shutdown. "
+            "Submit with 'repro submit' or any HTTP client; stop with Ctrl-C."
         ),
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
@@ -509,16 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--token",
         default=None,
         help="require 'Authorization: Bearer TOKEN' on every endpoint except /healthz",
-    )
-    serve.add_argument(
-        "--resource-interval",
-        type=_SECONDS,
-        default=5.0,
-        metavar="S",
-        help=(
-            "seconds between process-resource samples (RSS, CPU, fds, "
-            "threads) and metrics flushes (default: %(default)s)"
-        ),
     )
     serve.add_argument(
         "--watchdog",
@@ -614,11 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
             "mid-campaign — e.g. shard workers starting up). 'report' "
             "aggregates the stream: per-phase wall-time breakdown with "
             "coverage, cache-hit ratio, slowest scenarios, per-worker "
-            "utilisation and queue-wait statistics, counter totals, HTTP "
-            "route latencies and resource usage when present. 'top' is the "
-            "live view: a refreshing terminal frame of throughput, request "
-            "p50/p95 per route, in-flight requests and RSS/CPU, fed by the "
-            "same polling the SSE endpoint uses. 'diff' compares two runs "
+            "utilisation and queue-wait statistics, exact scenario-latency "
+            "quantiles over every process's scenario spans, counter totals, "
+            "HTTP route latencies, and the campaign's CPU seconds and peak "
+            "RSS (getrusage, worker slots included). 'top' is the live view: "
+            "a refreshing terminal frame of throughput, scenario p95 and "
+            "request p50/p95 per route, fed by the same polling the SSE "
+            "endpoint uses. 'diff' compares two runs "
             "(two trace directories, or one against the run ledger) and "
             "exits 1 when a regression threshold is breached — wire it into "
             "CI to catch performance regressions."
@@ -1037,13 +1029,10 @@ def _run_campaign(
 
     Opens the store (:func:`_open_store`) with telemetry enabled iff
     ``--trace DIR`` was passed, builds the :class:`SweepRunner` from the run
-    flags and calls ``body`` under the resource sampler (a no-op without
-    --trace; with it, RSS/CPU gauges land in the trace and the metrics
-    sidecar is re-flushed every few seconds, so a killed run still leaves a
-    snapshot) and, with --profile, under cProfile: the binary profile lands
-    in ``<trace>/profile.prof`` (or ``<store>.prof``) and the 15 hottest
-    functions are printed.  Then it writes the metrics sidecar next to the
-    store and closes the tracer; a traced run also appends a
+    flags and calls ``body``; with --profile, under cProfile: the binary
+    profile lands in ``<trace>/profile.prof`` (or ``<store>.prof``) and the
+    15 hottest functions are printed.  Then it writes the metrics sidecar
+    next to the store and closes the tracer; a traced run also appends a
     :class:`RunSummary` to the performance-history ledger (``--ledger``,
     default ``<store>.ledger.jsonl``) for ``obs diff``.
     """
@@ -1060,25 +1049,24 @@ def _run_campaign(
         fast=engine == "fast",
         telemetry=telemetry,
     )
-    with ResourceSampler(telemetry, flush_path=metrics_sidecar_path(store.path)):
-        if not args.profile:
-            result = body(runner)
-        else:
-            import cProfile
-            import io
-            import pstats
+    if not args.profile:
+        result = body(runner)
+    else:
+        import cProfile
+        import io
+        import pstats
 
-            profiler = cProfile.Profile()
-            result = profiler.runcall(body, runner)
-            destination = (
-                Path(args.trace) / "profile.prof" if args.trace else Path(str(store.path) + ".prof")
-            )
-            destination.parent.mkdir(parents=True, exist_ok=True)
-            profiler.dump_stats(destination)
-            stream = io.StringIO()
-            pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(15)
-            print(f"profile written to {destination}")
-            print(stream.getvalue())
+        profiler = cProfile.Profile()
+        result = profiler.runcall(body, runner)
+        destination = (
+            Path(args.trace) / "profile.prof" if args.trace else Path(str(store.path) + ".prof")
+        )
+        destination.parent.mkdir(parents=True, exist_ok=True)
+        profiler.dump_stats(destination)
+        stream = io.StringIO()
+        pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(15)
+        print(f"profile written to {destination}")
+        print(stream.getvalue())
 
     sidecar = telemetry.write_metrics(store.path)
     telemetry.close()
@@ -1528,7 +1516,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         token=args.token,
         quiet=args.quiet,
         trace_dir=args.trace,
-        resource_interval_s=args.resource_interval,
         watchdog_s=args.watchdog,
     )
 
@@ -1675,7 +1662,7 @@ def _command_obs(args: argparse.Namespace) -> int:
         except FileNotFoundError as exc:
             print(f"obs report: {exc}", file=sys.stderr)
             return 2
-        report = build_report(events, slowest=args.slowest, source=args.trace)
+        report = build_report(events, slowest=args.slowest)
         if args.json:
             print(json.dumps(report, indent=2, default=str))
         else:

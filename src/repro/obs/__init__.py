@@ -1,7 +1,8 @@
 """repro.obs — structured telemetry for campaign execution.
 
-Observability for every execution layer of the campaign engine, built from
-three small parts:
+Observability for every execution layer of the campaign engine.  Each
+number it reports has one source: the trace the run writes, or the kernel.
+It is built from four small parts:
 
 * :mod:`repro.obs.tracer`  — :class:`Tracer`: append-only JSONL trace events
   (spans with monotonic durations, counters, gauges, point events), stamped
@@ -11,6 +12,9 @@ three small parts:
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: in-memory counters /
   gauges / timers rolled up once per run into a ``<store>.metrics.json``
   sidecar next to the result store;
+* :mod:`repro.obs.resource` — CPU seconds and peak RSS from ``getrusage``
+  (stamped on each ``campaign.run`` span, worker slots included) and the
+  process gauges ``/metrics`` reads when it is scraped;
 * :mod:`repro.obs.telemetry` — :class:`Telemetry`: the bundle the execution
   layers (:class:`~repro.sweep.runner.SweepRunner`,
   :class:`~repro.sweep.adaptive.BoundarySearch`,
@@ -21,10 +25,10 @@ three small parts:
 
 The read side lives in :mod:`repro.obs.report` (`load_events` merges
 per-process trace files in timestamp order; `build_report` computes the
-per-phase breakdown, cache-hit ratio, slowest-N scenarios and worker
-utilisation behind ``python -m repro obs report``; `follow_trace` feeds
-``obs tail``), and :mod:`repro.obs.progress` holds the one live-progress
-renderer all campaign CLI commands share.
+per-phase breakdown, cache-hit ratio, slowest-N scenarios, worker
+utilisation, scenario latency and CPU behind ``python -m repro obs report``;
+`follow_trace` feeds ``obs tail``), and :mod:`repro.obs.progress` holds the
+one live-progress renderer all campaign CLI commands share.
 
 Quick start::
 
@@ -66,12 +70,10 @@ from .report import (
     format_event,
     format_report,
     load_events,
-    merged_sidecar_histograms,
-    metric_sidecar_files,
     trace_files,
 )
-from .resource import ResourceSampler, read_resource_sample
-from .telemetry import DISABLED, Telemetry, metrics_file_name
+from .resource import read_resource_sample
+from .telemetry import DISABLED, Telemetry
 from .timeseries import (
     DEFAULT_LATENCY_BOUNDARIES,
     Histogram,
@@ -101,7 +103,6 @@ __all__ = [
     "render_prometheus",
     "sanitise_metric_name",
     "PROMETHEUS_CONTENT_TYPE",
-    "ResourceSampler",
     "read_resource_sample",
     "Telemetry",
     "DISABLED",
@@ -114,9 +115,6 @@ __all__ = [
     "format_event",
     "follow_trace",
     "TracePoller",
-    "metric_sidecar_files",
-    "merged_sidecar_histograms",
-    "metrics_file_name",
     "TopView",
     "run_top",
     "RunSummary",

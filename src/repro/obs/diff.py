@@ -155,7 +155,7 @@ def diff_summaries(
             continue
         rows.append(_row(f"route.{route}.p95_s", va, vb))
 
-    # --- resource peaks (informational) ----------------------------------
+    # --- CPU seconds and peak RSS (informational) ------------------------
     for key in sorted(set(a.resource) | set(b.resource)):
         rows.append(_row(f"resource.{key}", a.resource.get(key), b.resource.get(key)))
 

@@ -4,10 +4,11 @@ Every traced run is an island until something writes down what it looked
 like.  This module is that something:
 
 * :func:`summarize_run` distils one finished trace directory into a compact
-  :class:`RunSummary` — phase timings, throughput, cache-hit ratio, scenario
-  latency quantiles merged bucket-wise across **every** worker's metrics
-  sidecar (:func:`repro.obs.report.merged_sidecar_histograms`), per-route
-  request quantiles, resource peaks, fault/retry counters, and provenance
+  :class:`RunSummary` — phase timings, throughput, cache-hit ratio, exact
+  scenario-latency quantiles over the scenario spans of **every** process
+  that traced into the directory, per-route request quantiles, the
+  campaign's CPU seconds and peak RSS from ``getrusage``, fault/retry
+  counters, and provenance
   (``repro_version``, git revision, machine) — the longitudinal record a
   regression check needs, three orders of magnitude smaller than the trace;
 * :class:`RunLedger` appends those summaries to a JSONL ledger file with the
@@ -33,8 +34,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .report import build_report, load_events, merged_sidecar_histograms
-from .timeseries import Histogram
+from .report import build_report, load_events
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -48,9 +48,6 @@ __all__ = [
 
 #: Bumped when RunSummary gains/renames fields; readers tolerate unknowns.
 LEDGER_SCHEMA = 1
-
-#: The histogram series every execution layer records scenario wall time into.
-SCENARIO_HISTOGRAM = "scenario_duration_seconds"
 
 
 def ledger_path(store_path: "str | os.PathLike") -> Path:
@@ -104,12 +101,13 @@ def run_provenance() -> dict:
 class RunSummary:
     """One run's compact performance record — a single ledger line.
 
-    ``scenario_latency`` carries the quantiles of the merged
-    ``scenario_duration_seconds`` histograms from *all* worker sidecars
-    (one per shard or other traced process), with the contributing
-    worker labels; ``routes`` the per-route request quantiles; ``counters``
-    the fault/retry/restart totals a regression gate cares about.  ``meta``
-    is free-form (benchmark figures, provenance extras).
+    ``scenario_latency`` carries the exact quantiles of the executed
+    ``scenario`` spans of *all* traced processes (one per shard), with the
+    contributing worker labels; ``routes`` the per-route request quantiles;
+    ``resource`` the campaign CPU seconds (``cpu_s``, worker slots included)
+    and peak RSS (``rss_peak_bytes``) the kernel counted; ``counters`` the
+    fault/retry/restart totals a regression gate cares about.  ``meta`` is
+    free-form (benchmark figures, provenance extras).
     """
 
     kind: str = "sweep"  # sweep | shard | boundary | serve | bench
@@ -209,24 +207,6 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # Summarisation
 # ----------------------------------------------------------------------
-def _merged_series(merged: dict, name: str) -> Optional[Histogram]:
-    """All sidecar series of one histogram name (any labels) folded into one."""
-    from .metrics import split_series_key
-
-    combined: Optional[Histogram] = None
-    for key, histogram in merged.items():
-        series_name, _labels = split_series_key(key)
-        if series_name != name:
-            continue
-        if combined is None:
-            combined = Histogram(boundaries=histogram.boundaries)
-        try:
-            combined.merge(histogram)
-        except ValueError:
-            continue  # divergent boundaries: keep the dominant series
-    return combined
-
-
 def summarize_run(
     trace_dir: "str | os.PathLike",
     kind: str = "sweep",
@@ -243,7 +223,7 @@ def summarize_run(
     trace files (callers map that to exit code 2).
     """
     events = load_events(trace_dir)  # FileNotFoundError on missing/empty dir
-    report = build_report(events, source=trace_dir)
+    report = build_report(events)
     provenance = run_provenance()
 
     if campaign is None:
@@ -261,22 +241,8 @@ def summarize_run(
     basis = execute_s if execute_s else wall_s
     throughput = round(executed / basis, 4) if executed and basis else None
 
-    scenario_latency = dict((report.get("latency") or {}).get("scenario") or {})
-    if scenario_latency:
-        latency_doc = report.get("latency") or {}
-        scenario_latency["workers"] = list(latency_doc.get("workers") or [])
-    else:
-        merged, workers, _files = merged_sidecar_histograms(trace_dir)
-        histogram = _merged_series(merged, SCENARIO_HISTOGRAM)
-        if histogram is not None and histogram.count:
-            doc = histogram.to_dict()
-            scenario_latency = {
-                "count": doc["count"],
-                "mean_s": doc["mean"],
-                "max_s": doc["max"],
-                **{f"{q}_s": v for q, v in (doc["quantiles"] or {}).items()},
-                "workers": workers,
-            }
+    latency = report.get("latency")
+    scenario_latency = {**latency["scenario"], "workers": latency["workers"]} if latency else {}
 
     routes = {
         route: {
@@ -289,14 +255,10 @@ def summarize_run(
         for route, entry in (report.get("http") or {}).items()
     }
 
-    resource: dict = {}
-    resource_section = report.get("resource") or {}
-    rss = resource_section.get("rss_bytes") or {}
-    if rss.get("peak") is not None:
-        resource["rss_peak_bytes"] = rss["peak"]
-    cpu = resource_section.get("cpu_percent") or {}
-    if cpu.get("peak") is not None:
-        resource["cpu_peak_percent"] = cpu["peak"]
+    usage = report.get("resource")
+    resource = (
+        {"cpu_s": usage["cpu_s"], "rss_peak_bytes": usage["max_rss_bytes"]} if usage else {}
+    )
 
     summary = RunSummary(
         kind=kind,

@@ -4,8 +4,10 @@ Where the tracer (:mod:`repro.obs.tracer`) streams *events*, the
 :class:`MetricsRegistry` keeps cheap in-memory aggregates — counters, last
 gauge values, and timers (count / total / min / max seconds) — and writes
 them once, at the end of a command, as a ``metrics.json`` sidecar next to
-the result store (``<store>.metrics.json``).  That sidecar is what a future
-campaign service reports without replaying a trace.
+the result store (``<store>.metrics.json``).  The campaign service's
+registry adds request histograms and the process gauges ``/metrics`` reads
+when it is scraped (:func:`repro.obs.resource.record_process_gauges`), and
+is written to ``<data_dir>/metrics.json`` when the service stops.
 
 The disabled registry (:class:`NullMetrics`, singleton :data:`NULL_METRICS`)
 is a true no-op: every method is an empty callable and :meth:`timer` hands
@@ -181,9 +183,8 @@ class MetricsRegistry:
         renamed into place (``os.replace``), so however the writer dies —
         mid-``dumps``, mid-``write`` — a reader only ever sees the previous
         complete snapshot, never a torn one.  The pid in the temp name keeps
-        concurrent writers (the run's end-of-command write racing the
-        resource sampler's periodic flush) from trampling each other's
-        half-written bytes.
+        concurrent writers (two processes finishing runs on one store) from
+        trampling each other's half-written bytes.
         """
         # Lazy import: history sits above report, which imports this module.
         from .history import run_provenance

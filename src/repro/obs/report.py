@@ -8,7 +8,10 @@ The read side of :mod:`repro.obs`:
   precisely so multi-process traces interleave correctly);
 * :func:`build_report` — the aggregates ``obs report`` prints: per-phase
   time breakdown with wall-time coverage, cache-hit ratio, slowest-N
-  scenarios, per-worker utilisation, queue-wait statistics, counter totals;
+  scenarios, per-worker utilisation, queue-wait statistics, counter totals,
+  scenario latency from the ``scenario`` spans and CPU / peak RSS from the
+  ``getrusage`` stamps on the ``campaign.run`` spans — every number comes
+  from the trace itself;
 * :func:`format_report` / :func:`format_event` — terminal rendering, shared
   with ``obs tail``;
 * :func:`follow_trace` — incremental event iteration for a live tail:
@@ -24,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ..analysis.reporting import format_kv, format_table
-from .timeseries import Histogram, exact_quantile
+from .timeseries import exact_quantile
 
 __all__ = [
     "trace_files",
@@ -34,8 +37,6 @@ __all__ = [
     "format_event",
     "follow_trace",
     "TracePoller",
-    "metric_sidecar_files",
-    "merged_sidecar_histograms",
 ]
 
 #: The per-scenario busy phases a scenario span carries (worker + runner
@@ -154,111 +155,13 @@ def follow_trace(
 
 
 # ----------------------------------------------------------------------
-# Metrics sidecars (one per process, mirrored into the trace directory)
-# ----------------------------------------------------------------------
-def metric_sidecar_files(source: "str | Path") -> list[Path]:
-    """The per-process ``metrics-<worker>-<pid>.json`` mirrors of a trace dir."""
-    path = Path(source)
-    if not path.is_dir():
-        return []
-    return sorted(path.glob("metrics-*.json"))
-
-
-def _sidecar_worker_label(path: Path) -> str:
-    """``metrics-shard-0-12345.json`` → ``shard-0`` (strip prefix and pid)."""
-    parts = path.stem.split("-")[1:]
-    if parts and parts[-1].isdigit():
-        parts = parts[:-1]
-    return "-".join(parts) or "?"
-
-
-def merged_sidecar_histograms(
-    source: "str | Path",
-) -> "tuple[dict[str, Histogram], list[str], int]":
-    """Every worker's histogram series, merged bucket-wise per series key.
-
-    Returns ``(merged, workers, files)``: the union of histogram series
-    across all metrics sidecars in the trace directory (same series from
-    different workers folded via :meth:`Histogram.merge`), the sorted labels
-    of the workers whose sidecars contributed at least one histogram, and
-    the number of sidecar files read.  This is what makes ``obs report``
-    quantiles cover a sharded campaign instead of one process.
-    """
-    merged: dict[str, Histogram] = {}
-    workers: set[str] = set()
-    files = 0
-    for file in metric_sidecar_files(source):
-        try:
-            doc = json.loads(file.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue  # torn or vanished sidecar: skip, never fail the report
-        histograms = doc.get("histograms") if isinstance(doc, dict) else None
-        if not isinstance(histograms, dict):
-            continue
-        files += 1
-        contributed = False
-        for key, data in histograms.items():
-            try:
-                histogram = Histogram.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                continue
-            contributed = True
-            if key in merged:
-                try:
-                    merged[key].merge(histogram)
-                except ValueError:
-                    pass  # boundary drift across versions: keep the first
-            else:
-                merged[key] = histogram
-        if contributed:
-            workers.add(_sidecar_worker_label(file))
-    return merged, sorted(workers), files
-
-
-def _latency_section(source: "str | Path") -> dict:
-    """Merged-worker scenario-latency quantiles for ``obs report``.
-
-    Folds every sidecar's ``scenario_duration_seconds`` series (any labels)
-    into one histogram and reports its quantiles, plus which workers
-    contributed — the cross-worker view a per-process registry cannot give.
-    """
-    from .metrics import split_series_key
-
-    merged, workers, files = merged_sidecar_histograms(source)
-    combined: Optional[Histogram] = None
-    for key, histogram in merged.items():
-        name, _labels = split_series_key(key)
-        if name != "scenario_duration_seconds":
-            continue
-        if combined is None:
-            combined = Histogram(boundaries=histogram.boundaries)
-        try:
-            combined.merge(histogram)
-        except ValueError:
-            continue
-    if combined is None or not combined.count:
-        return {}
-    doc = combined.to_dict()
-    scenario = {
-        "count": doc["count"],
-        "mean_s": doc["mean"],
-        "max_s": doc["max"],
-    }
-    for q, value in (doc.get("quantiles") or {}).items():
-        scenario[f"{q}_s"] = value
-    return {"scenario": scenario, "workers": workers, "sidecars": files}
-
-
-# ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------
 def _scenario_spans(events: Sequence[dict]) -> list[dict]:
     return [e for e in events if e.get("kind") == "span" and e.get("name") == "scenario"]
 
 
-def build_report(
-    events: Sequence[dict], slowest: int = 10, source: "str | Path | None" = None
-) -> dict:
+def build_report(events: Sequence[dict], slowest: int = 10) -> dict:
     """Aggregate a merged event stream into the ``obs report`` document.
 
     Keys: ``events``, ``span`` (trace wall span), ``runs``, ``phases`` (the
@@ -269,17 +172,12 @@ def build_report(
     worker label: events, busy seconds, wall seconds, utilisation),
     ``counters`` and ``rounds`` (boundary searches).
 
-    When ``source`` names the trace *directory*, the per-process metrics
-    sidecars mirrored there are folded in as a ``latency`` section: the
-    ``scenario_duration_seconds`` histograms of **every** worker merged
-    bucket-wise into one quantile view, labelled with the contributing
-    workers.
+    When the trace holds them, ``latency`` gives exact quantiles of the
+    executed ``scenario`` spans of every process that wrote one, ``http``
+    the per-route request quantiles, and ``resource`` the kernel's CPU and
+    peak-RSS accounting stamped on the ``campaign.run`` spans.
     """
     report: dict = {"events": len(events)}
-    if source is not None:
-        latency = _latency_section(source)
-        if latency:
-            report["latency"] = latency
     if not events:
         report.update(
             {
@@ -357,6 +255,19 @@ def build_report(
         "p95_s": round(exact_quantile(waits, 0.95), 6) if waits else None,
         "max_s": round(max(waits), 6) if waits else None,
     }
+    if executed:
+        durations = [float(s.get("dur_s", 0.0)) for s in executed]
+        report["latency"] = {
+            "scenario": {
+                "count": len(durations),
+                "mean_s": sum(durations) / len(durations),
+                "p50_s": exact_quantile(durations, 0.50),
+                "p95_s": exact_quantile(durations, 0.95),
+                "p99_s": exact_quantile(durations, 0.99),
+                "max_s": max(durations),
+            },
+            "workers": sorted({str(s.get("worker", "?")) for s in executed}),
+        }
 
     report["slowest"] = [
         {
@@ -413,7 +324,7 @@ def build_report(
     http = _http_section(events)
     if http:
         report["http"] = http
-    resources = _resource_section(events)
+    resources = _resource_section(run_spans)
     if resources:
         report["resource"] = resources
     fault_section = _faults_section(report["counters"])
@@ -474,40 +385,15 @@ def _http_section(events: Sequence[dict]) -> dict:
     return section
 
 
-#: The sampler gauges the resource section aggregates, with their units.
-_RESOURCE_GAUGES = (
-    ("process.rss_bytes", "rss_bytes"),
-    ("process.cpu_percent", "cpu_percent"),
-    ("process.open_fds", "open_fds"),
-    ("process.threads", "threads"),
-)
-
-
-def _resource_section(events: Sequence[dict]) -> dict:
-    """Peak/mean/last of each ``process.*`` gauge the resource sampler wrote."""
-    series: dict[str, list] = {}
-    for event in events:
-        if event.get("kind") != "gauge":
-            continue
-        name = str(event.get("name", ""))
-        if name.startswith("process."):
-            series.setdefault(name, []).append(float(event.get("value", 0.0)))
-    if not series:
+def _resource_section(run_spans: Sequence[dict]) -> dict:
+    """CPU seconds (summed) and peak RSS (max) the ``campaign.run`` spans carry."""
+    stamped = [e.get("attrs", {}) for e in run_spans if "cpu_s" in e.get("attrs", {})]
+    if not stamped:
         return {}
-    section: dict = {}
-    for gauge, key in _RESOURCE_GAUGES:
-        values = series.get(gauge)
-        if values:
-            section[key] = {
-                "peak": round(max(values), 6),
-                "mean": round(sum(values) / len(values), 6),
-                "last": round(values[-1], 6),
-            }
-    cpu_seconds = series.get("process.cpu_seconds")
-    if cpu_seconds:
-        section["cpu_seconds"] = round(cpu_seconds[-1], 6)
-    section["samples"] = max(len(v) for v in series.values())
-    return section
+    return {
+        "cpu_s": round(sum(float(a["cpu_s"]) for a in stamped), 6),
+        "max_rss_bytes": max(int(a.get("max_rss_bytes") or 0) for a in stamped),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -592,30 +478,17 @@ def format_report(report: dict, title: str = "Campaign telemetry") -> str:
 
     resources = report.get("resource") or {}
     if resources:
-        flat: dict = {}
-        for key, value in resources.items():
-            if isinstance(value, dict):
-                rounded = {
-                    k: round(v / 2**20, 1) if key == "rss_bytes" else v
-                    for k, v in value.items()
-                }
-                unit = "rss_mib" if key == "rss_bytes" else key
-                flat[unit] = (
-                    f"peak {rounded['peak']}  mean {rounded['mean']}  last {rounded['last']}"
-                )
-            else:
-                flat[key] = value
-        blocks.append(format_kv(flat, title="Resource usage (sampler)"))
+        flat = {
+            "cpu_s": resources["cpu_s"],
+            "peak_rss_mib": round(resources["max_rss_bytes"] / 2**20, 1),
+        }
+        blocks.append(format_kv(flat, title="Resource usage (getrusage, incl. worker slots)"))
 
     latency = report.get("latency") or {}
     if latency:
-        flat = dict(latency.get("scenario") or {})
-        workers = latency.get("workers") or []
-        flat["workers"] = ", ".join(workers) if workers else "?"
-        flat["sidecars"] = latency.get("sidecars")
-        blocks.append(
-            format_kv(flat, title="Scenario latency (merged worker histograms)")
-        )
+        flat = {k: round(v, 6) for k, v in latency["scenario"].items()}
+        flat["workers"] = ", ".join(latency["workers"])
+        blocks.append(format_kv(flat, title="Scenario latency (executed scenario spans)"))
 
     fault_section = report.get("faults") or {}
     if fault_section:

@@ -1,68 +1,67 @@
-"""Background process-resource sampling: RSS, CPU, fds, threads.
+"""Process resources as the kernel counts them: RSS, CPU, fds, threads.
 
-A :class:`ResourceSampler` is a daemon thread that wakes every
-``interval_s`` seconds, reads the process's own resource usage and feeds it
-into a :class:`~repro.obs.telemetry.Telemetry` bundle:
+Nothing here samples on a timer.  Each number is read when it is wanted:
 
-* tracer gauges (``process.rss_bytes``, ``process.cpu_seconds``,
-  ``process.cpu_percent``, ``process.open_fds``, ``process.threads``) — the
-  time series ``obs report``'s resource section and ``obs top``'s live
-  curves are built from;
-* registry gauges under their Prometheus-canonical names
-  (``process_resident_memory_bytes``, ``process_cpu_seconds_total``, ...)
-  plus distribution histograms (``process_sample_rss_bytes``,
-  ``process_sample_cpu_percent``) so the metrics sidecar and the
-  ``/metrics?format=prometheus`` exposition carry peak *and* shape;
-* an optional **periodic flush** of the whole registry to its sidecar
-  (atomic write-beside-rename), so a worker killed mid-campaign leaves the
-  last complete snapshot behind instead of a missing or torn
-  ``<store>.metrics.json``.
+* :func:`rusage_totals` — CPU seconds and peak RSS of this process *and* its
+  reaped children, from ``getrusage``.  :class:`~repro.sweep.runner.SweepRunner`
+  reads it around a campaign and stamps the difference on the
+  ``campaign.run`` span; worker slots are joined before the run ends, so
+  their CPU is in ``RUSAGE_CHILDREN`` by then.
+* :func:`record_process_gauges` — the Prometheus process-collector gauges
+  (``process_resident_memory_bytes``, ``process_resident_memory_peak_bytes``,
+  ``process_cpu_seconds_total``, ``process_open_fds``, ``process_threads``),
+  set on a registry when ``/metrics`` is scraped.
 
-Readings come from ``/proc/self`` where it exists (Linux) and degrade
-gracefully elsewhere: ``resource.getrusage`` covers RSS and CPU on other
-POSIX platforms, and any source that cannot be read is simply omitted from
-the sample.  Sampling a disabled telemetry bundle is a **no-op**:
-``start()`` spawns no thread, reads no files, writes nothing — the same
-contract every other :mod:`repro.obs` surface honours.
+Current readings come from ``/proc/self`` where it exists (Linux).
+Elsewhere ``getrusage`` supplies CPU seconds; a source that cannot be read
+is left out of the sample.
 """
 
 from __future__ import annotations
 
 import os
+import resource as _resource
+import sys
 import threading
-import time
 from pathlib import Path
-from typing import Callable, Optional
 
-from .telemetry import Telemetry
-from .timeseries import log_bucket_boundaries
-
-__all__ = ["ResourceSampler", "read_resource_sample"]
-
-#: RSS distribution buckets: 1 MiB .. ~16 GiB, 3 per decade.
-RSS_BOUNDARIES = log_bucket_boundaries(2.0**20, 2.0**34, 3)
-#: CPU-utilisation distribution buckets: 0.1% .. overflow above 100%.
-CPU_PERCENT_BOUNDARIES = log_bucket_boundaries(0.1, 100.0, 3)
+__all__ = ["maxrss_bytes", "read_resource_sample", "record_process_gauges", "rusage_totals"]
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 _CLOCK_TICKS = os.sysconf("SC_CLK_TCK") if hasattr(os, "sysconf") else 100
 
 
-def _proc_self() -> Optional[Path]:
-    path = Path("/proc/self")
-    return path if path.exists() else None
+def maxrss_bytes(usage) -> int:
+    """``ru_maxrss`` of a ``getrusage`` result in bytes.
+
+    The kernel reports it in KiB on Linux and the BSDs, in bytes on macOS.
+    It is a lifetime peak, never the current resident size.
+    """
+    return int(usage.ru_maxrss) * (1 if sys.platform == "darwin" else 1024)
+
+
+def rusage_totals() -> "tuple[float, int]":
+    """``(cpu_s, peak_rss_bytes)`` of this process and its reaped children.
+
+    ``cpu_s`` is user + system time, cumulative; ``peak_rss_bytes`` is the
+    larger of this process's peak and the largest reaped child's peak.
+    """
+    own = _resource.getrusage(_resource.RUSAGE_SELF)
+    kids = _resource.getrusage(_resource.RUSAGE_CHILDREN)
+    cpu_s = own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+    return cpu_s, max(maxrss_bytes(own), maxrss_bytes(kids))
 
 
 def read_resource_sample() -> dict:
     """One point-in-time reading of this process's resource usage.
 
     Keys (any may be absent when the platform cannot answer):
-    ``rss_bytes``, ``cpu_seconds`` (user+system, cumulative),
+    ``rss_bytes`` (current), ``cpu_seconds`` (user+system, cumulative),
     ``open_fds``, ``threads``.
     """
     sample: dict = {}
-    proc = _proc_self()
-    if proc is not None:
+    proc = Path("/proc/self")
+    if proc.exists():
         try:
             # statm field 1 is resident pages; stat fields 13/14 (0-based
             # after the comm field) are utime/stime in clock ticks.
@@ -84,147 +83,29 @@ def read_resource_sample() -> dict:
                     break
         except (OSError, ValueError):
             pass
-    if "rss_bytes" not in sample or "cpu_seconds" not in sample:
-        try:
-            import resource as _resource
-
-            usage = _resource.getrusage(_resource.RUSAGE_SELF)
-            # ru_maxrss is KiB on Linux, bytes on macOS; Linux took the
-            # /proc path above, so treat the fallback value as bytes-ish.
-            sample.setdefault("rss_bytes", int(usage.ru_maxrss) * 1024)
-            sample.setdefault("cpu_seconds", usage.ru_utime + usage.ru_stime)
-        except (ImportError, ValueError, OSError):
-            pass
+    if "cpu_seconds" not in sample:
+        usage = _resource.getrusage(_resource.RUSAGE_SELF)
+        sample["cpu_seconds"] = usage.ru_utime + usage.ru_stime
     sample.setdefault("threads", threading.active_count())
     return sample
 
 
-class ResourceSampler:
-    """Samples this process's resource usage into a telemetry bundle.
+#: ``read_resource_sample`` keys and the process-collector gauges they set.
+_PROCESS_GAUGES = (
+    ("rss_bytes", "process_resident_memory_bytes"),
+    ("cpu_seconds", "process_cpu_seconds_total"),
+    ("open_fds", "process_open_fds"),
+    ("threads", "process_threads"),
+)
 
-    Parameters
-    ----------
-    telemetry:
-        The bundle to feed.  A disabled bundle makes the whole sampler a
-        no-op: :meth:`start` spawns nothing.
-    interval_s:
-        Seconds between samples (also the periodic-flush cadence).
-    flush_path:
-        When set, the registry is re-written to this sidecar path after
-        every sample (atomic), bounding how much metric history a killed
-        process can lose.
-    on_sample:
-        Optional callback receiving each sample dict (tests, dashboards).
-    """
 
-    def __init__(
-        self,
-        telemetry: Telemetry,
-        interval_s: float = 2.0,
-        flush_path: "str | os.PathLike | None" = None,
-        on_sample: Optional[Callable[[dict], None]] = None,
-    ):
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        self.telemetry = telemetry
-        self.interval_s = float(interval_s)
-        self.flush_path = Path(flush_path) if flush_path is not None else None
-        self.on_sample = on_sample
-        self.samples = 0
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._last_cpu: Optional[tuple] = None  # (wall_t, cpu_seconds)
-        self._rss_peak = 0
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ResourceSampler":
-        """Begin sampling; a no-op (no thread at all) when telemetry is off."""
-        if not self.telemetry.enabled or self.running:
-            return self
-        self._stop.clear()
-        self.sample_once()  # an immediate first point: short runs still get one
-        self._thread = threading.Thread(
-            target=self._run, name="repro-resource-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, timeout_s: float = 5.0) -> None:
-        """Stop the thread and take one final sample (+ flush) for the tail."""
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout_s)
-        self._thread = None
-        self.sample_once()
-
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.sample_once()
-            except Exception:  # noqa: BLE001 — telemetry must never kill the host
-                return
-
-    def sample_once(self) -> dict:
-        """Take and record one sample (public for tests and manual ticks)."""
-        if not self.telemetry.enabled:
-            return {}
-        sample = read_resource_sample()
-        now = time.time()
-        tracer = self.telemetry.tracer
-        metrics = self.telemetry.metrics
-
-        rss = sample.get("rss_bytes")
-        if rss is not None:
-            self._rss_peak = max(self._rss_peak, rss)
-            tracer.gauge("process.rss_bytes", rss)
-            metrics.gauge("process_resident_memory_bytes", rss)
-            metrics.gauge("process_resident_memory_peak_bytes", self._rss_peak)
-            metrics.histogram(
-                "process_sample_rss_bytes", boundaries=RSS_BOUNDARIES
-            ).observe(rss)
-
-        cpu = sample.get("cpu_seconds")
-        if cpu is not None:
-            tracer.gauge("process.cpu_seconds", cpu)
-            metrics.gauge("process_cpu_seconds_total", cpu)
-            if self._last_cpu is not None:
-                wall = now - self._last_cpu[0]
-                if wall > 0:
-                    percent = max(0.0, (cpu - self._last_cpu[1]) / wall) * 100.0
-                    sample["cpu_percent"] = percent
-                    tracer.gauge("process.cpu_percent", round(percent, 3))
-                    metrics.gauge("process_cpu_percent", round(percent, 3))
-                    metrics.histogram(
-                        "process_sample_cpu_percent", boundaries=CPU_PERCENT_BOUNDARIES
-                    ).observe(percent)
-            self._last_cpu = (now, cpu)
-
-        for key, metric in (("open_fds", "process_open_fds"), ("threads", "process_threads")):
-            value = sample.get(key)
-            if value is not None:
-                tracer.gauge(f"process.{key}", value)
-                metrics.gauge(metric, value)
-
-        self.samples += 1
-        metrics.gauge("process_resource_samples", self.samples)
-        if self.flush_path is not None and metrics.enabled:
-            try:
-                metrics.write(self.flush_path)
-            except OSError:
-                pass  # a full disk must not kill the sampler (nor the host)
-        if self.on_sample is not None:
-            self.on_sample(sample)
-        return sample
+def record_process_gauges(metrics) -> None:
+    """Set this process's resource gauges on ``metrics`` from a fresh reading."""
+    sample = read_resource_sample()
+    for key, name in _PROCESS_GAUGES:
+        if key in sample:
+            metrics.gauge(name, sample[key])
+    # The kernel folds its per-thread RSS counters in lazily, so ru_maxrss
+    # can trail a fresh statm reading by a few pages.
+    peak = maxrss_bytes(_resource.getrusage(_resource.RUSAGE_SELF))
+    metrics.gauge("process_resident_memory_peak_bytes", max(peak, sample.get("rss_bytes", 0)))

@@ -23,19 +23,7 @@ from typing import Optional
 from .metrics import NULL_METRICS, MetricsRegistry, NullMetrics, metrics_sidecar_path
 from .tracer import NULL_TRACER, NullTracer, Tracer, trace_file_name
 
-__all__ = ["Telemetry", "DISABLED", "metrics_file_name"]
-
-
-def metrics_file_name(worker: str = "main", pid: Optional[int] = None) -> str:
-    """The per-process metrics mirror a worker writes into the trace dir.
-
-    Mirrors :func:`~repro.obs.tracer.trace_file_name`: one
-    ``metrics-<worker>-<pid>.json`` per writing process, so a sharded
-    campaign's trace directory collects every worker's histogram roll-up
-    next to its trace file — the input ``obs report`` and
-    :func:`~repro.obs.history.summarize_run` merge bucket-wise.
-    """
-    return f"metrics-{worker}-{os.getpid() if pid is None else pid}.json"
+__all__ = ["Telemetry", "DISABLED"]
 
 
 class Telemetry:
@@ -73,22 +61,11 @@ class Telemetry:
         """Write the ``metrics.json`` sidecar next to a result store.
 
         Returns the sidecar path, or ``None`` when metrics are disabled
-        (a disabled bundle must leave no file behind).  When the bundle has
-        a trace directory, the same roll-up is additionally mirrored there
-        as ``metrics-<worker>-<pid>.json`` — shard workers write their
-        sidecar next to their *shard* store, so without the mirror a trace
-        directory only ever sees one process's histograms.
+        (a disabled bundle must leave no file behind).
         """
         if not self.metrics.enabled:
             return None
-        sidecar = self.metrics.write(metrics_sidecar_path(store_path))
-        if self.trace_dir is not None:
-            worker = getattr(self.tracer, "worker", "main")
-            try:
-                self.metrics.write(self.trace_dir / metrics_file_name(worker))
-            except OSError:
-                pass  # the mirror is advisory; the store sidecar is canonical
-        return sidecar
+        return self.metrics.write(metrics_sidecar_path(store_path))
 
     def close(self) -> None:
         self.tracer.close()

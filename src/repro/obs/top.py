@@ -9,9 +9,11 @@ endpoint uses.  Each refresh folds the newly appended events into bounded
 
 * throughput: events/s and executed scenarios/s over the window;
 * request latency: live p50/p95 per busiest routes (``http.request`` spans);
-* in-flight requests (the ``http.requests_in_flight`` gauge);
-* resource curves: RSS, CPU %, fds, threads from the resource sampler;
 * campaign counters (cache hits, executed, probes) accumulated since start.
+
+Process resources are not in the trace: a service's ``/metrics`` reads them
+when it is scraped, and a campaign's ``obs report`` shows the CPU and peak
+RSS the kernel counted.
 
 The view is pure fold-and-render — :meth:`TopView.tick` returns the frame
 as a string — so tests drive it with synthetic events and the CLI's
@@ -32,16 +34,6 @@ __all__ = ["TopView", "run_top"]
 _CLEAR = "\x1b[2J\x1b[H"
 
 
-def _fmt_bytes(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    return "-"
-
-
 def _fmt(value: Optional[float], fmt: str = "{:.3f}") -> str:
     return "-" if value is None else fmt.format(value)
 
@@ -58,7 +50,6 @@ class TopView:
         self._scenarios = RollingWindow(window_s=window_s, max_samples=16384)
         self._scenario_durs = RollingWindow(window_s=window_s, max_samples=4096)
         self._routes: dict[str, RollingWindow] = {}
-        self._gauges: dict[str, float] = {}
         self._counters: dict[str, float] = {}
         self._started = time.time()
         self._last_event_t: Optional[float] = None
@@ -87,8 +78,6 @@ class TopView:
                     self._scenarios.observe(1.0, t=t)
                     if not attrs.get("cached"):
                         self._scenario_durs.observe(dur, t=t)
-            elif kind == "gauge":
-                self._gauges[name] = float(event.get("value", 0.0))
             elif kind == "counter":
                 self._counters[name] = self._counters.get(name, 0.0) + float(
                     event.get("value", 1)
@@ -116,9 +105,6 @@ class TopView:
             f"  scenarios/s : {self._scenarios.rate(now):8.2f}    "
             f"exec p95: {_fmt(self._scenario_durs.quantile(0.95, now), '{:.3f}s')}"
         )
-        in_flight = self._gauges.get("http.requests_in_flight")
-        if in_flight is not None:
-            lines.append(f"  in-flight   : {in_flight:8.0f}")
 
         if self._routes:
             lines.append("")
@@ -132,23 +118,6 @@ class TopView:
                     f"{_fmt(window.quantile(0.50, now), '{:8.4f}')}  "
                     f"{_fmt(window.quantile(0.95, now), '{:8.4f}')}"
                 )
-
-        resource_bits = []
-        rss = self._gauges.get("process.rss_bytes")
-        if rss is not None:
-            resource_bits.append(f"rss {_fmt_bytes(rss)}")
-        cpu = self._gauges.get("process.cpu_percent")
-        if cpu is not None:
-            resource_bits.append(f"cpu {cpu:.1f}%")
-        fds = self._gauges.get("process.open_fds")
-        if fds is not None:
-            resource_bits.append(f"fds {fds:.0f}")
-        threads = self._gauges.get("process.threads")
-        if threads is not None:
-            resource_bits.append(f"threads {threads:.0f}")
-        if resource_bits:
-            lines.append("")
-            lines.append("  resources   : " + "   ".join(resource_bits))
 
         interesting = {
             name: value

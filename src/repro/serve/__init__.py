@@ -12,8 +12,9 @@ campaign machinery in a stdlib-asyncio HTTP service so campaigns are
   (``/campaigns``, ``/records``, ``/aggregate``, ``/events``, ``/metrics``
   — JSON or Prometheus text — plus the ``/healthz`` / ``/readyz`` probes);
 * :mod:`repro.serve.app`       — the asyncio HTTP/SSE front end
-  (:class:`CampaignService` with request-latency histograms, a resource
-  sampler and graceful SIGINT/SIGTERM drain; the test-friendly
+  (:class:`CampaignService` with request-latency histograms, process
+  gauges read when ``/metrics`` is scraped and graceful SIGINT/SIGTERM
+  drain; the test-friendly
   :class:`ServiceThread`; the ``python -m repro serve`` entry point
   :func:`run_service`);
 * :mod:`repro.serve.dashboard` — the dependency-free single-page live

@@ -33,7 +33,7 @@ from typing import Optional
 from .. import faults
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import TracePoller
-from ..obs.resource import ResourceSampler
+from ..obs.resource import record_process_gauges
 from ..obs.telemetry import Telemetry
 from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
 from ..obs.tracer import NULL_TRACER, Tracer, trace_file_name
@@ -101,7 +101,6 @@ class CampaignService:
         token: Optional[str] = None,
         sse_poll_s: float = 0.25,
         trace_dir: "str | Path | None" = None,
-        resource_interval_s: float = 5.0,
         watchdog_s: Optional[float] = None,
     ):
         self.store_path = Path(store_path)
@@ -115,14 +114,12 @@ class CampaignService:
         self.token = token
         self.sse_poll_s = float(sse_poll_s)
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.resource_interval_s = float(resource_interval_s)
         self.watchdog_s = watchdog_s
         self.store: Optional[ResultStore] = None
         self.scheduler: Optional[CampaignScheduler] = None
         self.api: Optional[Api] = None
         self.metrics: Optional[MetricsRegistry] = None
         self.telemetry: Optional[Telemetry] = None
-        self._sampler: Optional[ResourceSampler] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutting_down: Optional[asyncio.Event] = None
         self._in_flight = 0
@@ -138,10 +135,7 @@ class CampaignService:
         The store is opened with a metrics-only telemetry bundle so its
         counters and timers (``store.appends``, ``store.append_s``, ...)
         land in the registry ``GET /metrics`` exposes.  With ``trace_dir``
-        set the service also writes its own trace file (request spans,
-        resource gauges); either way a resource sampler feeds the registry
-        and flushes it to ``<data_dir>/metrics.json`` so the service's own
-        snapshot survives a kill.
+        set the service also writes its own trace file (request spans).
         """
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.metrics = MetricsRegistry()
@@ -166,11 +160,6 @@ class CampaignService:
         await self.scheduler.start()
         self.api = Api(self.scheduler, self.store, metrics=self.metrics, token=self.token)
         self._shutting_down = asyncio.Event()
-        self._sampler = ResourceSampler(
-            self.telemetry,
-            interval_s=self.resource_interval_s,
-            flush_path=self.data_dir / "metrics.json",
-        ).start()
         self._server = await asyncio.start_server(self._handle_client, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -181,6 +170,12 @@ class CampaignService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Close the listener, stop the scheduler, snapshot the registry.
+
+        The registry, process gauges included, is written once to
+        ``<data_dir>/metrics.json``; what must survive a kill is elsewhere
+        (each campaign's ledger line and the store's metrics sidecar).
+        """
         if self._shutting_down is not None:
             self._shutting_down.set()  # any open SSE stream closes promptly
         if self._server is not None:
@@ -192,9 +187,12 @@ class CampaignService:
             self._server = None
         if self.scheduler is not None:
             await self.scheduler.stop()
-        if self._sampler is not None:
-            self._sampler.stop()
-            self._sampler = None
+        if self.metrics is not None:
+            record_process_gauges(self.metrics)
+            try:
+                self.metrics.write(self.data_dir / "metrics.json")
+            except OSError:
+                pass  # a full disk must not stop the shutdown
         if self.telemetry is not None:
             self.telemetry.close()
 
@@ -497,7 +495,6 @@ def run_service(
     token: Optional[str] = None,
     quiet: bool = False,
     trace_dir: "str | Path | None" = None,
-    resource_interval_s: float = 5.0,
     watchdog_s: Optional[float] = None,
 ) -> int:
     """Blocking entry point behind ``python -m repro serve``.
@@ -518,7 +515,6 @@ def run_service(
         fast=fast,
         token=token,
         trace_dir=trace_dir,
-        resource_interval_s=resource_interval_s,
         watchdog_s=watchdog_s,
     )
 

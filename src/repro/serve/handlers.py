@@ -11,7 +11,8 @@ Endpoints::
 
     GET  /healthz                     liveness + store/campaign counts
     GET  /readyz                      readiness (scheduler alive, store open)
-    GET  /metrics                     service metrics (counters, timers, histograms)
+    GET  /metrics                     service metrics (counters, timers, histograms,
+                                      process gauges read at scrape time)
     GET  /metrics?format=prometheus   the same registry as Prometheus text 0.0.4
     GET  /dashboard                   self-contained live HTML dashboard
     GET  /campaigns                   all campaigns (newest last)
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..obs.promexport import PROMETHEUS_CONTENT_TYPE, render_prometheus
+from ..obs.resource import record_process_gauges
 from ..sweep.aggregate import campaign_tables
 from ..sweep.aggregate import (  # noqa: F401 — the layer benchmark wraps these names
     axis_summary,
@@ -159,6 +161,9 @@ class Api:
         if request.path == "/readyz" and request.method == "GET":
             return self._readyz()
         if request.path == "/metrics" and request.method == "GET":
+            if self.metrics is not None:
+                # Read on scrape, as Prometheus's process collector does.
+                record_process_gauges(self.metrics)
             if request.query.get("format") == "prometheus":
                 body = render_prometheus(self.metrics) if self.metrics is not None else ""
                 return TextResponse(200, body, content_type=PROMETHEUS_CONTENT_TYPE)

@@ -424,10 +424,10 @@ class CampaignScheduler:
         """Run one campaign to completion (called in a worker thread).
 
         Per-campaign telemetry writes ``trace-serve-<pid>.jsonl`` under the
-        campaign's trace dir — the live feed of the ``/events`` stream — and
-        a ``metrics.json`` roll-up on completion; campaign counters
-        (``campaign.cache_hits`` / ``campaign.executed``) also land in the
-        store's own metrics sidecar, which is what keeps ``store stats``'
+        campaign's trace dir — the live feed of the ``/events`` stream and
+        the source of the campaign's ledger line — and, on completion, its
+        counters (``campaign.cache_hits`` / ``campaign.executed``) land in
+        the store's metrics sidecar, which is what keeps ``store stats``'
         cache-hit ratio current.
         """
         campaign.trace_dir.mkdir(parents=True, exist_ok=True)
@@ -476,8 +476,6 @@ class CampaignScheduler:
                     **boundary.summary(),
                     "cells_detail": [cell.to_dict() for cell in boundary.cells],
                 }
-            # write_metrics also mirrors the roll-up into the trace dir as
-            # metrics-serve-<pid>.json, which is what obs report merges.
             telemetry.write_metrics(self.store.path)
             retried = int(result.get("retried") or 0)
             if retried:

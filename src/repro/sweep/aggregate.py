@@ -218,12 +218,15 @@ def _walk(
     groups: dict = {axis: {} for axis in paths}
     need_identity = rows or bool(paths)
     total = 0
+    not_ok: dict = {}  # status -> count
     summaries: list = []
     totals: list = []
     table: list = []
     for record in records:
         total += 1
-        if record.get("status") != "ok":
+        status = record.get("status")
+        if status != "ok":
+            not_ok[status] = not_ok.get(status, 0) + 1
             continue
         summary = record.get("summary", {})
         index = len(summaries)
@@ -277,7 +280,8 @@ def _walk(
         tables["overview"] = {
             "scenarios": total,
             "ok": len(summaries),
-            "failed": total - len(summaries),
+            "failed": not_ok.get("error", 0),
+            "timed_out": not_ok.get("timeout", 0),
             "simulated_s": sum(simulated),
             "scenario_wall_s": sum(wall),
             "worker_cpu_s": sum(cpu),
@@ -359,7 +363,11 @@ def records_table(records: Iterable[dict]) -> list[dict]:
 
 
 def campaign_overview(records: Iterable[dict]) -> dict:
-    """Whole-campaign totals across the successful records."""
+    """Whole-campaign totals across the successful records.
+
+    ``failed`` counts ``error`` records and ``timed_out`` counts ``timeout``
+    records, as :class:`~repro.sweep.runner.SweepReport` does.
+    """
     return _walk(records, overview=True)["overview"]
 
 

@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .. import faults
 from ..faults import DEFAULT_RETRY_POLICY, RetryPolicy, classify_error
+from ..obs.resource import rusage_totals
 from ..obs.telemetry import DISABLED, Telemetry
-from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
 from ..sim.simulator import DeadlineExceeded
 from .scenario import run_scenario, worker_stamp
 from .spec import ScenarioConfig, SweepSpec, expand_unique
@@ -268,7 +268,9 @@ class SweepRunner:
     telemetry:
         A :class:`~repro.obs.telemetry.Telemetry` bundle.  When given, the
         run emits a ``campaign.run`` span partitioned into
-        ``campaign.phase`` spans (expand / cache-scan / execute), one
+        ``campaign.phase`` spans (expand / cache-scan / execute) and
+        stamped with the campaign's ``cpu_s`` (this process and its worker
+        slots, from ``getrusage``) and ``max_rss_bytes``, one
         ``scenario`` span per completed cell (with queue-wait / build /
         simulate / record-write phase timings), and cache-hit / timeout /
         failure counters.  Defaults to the disabled bundle, whose methods
@@ -329,6 +331,9 @@ class SweepRunner:
         by construction, not modulo span-emission overhead.
         """
         tracer, metrics = self.telemetry.tracer, self.telemetry.metrics
+        # The kernel readings go only on the traced campaign.run span; an
+        # untraced run (every cached resubmission too) makes no syscall here.
+        cpu_start = rusage_totals()[0] if tracer.enabled else 0.0
         started = time.perf_counter()
         configs = self._expand(campaign)
         mark = time.perf_counter()
@@ -397,12 +402,6 @@ class SweepRunner:
                     tracer.counter("faults.injected", injected, site="worker.simulate")
                 metrics.counter("campaign.executed")
                 metrics.observe("campaign.scenario_s", record.get("elapsed_s", 0.0))
-                # The mergeable shape of the same signal: every worker's
-                # registry carries this series, so a sharded campaign's
-                # sidecars fold into one cross-worker latency distribution.
-                metrics.histogram(
-                    "scenario_duration_seconds", boundaries=DEFAULT_LATENCY_BOUNDARIES
-                ).observe(record.get("elapsed_s", 0.0))
                 timings = record.get("timings") or {}
                 tracer.span_event(
                     "scenario",
@@ -428,9 +427,18 @@ class SweepRunner:
             key=lambda record: position.get(record.get("scenario_id"), len(configs))
         )
         report.elapsed_s = mark - started
-        tracer.span_event(
-            "campaign.run", mark - started, workers=self.workers, **report.summary()
-        )
+        if tracer.enabled:
+            # The slots were joined when the pool generator finished, so the
+            # kernel has already added their CPU to this process's children.
+            cpu_end, peak_rss = rusage_totals()
+            tracer.span_event(
+                "campaign.run",
+                mark - started,
+                workers=self.workers,
+                cpu_s=round(cpu_end - cpu_start, 6),
+                max_rss_bytes=peak_rss,
+                **report.summary(),
+            )
         unrun = report.total - len(report.records)
         if unrun:
             raise TimeoutError(

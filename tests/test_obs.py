@@ -11,6 +11,7 @@ runner wall time.
 import json
 import os
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,33 @@ class TestObsCli:
         assert doc["executed"] == 0
         assert doc["coverage"] >= 0.95
 
+    def test_pool_sweep_report_counts_worker_cpu(self, tmp_path, capsys):
+        """At --workers 2 the report's CPU covers the worker slots, and its
+        scenario latency is the exact quantiles of the trace's spans."""
+        store = tmp_path / "campaign.jsonl"
+        trace = tmp_path / "trace"
+        argv = ["sweep", "--preset", "dist-smoke", "--duration", "2", "--quiet",
+                "--workers", "2", "--store", str(store), "--trace", str(trace)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(trace), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        worker_cpu_s = campaign_overview(ResultStore(store).records())["worker_cpu_s"]
+        assert worker_cpu_s > 0
+        assert doc["resource"]["cpu_s"] >= worker_cpu_s
+        assert doc["resource"]["max_rss_bytes"] > 0
+
+        durations = [
+            e["dur_s"] for e in load_events(trace)
+            if e["kind"] == "span" and e["name"] == "scenario" and not e["attrs"]["cached"]
+        ]
+        latency = doc["latency"]
+        assert latency["scenario"]["count"] == len(durations) == 4
+        for q in (0.50, 0.95, 0.99):
+            assert latency["scenario"][f"p{round(q * 100)}_s"] == exact_quantile(durations, q)
+        assert latency["workers"] == ["main"]
+        assert sorted(p.name for p in trace.iterdir() if not p.name.startswith("trace-")) == []
+
     def test_obs_tail_replays_events(self, tmp_path, capsys):
         store = tmp_path / "campaign.jsonl"
         trace = tmp_path / "trace"
@@ -431,8 +459,8 @@ class TestEventFormatting:
 
 
 # ----------------------------------------------------------------------
-# PR 8: histograms, rolling windows, Prometheus exposition, resource
-# sampling, atomic sidecar writes, the http/resource report sections and
+# Histograms, rolling windows, Prometheus exposition, kernel resource
+# readings, atomic sidecar writes, the http/resource report sections and
 # the `obs top` live view.
 # ----------------------------------------------------------------------
 
@@ -441,7 +469,6 @@ import math  # noqa: E402
 from repro.obs import (  # noqa: E402
     DEFAULT_LATENCY_BOUNDARIES,
     Histogram,
-    ResourceSampler,
     RollingWindow,
     TopView,
     exact_quantile,
@@ -451,7 +478,9 @@ from repro.obs import (  # noqa: E402
     series_key,
     split_series_key,
 )
-from repro.obs.resource import read_resource_sample  # noqa: E402
+import repro.obs.resource as resource_module  # noqa: E402
+from repro.obs.resource import maxrss_bytes, read_resource_sample, rusage_totals  # noqa: E402
+from repro.sweep.aggregate import campaign_overview  # noqa: E402
 from repro.obs.timeseries import NULL_HISTOGRAM  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -667,46 +696,7 @@ class TestPrometheusExport:
 
 
 class TestResourceSampler:
-    def test_disabled_telemetry_is_a_true_noop(self, tmp_path):
-        flush = tmp_path / "metrics.json"
-        sampler = ResourceSampler(DISABLED, interval_s=0.01, flush_path=flush)
-        sampler.start()
-        assert not sampler.running
-        assert sampler.sample_once() == {}
-        sampler.stop()
-        assert sampler.samples == 0
-        assert not flush.exists()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_samples_land_in_tracer_and_registry(self, tmp_path):
-        telemetry = Telemetry.create(tmp_path / "trace", worker="t")
-        sampler = ResourceSampler(telemetry, interval_s=0.02)
-        with sampler:
-            time.sleep(0.1)
-        assert sampler.samples >= 2
-        assert not sampler.running
-        doc = telemetry.metrics.to_dict()
-        assert doc["gauges"]["process_resident_memory_bytes"] > 0
-        assert doc["gauges"]["process_resident_memory_peak_bytes"] >= (
-            doc["gauges"]["process_resident_memory_bytes"]
-        )
-        assert doc["gauges"]["process_resource_samples"] == sampler.samples
-        assert "process_sample_rss_bytes" in doc["histograms"]
-        telemetry.close()
-        gauges = [e for e in load_events(tmp_path / "trace") if e["kind"] == "gauge"]
-        names = {e["name"] for e in gauges}
-        assert {"process.rss_bytes", "process.cpu_seconds"} <= names
-
-    def test_periodic_flush_writes_sidecar(self, tmp_path):
-        telemetry = Telemetry.create(tmp_path / "trace", worker="t")
-        flush = tmp_path / "metrics.json"
-        sampler = ResourceSampler(telemetry, interval_s=0.02, flush_path=flush)
-        with sampler:
-            time.sleep(0.06)
-        telemetry.close()
-        doc = json.loads(flush.read_text(encoding="utf-8"))
-        assert doc["gauges"]["process_resource_samples"] >= 1
-        assert not list(tmp_path.glob("*.tmp"))  # atomic writes leave no debris
+    """Point-in-time readings of this process's resources."""
 
     def test_read_resource_sample_shape(self):
         sample = read_resource_sample()
@@ -714,9 +704,40 @@ class TestResourceSampler:
         assert sample["cpu_seconds"] >= 0
         assert sample["threads"] >= 1
 
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ResourceSampler(DISABLED, interval_s=0)
+
+class TestKernelAccounting:
+    def test_maxrss_is_kib_on_linux_and_bytes_on_macos(self, monkeypatch):
+        usage = types.SimpleNamespace(ru_maxrss=2048)
+        monkeypatch.setattr(resource_module.sys, "platform", "linux")
+        assert maxrss_bytes(usage) == 2048 * 1024
+        monkeypatch.setattr(resource_module.sys, "platform", "darwin")
+        assert maxrss_bytes(usage) == 2048
+
+    def test_fallback_reports_no_current_rss(self, tmp_path, monkeypatch):
+        # Without /proc, getrusage answers CPU; its ru_maxrss is a lifetime
+        # peak, so it must not stand in for the current RSS.
+        monkeypatch.setattr(resource_module, "Path", lambda _: tmp_path / "no-proc")
+        sample = read_resource_sample()
+        assert "rss_bytes" not in sample
+        assert sample["cpu_seconds"] > 0
+
+    def test_rusage_totals_peak_covers_current_rss(self):
+        current = read_resource_sample()["rss_bytes"]
+        cpu_s, peak = rusage_totals()
+        assert cpu_s > 0
+        # The kernel syncs its per-thread RSS counters lazily, so the two
+        # readings may differ by some pages; a unit error is a factor 1024.
+        assert peak >= 0.9 * current
+
+    def test_process_gauges_on_a_registry(self):
+        registry = MetricsRegistry()
+        resource_module.record_process_gauges(registry)
+        gauges = registry.to_dict()["gauges"]
+        assert gauges["process_resident_memory_peak_bytes"] >= (
+            gauges["process_resident_memory_bytes"]
+        ) > 0
+        assert gauges["process_cpu_seconds_total"] > 0
+        assert gauges["process_threads"] >= 1
 
 
 class TestAtomicSidecarWrite:
@@ -773,15 +794,19 @@ class TestHttpAndResourceReportSections:
             {"t": 105.0, "kind": "span", "name": "http.request", "worker": "serve",
              "dur_s": 0.001, "attrs": {"route": "/healthz", "method": "GET", "status": 200}}
         )
-        for i, rss in enumerate((50e6, 60e6, 55e6)):
+        for i, (worker, dur, cached) in enumerate(
+            (("shard-0", 0.2, False), ("shard-1", 0.4, False), ("shard-1", 0.001, True))
+        ):
             events.append(
-                {"t": 100.0 + i, "kind": "gauge", "name": "process.rss_bytes",
-                 "worker": "serve", "value": rss, "attrs": {}}
+                {"t": 101.5 + i, "kind": "span", "name": "scenario", "worker": worker,
+                 "dur_s": dur, "attrs": {"status": "ok", "cached": cached}}
             )
-        events.append(
-            {"t": 102.0, "kind": "gauge", "name": "process.cpu_percent",
-             "worker": "serve", "value": 12.5, "attrs": {}}
-        )
+        for i, (cpu_s, rss) in enumerate(((1.25, 50e6), (0.5, 60e6))):
+            events.append(
+                {"t": 104.0 + i, "kind": "span", "name": "campaign.run",
+                 "worker": f"shard-{i}", "dur_s": 2.0,
+                 "attrs": {"cpu_s": cpu_s, "max_rss_bytes": int(rss)}}
+            )
         return events
 
     def test_report_grows_http_and_resource_sections(self):
@@ -791,12 +816,14 @@ class TestHttpAndResourceReportSections:
         assert http["/campaigns"]["p95_s"] <= http["/campaigns"]["max_s"] == 0.5
         assert http["/campaigns"]["statuses"] == {"200": 4}
         assert http["/healthz"]["requests"] == 1
-        resource = report["resource"]
-        assert resource["rss_bytes"]["peak"] == 60e6
-        assert resource["rss_bytes"]["mean"] == pytest.approx(55e6)
-        assert resource["rss_bytes"]["last"] == 55e6
-        assert resource["cpu_percent"]["peak"] == 12.5
-        assert resource["samples"] == 3
+        # CPU adds up over the runs; peak RSS is the largest run's peak.
+        assert report["resource"] == {"cpu_s": 1.75, "max_rss_bytes": 60_000_000}
+        # Latency covers the executed scenario spans of every worker.
+        latency = report["latency"]
+        assert latency["workers"] == ["shard-0", "shard-1"]
+        assert latency["scenario"]["count"] == 2
+        assert latency["scenario"]["p50_s"] == pytest.approx(0.3)
+        assert latency["scenario"]["max_s"] == 0.4
 
     def test_text_renderer_includes_new_blocks(self):
         text = format_report(build_report(self._synthetic_events()))
@@ -804,6 +831,7 @@ class TestHttpAndResourceReportSections:
         assert "/campaigns" in text
         assert "Resource usage" in text
         assert "rss_mib" in text
+        assert "Scenario latency" in text and "shard-0, shard-1" in text
 
     def test_sections_absent_without_matching_events(self):
         report = build_report([
@@ -820,15 +848,14 @@ class TestTopView:
         view.update(TestHttpAndResourceReportSections._synthetic_events())
         frame = view.render(now=106.0)
         assert "/campaigns" in frame
-        assert "rss 52.5 MiB" in frame  # last gauge value, 55e6 bytes
-        assert "cpu 12.5%" in frame
         assert "events/s" in frame
+        assert "exec p95: 0.390s" in frame  # of the two executed scenario spans
+        assert "resources" not in frame and "in-flight" not in frame
 
     def test_cli_once_frame(self, tmp_path, capsys):
         trace = tmp_path / "trace"
         telemetry = Telemetry.create(trace, worker="main")
         telemetry.tracer.span_event("scenario", 0.25, status="ok")
-        telemetry.tracer.gauge("process.rss_bytes", 12345678)
         telemetry.close()
         assert main(["obs", "top", str(trace), "--once"]) == 0
         out = capsys.readouterr().out

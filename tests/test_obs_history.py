@@ -1,5 +1,5 @@
 """Tests for the run ledger, ``obs diff`` regression gating and merged
-multi-worker histograms (repro.obs.history / .diff)."""
+histograms (repro.obs.history / .diff / .timeseries)."""
 
 import json
 import math
@@ -9,19 +9,17 @@ import pytest
 from repro.cli import main
 from repro.obs import (
     DiffThresholds,
-    MetricsRegistry,
     RunLedger,
     RunSummary,
     diff_summaries,
     format_diff,
     ledger_path,
-    merged_sidecar_histograms,
+    load_events,
     run_provenance,
     summarize_run,
 )
-from repro.obs.metrics import split_series_key
 from repro.obs.promexport import render_prometheus
-from repro.obs.timeseries import Histogram, RollingWindow
+from repro.obs.timeseries import Histogram, RollingWindow, exact_quantile
 
 DURATION_S = 4.0
 
@@ -90,8 +88,8 @@ class TestRunLedger:
 
 
 # ----------------------------------------------------------------------
-# summarize_run over a real two-shard trace: the merged-histogram
-# acceptance criterion (quantiles include every worker sidecar).
+# summarize_run over a real two-shard trace: the latency quantiles cover
+# every process that traced into the directory.
 # ----------------------------------------------------------------------
 class TestSummarizeRun:
     def test_two_shard_workers_both_feed_the_latency_quantiles(self, tmp_path, capsys):
@@ -107,19 +105,23 @@ class TestSummarizeRun:
             ]
             assert main(argv) == 0
         capsys.readouterr()
-
-        # both shard workers left their own metrics sidecar in the trace dir
-        merged, workers, files = merged_sidecar_histograms(trace_dir)
-        assert set(workers) == {"shard-0", "shard-1"}
-        assert files == 2
+        # the trace is the only per-process output: no metrics mirrors
+        assert [p.name for p in trace_dir.iterdir() if not p.name.startswith("trace-")] == []
 
         doc = summarize_run(trace_dir, kind="shard", engine="fast")
         latency = doc.scenario_latency
-        assert {"shard-0", "shard-1"} <= set(latency["workers"])
-        # every executed scenario is in the merged histogram: the count is
-        # the sum over all worker sidecars, not any single worker's view
-        assert latency["count"] == 4
+        assert latency["workers"] == ["shard-0", "shard-1"]
+        # every executed scenario span is in the quantiles: the count is the
+        # sum over both shards, not any single worker's view
+        durations = [
+            e["dur_s"] for e in load_events(trace_dir)
+            if e["kind"] == "span" and e["name"] == "scenario" and not e["attrs"]["cached"]
+        ]
+        assert latency["count"] == len(durations) == 4
+        assert latency["p95_s"] == exact_quantile(durations, 0.95)
         assert latency["p95_s"] >= latency["p50_s"] > 0
+        # CPU sums both shards' campaign.run stamps
+        assert doc.resource["cpu_s"] > 0 and doc.resource["rss_peak_bytes"] > 0
         assert doc.executed == 4 and doc.scenarios == 4
         assert doc.throughput_sps > 0
         assert doc.repro_version == run_provenance()["repro_version"]
@@ -261,33 +263,30 @@ class TestObsDiffCli:
     def test_threshold_flags_are_honoured(self, tmp_path):
         self._write_trace(tmp_path / "a", self._events(1.0))
         self._write_trace(tmp_path / "b", self._events(1.3))  # +30% execute
-        # a slower execute phase also means lower throughput: widen the
-        # throughput gate so each flag's effect is observed in isolation
+        # a slower execute phase also means lower throughput and slower
+        # scenario spans: widen those gates so each flag's effect is
+        # observed in isolation
         base = ["obs", "diff", str(tmp_path / "a"), str(tmp_path / "b"),
-                "--throughput-threshold", "90"]
+                "--throughput-threshold", "90", "--p95-threshold", "90"]
         assert main([*base, "--phase-threshold", "50"]) == 0
         assert main([*base, "--phase-threshold", "20"]) == 1
 
 
 # ----------------------------------------------------------------------
-# Merged multi-worker histograms through the Prometheus exposition
+# Merged histograms through the Prometheus exposition
 # ----------------------------------------------------------------------
 class TestMergedHistogramExposition:
-    def test_merge_keeps_cumulative_buckets_monotone(self, tmp_path):
+    def test_merge_keeps_cumulative_buckets_monotone(self):
         boundaries = [0.1, 0.5, 1.0, 5.0]
         workers = {"shard-0": [0.05, 0.3, 0.7], "shard-1": [0.4, 2.0, 9.0, 0.08]}
-        for i, (worker, samples) in enumerate(workers.items()):
-            registry = MetricsRegistry()
-            histogram = registry.histogram(
-                "scenario_duration_seconds", boundaries=boundaries
-            )
+        histograms = []
+        for samples in workers.values():
+            histogram = Histogram(boundaries=boundaries)
             for value in samples:
                 histogram.observe(value)
-            registry.write(tmp_path / f"metrics-{worker}-{100 + i}.json")
-
-        merged, found_workers, files = merged_sidecar_histograms(tmp_path)
-        assert set(found_workers) == set(workers) and files == 2
-        combined = merged["scenario_duration_seconds"]
+            histograms.append(Histogram.from_dict(histogram.to_dict()))
+        combined = histograms[0]
+        combined.merge(histograms[1])
         total = sum(len(s) for s in workers.values())
         assert combined.count == total
 
@@ -308,13 +307,14 @@ class TestMergedHistogramExposition:
         assert bucket_values[-1] == total
         assert f"scenario_duration_seconds_count {total}" in exposition
 
-    def test_divergent_boundaries_keep_first_series(self, tmp_path):
-        for worker, boundaries in (("a", [0.1, 1.0]), ("b", [0.2, 2.0])):
-            registry = MetricsRegistry()
-            registry.histogram("x", boundaries=boundaries).observe(0.5)
-            registry.write(tmp_path / f"metrics-{worker}-1.json")
-        merged, _workers, _files = merged_sidecar_histograms(tmp_path)
-        assert merged["x"].count == 1  # second file skipped, not crashed
+    def test_divergent_boundaries_keep_first_series(self):
+        first = Histogram(boundaries=[0.1, 1.0])
+        first.observe(0.5)
+        second = Histogram(boundaries=[0.2, 2.0])
+        second.observe(0.5)
+        with pytest.raises(ValueError, match="boundaries"):
+            first.merge(second)
+        assert first.count == 1 and first.counts == [0, 1, 0]  # left untouched
 
 
 # ----------------------------------------------------------------------

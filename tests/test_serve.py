@@ -333,8 +333,7 @@ class TestObservabilityEndpoints:
         store_path = tmp_path / "store.jsonl"
         spec = smoke_spec()
         with ServiceThread(
-            store_path=store_path, port=0, workers=1,
-            trace_dir=tmp_path / "trace", resource_interval_s=0.2,
+            store_path=store_path, port=0, workers=1, trace_dir=tmp_path / "trace",
         ) as service:
             client = ServeClient(ServeConfig(base_url=service.base_url))
             ready = client.ready()
@@ -397,20 +396,30 @@ class TestObservabilityEndpoints:
             assert list((tmp_path / "trace").glob("trace-serve-*.jsonl"))
 
     def test_service_metrics_survive_in_data_dir_snapshot(self, tmp_path):
-        """The sampler's periodic flush leaves a readable registry snapshot
-        even if the process is killed (here: just read it mid-run)."""
+        """stop() leaves the registry, process gauges included, in the data dir."""
+        snapshot = tmp_path / "data" / "metrics.json"
         with ServiceThread(
             store_path=tmp_path / "store.jsonl", data_dir=tmp_path / "data",
-            port=0, workers=1, resource_interval_s=0.1,
+            port=0, workers=1,
         ) as service:
+            ServeClient(ServeConfig(base_url=service.base_url)).health()
+            assert not snapshot.exists()  # written once, at stop()
+        doc = json.loads(snapshot.read_text(encoding="utf-8"))
+        assert doc["gauges"]["process_resident_memory_bytes"] > 0
+        assert doc["gauges"]["process_cpu_seconds_total"] > 0
+        assert any(key.startswith("http_requests_total") for key in doc["counters"])
+
+    def test_metrics_read_process_gauges_at_scrape_time(self, tmp_path):
+        """/metrics answers a growing CPU counter with no sampler thread."""
+        with ServiceThread(store_path=tmp_path / "store.jsonl", port=0, workers=1) as service:
             client = ServeClient(ServeConfig(base_url=service.base_url))
-            client.health()
-            deadline = time.monotonic() + 10
-            snapshot = tmp_path / "data" / "metrics.json"
-            while not snapshot.exists() and time.monotonic() < deadline:
-                time.sleep(0.05)
-            doc = json.loads(snapshot.read_text(encoding="utf-8"))
-            assert doc["gauges"]["process_resource_samples"] >= 1
+            before = client.metrics()["gauges"]["process_cpu_seconds_total"]
+            burn_until = time.process_time() + 0.2
+            while time.process_time() < burn_until:
+                pass
+            after = client.metrics()["gauges"]["process_cpu_seconds_total"]
+            assert after >= before + 0.15
+            assert "repro-resource-sampler" not in {t.name for t in threading.enumerate()}
 
     def test_readyz_exempt_from_auth(self, tmp_path):
         with ServiceThread(

@@ -203,7 +203,10 @@ def oracle_campaign_overview(records: Iterable[dict]) -> dict:
     return {
         "scenarios": len(records),
         "ok": len(ok),
-        "failed": len(records) - len(ok),
+        # The one change from the per-table code: errors and timeouts are
+        # counted apart, as the run summary counts them.
+        "failed": sum(1 for r in records if r.get("status") == "error"),
+        "timed_out": sum(1 for r in records if r.get("status") == "timeout"),
         "simulated_s": sum(float(s.get("duration_s", 0.0)) for s in summaries),
         "scenario_wall_s": sum(float(r.get("elapsed_s", 0.0)) for r in ok),
         "worker_cpu_s": sum(float((r.get("timings") or {}).get("cpu_s", 0.0)) for r in ok),
@@ -383,6 +386,19 @@ def test_unknown_axis_over_unloadable_records_groups_by_raw_value():
     assert records
     assert axis_summary(records, "nonsense") == oracle_axis_summary(records, "nonsense")
     assert [row["n"] for row in axis_summary(records, "nonsense")] == [len(records)]
+
+
+def test_overview_counts_an_error_and_a_timeout_apart():
+    config = ScenarioConfig(governor="powersave").to_dict()
+    records = [
+        {"scenario_id": "a", "status": "ok", "config": config, "summary": {"duration_s": 5.0}},
+        {"scenario_id": "b", "status": "error", "config": config, "error": "ValueError: x"},
+        {"scenario_id": "c", "status": "timeout", "config": config, "elapsed_s": 2.0},
+    ]
+    overview = campaign_overview(records)
+    assert (overview["scenarios"], overview["ok"]) == (3, 1)
+    assert (overview["failed"], overview["timed_out"]) == (1, 1)
+    assert campaign_tables(records)["overview"] == overview
 
 
 def test_empty_campaign():

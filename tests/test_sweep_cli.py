@@ -118,7 +118,7 @@ class TestRunFlagValidation:
             ),
             (["serve", "--timeout", "-1"], "argument --timeout: must be > 0"),
             (["serve", "--watchdog", "0"], "argument --watchdog: must be > 0"),
-            (["serve", "--resource-interval", "0"], "argument --resource-interval: must be > 0"),
+            (["serve", "--workers", "0"], "argument --workers: must be >= 1"),
             (["serve", "--series", "-1"], "argument --series: must be >= 0"),
         ],
     )
