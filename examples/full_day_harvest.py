@@ -26,8 +26,8 @@ from repro.analysis.mppt import mppt_report, operating_voltage_histogram
 from repro.analysis.overhead import overhead_report
 from repro.analysis.reporting import format_kv, format_series, format_table
 from repro.analysis.stability import voltage_stability_report
+from repro.energy.profiles import PV_TARGET_VOLTAGE
 from repro.energy.pv_array import paper_pv_array
-from repro.experiments.scenarios import PV_TARGET_VOLTAGE
 from repro.soc.exynos5422 import build_exynos5422_platform
 
 

@@ -4,15 +4,15 @@
 The paper selects V_width, V_q, alpha and beta by simulating the closed loop
 under a sudden-shadowing scenario and scoring each candidate by the fraction
 of time the supply voltage stays within 5 % of the target.  This example runs
-a small grid search around the paper's tuned values plus a random search of
-the wider space, and prints the ranked candidates.
+a small grid search around the paper's tuned values and prints the ranked
+candidates.
 
 Run with:  python examples/parameter_tuning.py
 """
 
 from repro.analysis.reporting import format_table
 from repro.core.parameters import PAPER_TUNED_PARAMETERS
-from repro.core.tuning import TuningScenario, evaluate_parameters, grid_search, random_search
+from repro.core.tuning import TuningScenario, evaluate_parameters, grid_search
 from repro.soc.exynos5422 import build_exynos5422_platform
 
 
@@ -33,11 +33,6 @@ def main() -> None:
         beta_values=(0.479,),
     )
     print(format_table([r.as_dict() for r in grid[:6]], title="top grid candidates"))
-    print()
-
-    print("Random search of the wider parameter space...")
-    randomised = random_search(scenario, n_candidates=10, seed=3)
-    print(format_table([r.as_dict() for r in randomised[:5]], title="top random candidates"))
 
 
 if __name__ == "__main__":

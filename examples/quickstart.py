@@ -13,7 +13,7 @@ Run with:  python examples/quickstart.py
 from repro import PowerNeutralGovernor, WeatherCondition, run_pv_experiment
 from repro.analysis.reporting import format_kv, format_series
 from repro.analysis.stability import voltage_stability_report
-from repro.experiments.scenarios import PV_TARGET_VOLTAGE
+from repro.energy.profiles import PV_TARGET_VOLTAGE
 from repro.workloads.workload import FIG7_FRAME
 
 

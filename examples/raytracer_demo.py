@@ -1,49 +1,30 @@
 #!/usr/bin/env python3
-"""Render the smallpt-style Cornell box and relate it to the power budget.
+"""Relate a smallpt-style render to the power budget.
 
 The paper benchmarks its platform with the ``smallpt`` global-illumination
-renderer.  This example renders a small Cornell-box image with the bundled
-numpy path tracer, then uses the calibrated performance model to estimate how
-long the same render would take on the ODROID-XU4 at several operating
-points — i.e. what the governor is actually trading off when it scales the
-OPP to match the harvested power.
+renderer.  This example takes a small render's instruction cost and uses the
+calibrated power and performance models to estimate how long it would take on
+the ODROID-XU4 at several operating points — i.e. what the governor is
+actually trading off when it scales the OPP to match the harvested power.
 
-Run with:  python examples/raytracer_demo.py [output.ppm]
+Run with:  python examples/raytracer_demo.py
 """
-
-import sys
 
 from repro.analysis.reporting import format_table
 from repro.soc.cores import CoreConfig
 from repro.soc.exynos5422 import exynos5422_performance_model, exynos5422_power_model
 from repro.soc.opp import GHZ, OperatingPoint
-from repro.workloads.raytracer import PathTracer, RenderSettings
+from repro.workloads.raytracer import RenderSettings
 from repro.workloads.workload import RaytraceWorkload
 
 
-def save_ppm(path: str, image) -> None:
-    """Write the rendered image as a plain-text PPM file (no dependencies)."""
-    height, width, _ = image.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P3\n{width} {height}\n255\n")
-        for row in image:
-            for pixel in row:
-                fh.write(" ".join(str(int(255 * channel)) for channel in pixel) + "\n")
-
-
 def main() -> None:
-    settings = RenderSettings(width=96, height=72, samples_per_pixel=4, seed=1)
-    tracer = PathTracer()
-    print(f"Rendering {settings.width}x{settings.height} at {settings.samples_per_pixel} spp ...")
-    image = tracer.render(settings)
-    print(f"done; mean pixel value {float(image.mean()):.3f}")
-
-    if len(sys.argv) > 1:
-        save_ppm(sys.argv[1], image)
-        print(f"wrote {sys.argv[1]}")
-
-    # What would this render cost on the modelled platform?
+    settings = RenderSettings(width=96, height=72, samples_per_pixel=4)
     workload = RaytraceWorkload(settings, name="demo-render")
+    print(
+        f"A {settings.width}x{settings.height} render at {settings.samples_per_pixel} spp "
+        f"costs ~{workload.instructions_per_unit / 1e6:.0f} M instructions."
+    )
     power_model = exynos5422_power_model()
     performance_model = exynos5422_performance_model()
     rows = []
@@ -62,7 +43,6 @@ def main() -> None:
                 "render_time_s": workload.instructions_per_unit / rate,
             }
         )
-    print()
     print(format_table(rows, title="estimated cost of this render on the ODROID-XU4 model"))
     print("\nThe governor picks among exactly these trade-offs as the harvested power varies.")
 

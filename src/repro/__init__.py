@@ -34,13 +34,8 @@ from .core.parameters import (
 from .energy.irradiance import IrradianceGenerator, WeatherCondition
 from .energy.pv_array import PVArray, fig1_small_cell, paper_pv_array
 from .energy.supercapacitor import PAPER_BUFFER_CAPACITANCE_F, Supercapacitor
-from .experiments.scenarios import (
-    PV_TARGET_VOLTAGE,
-    PaperSystem,
-    run_controlled_supply_experiment,
-    run_pv_experiment,
-    solar_irradiance_trace,
-)
+from .energy.profiles import PV_TARGET_VOLTAGE, solar_irradiance_trace
+from .experiments.scenarios import run_controlled_supply_experiment, run_pv_experiment
 from .registry import ComponentSpec, Registry
 from .governors import (
     ConservativeGovernor,
@@ -54,7 +49,7 @@ from .governors import (
     StaticGovernor,
 )
 from .sim.result import SimulationResult
-from .sim.simulator import EnergyHarvestingSimulation, SimulationConfig, simulate
+from .sim.simulator import EnergyHarvestingSimulation, SimulationConfig
 from .soc.exynos5422 import build_exynos5422_platform
 from .soc.opp import OperatingPoint
 from .soc.cores import CoreConfig
@@ -75,7 +70,6 @@ __all__ = [
     "PAPER_BUFFER_CAPACITANCE_F",
     "Supercapacitor",
     "PV_TARGET_VOLTAGE",
-    "PaperSystem",
     "run_controlled_supply_experiment",
     "run_pv_experiment",
     "solar_irradiance_trace",
@@ -93,7 +87,6 @@ __all__ = [
     "SimulationResult",
     "EnergyHarvestingSimulation",
     "SimulationConfig",
-    "simulate",
     "build_exynos5422_platform",
     "OperatingPoint",
     "CoreConfig",

@@ -29,7 +29,6 @@ from .tuning import (
     TuningScenario,
     evaluate_parameters,
     grid_search,
-    random_search,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "TuningScenario",
     "evaluate_parameters",
     "grid_search",
-    "random_search",
 ]

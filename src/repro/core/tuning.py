@@ -10,17 +10,14 @@ of the target voltage".  The best values found were 144 mV, 47.9 mV,
 This module reproduces that methodology on the Python simulator: a
 :class:`TuningScenario` describes the stimulus (irradiance profile, platform,
 buffer), :func:`evaluate_parameters` runs the closed loop for one candidate
-and scores it, and :func:`grid_search` / :func:`random_search` sweep the
-parameter space.
+and scores it, and :func:`grid_search` sweeps a parameter grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from ..analysis.stability import fraction_within_tolerance
 from ..energy.irradiance import ramped_shadow_irradiance
@@ -33,7 +30,7 @@ from ..soc.platform import SoCPlatform
 from .governor import PowerNeutralGovernor
 from .parameters import ControllerParameters
 
-__all__ = ["TuningScenario", "TuningResult", "evaluate_parameters", "grid_search", "random_search"]
+__all__ = ["TuningScenario", "TuningResult", "evaluate_parameters", "grid_search"]
 
 
 @dataclass
@@ -164,31 +161,6 @@ def grid_search(
     for v_width, v_q, alpha, beta in product(v_width_values, v_q_values, alpha_values, beta_values):
         if beta < alpha:
             continue
-        params = ControllerParameters(v_width=v_width, v_q=v_q, alpha=alpha, beta=beta)
-        results.append(evaluate_parameters(params, scenario))
-    results.sort(key=lambda r: r.score, reverse=True)
-    return results
-
-
-def random_search(
-    scenario: TuningScenario,
-    n_candidates: int = 20,
-    seed: int = 0,
-    v_width_range: tuple[float, float] = (0.05, 0.40),
-    v_q_range: tuple[float, float] = (0.02, 0.20),
-    alpha_range: tuple[float, float] = (0.05, 0.40),
-    beta_range: tuple[float, float] = (0.10, 0.80),
-) -> list[TuningResult]:
-    """Random sweep of the parameter space, best candidates first."""
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be positive")
-    rng = np.random.default_rng(seed)
-    results: list[TuningResult] = []
-    for _ in range(n_candidates):
-        v_width = float(rng.uniform(*v_width_range))
-        v_q = float(rng.uniform(*v_q_range))
-        alpha = float(rng.uniform(*alpha_range))
-        beta = float(rng.uniform(max(alpha, beta_range[0]), beta_range[1]))
         params = ControllerParameters(v_width=v_width, v_q=v_q, alpha=alpha, beta=beta)
         results.append(evaluate_parameters(params, scenario))
     results.sort(key=lambda r: r.score, reverse=True)

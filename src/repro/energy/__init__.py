@@ -25,7 +25,7 @@ from .profiles import (
     fig11_supply_profile,
     solar_irradiance_trace,
 )
-from .traces import IrradianceTrace, PowerTrace, Trace, trace_from_function
+from .traces import IrradianceTrace, PowerTrace, Trace
 from .supercapacitor import (
     PAPER_BUFFER_CAPACITANCE_F,
     PAPER_MINIMUM_CAPACITANCE_F,
@@ -51,7 +51,6 @@ __all__ = [
     "IrradianceTrace",
     "PowerTrace",
     "Trace",
-    "trace_from_function",
     "PV_TARGET_VOLTAGE",
     "PAPER_TEST_START_S",
     "solar_irradiance_trace",

@@ -3,9 +3,12 @@
 Power-neutral operation removes the *large* energy buffer, but a small
 capacitance remains to carry the SoC through DVFS / hot-plug transition
 latency (the paper sizes 15.4 mF as the minimum and uses 47 mF).  This module
-models that capacitor: ideal capacitance plus equivalent series resistance and
-a parallel leakage path, following the modelling approach of Weddell et al.
-(paper reference [5]).
+models that capacitor: ideal capacitance plus a parallel leakage path,
+following the modelling approach of Weddell et al. (paper reference [5]).  The
+simulator integrates the node voltage itself, from ``capacitance_f``,
+``leakage_conductance_s`` and ``max_voltage``; the equivalent series
+resistance ``esr_ohm`` is validated and carried in the scenario config but not
+modelled.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ PAPER_MINIMUM_CAPACITANCE_F = 15.4e-3
 
 @dataclass
 class Supercapacitor:
-    """A capacitor with ESR and leakage, integrated explicitly by the simulator.
+    """A capacitor with leakage, integrated by the simulator's loop.
 
     Attributes
     ----------
     capacitance_f:
         Capacitance in farads.
     esr_ohm:
-        Equivalent series resistance in ohms (adds a voltage drop between the
-        internal capacitor voltage and the terminal).
+        Equivalent series resistance in ohms.  Validated but not modelled:
+        the simulator applies no ESR drop, so its value does not change a
+        result.
     leakage_conductance_s:
         Parallel leakage conductance in siemens (I_leak = G * V).
     voltage:
@@ -75,35 +79,6 @@ class Supercapacitor:
         """Leakage current at the given (or present) voltage."""
         v = self.voltage if voltage is None else voltage
         return self.leakage_conductance_s * v
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def derivative(self, net_current_a: float, voltage: float | None = None) -> float:
-        """dV/dt for a given net charging current (source minus load).
-
-        Leakage is subtracted internally, so callers pass only the external
-        net current into the node.
-        """
-        v = self.voltage if voltage is None else voltage
-        return (net_current_a - self.leakage_current(v)) / self.capacitance_f
-
-    def step(self, net_current_a: float, dt: float) -> float:
-        """Advance the capacitor voltage by ``dt`` seconds (explicit Euler).
-
-        Returns the new voltage.  The system simulator uses its own
-        integrator; this method exists for standalone capacitor experiments
-        and unit tests.
-        """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self.voltage += self.derivative(net_current_a) * dt
-        self.voltage = min(max(self.voltage, 0.0), self.max_voltage)
-        return self.voltage
-
-    def terminal_voltage(self, load_current_a: float) -> float:
-        """Terminal voltage seen by the load, accounting for the ESR drop."""
-        return max(self.voltage - load_current_a * self.esr_ohm, 0.0)
 
     def reset(self, voltage: float) -> None:
         """Set the capacitor voltage (e.g. at the start of a simulation)."""

@@ -3,7 +3,7 @@
 The paper's evaluation is trace driven: solar irradiance recorded over a day
 drives the PV model, and the resulting voltage/power/performance time series
 are what the figures plot.  This module provides a small, dependency-free
-trace abstraction with CSV persistence, resampling and interpolation, used for
+trace abstraction with CSV persistence and interpolation, used for
 
 * irradiance traces (W/m^2 vs time),
 * harvested-power traces (W vs time, e.g. Fig. 1 and Fig. 14),
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Trace", "IrradianceTrace", "PowerTrace", "TraceCursor", "trace_from_function"]
+__all__ = ["Trace", "IrradianceTrace", "PowerTrace", "TraceCursor"]
 
 
 @dataclass
@@ -96,51 +96,10 @@ class Trace:
         """Vectorised :meth:`value_at`."""
         return np.interp(np.asarray(ts, dtype=float), self.times, self.values)
 
-    def resample(self, dt: float) -> "Trace":
-        """Return a copy resampled on a uniform grid with step ``dt``."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        n = max(int(round(self.duration / dt)) + 1, 2)
-        new_times = self.start_time + np.arange(n) * dt
-        new_times = new_times[new_times <= self.end_time + 1e-12]
-        return type(self)(
-            times=new_times,
-            values=self.values_at(new_times),
-            name=self.name,
-            units=self.units,
-        )
-
-    def slice(self, t_start: float, t_end: float) -> "Trace":
-        """Return the sub-trace between two times (inclusive, interpolated ends)."""
-        if t_end < t_start:
-            raise ValueError("t_end must be >= t_start")
-        mask = (self.times > t_start) & (self.times < t_end)
-        times = np.concatenate(([t_start], self.times[mask], [t_end]))
-        values = np.concatenate(
-            ([self.value_at(t_start)], self.values[mask], [self.value_at(t_end)])
-        )
-        return type(self)(times=times, values=values, name=self.name, units=self.units)
-
-    def shifted(self, offset: float) -> "Trace":
-        """Return a copy with all times shifted by ``offset`` seconds."""
-        return type(self)(
-            times=self.times + offset, values=self.values.copy(), name=self.name, units=self.units
-        )
-
     def scaled(self, factor: float) -> "Trace":
         """Return a copy with all values multiplied by ``factor``."""
         return type(self)(
             times=self.times.copy(), values=self.values * factor, name=self.name, units=self.units
-        )
-
-    def map(self, fn: Callable[[float], float], name: str | None = None, units: str | None = None) -> "Trace":
-        """Return a new trace with ``fn`` applied to every value."""
-        mapped = np.array([fn(float(v)) for v in self.values])
-        return Trace(
-            times=self.times.copy(),
-            values=mapped,
-            name=name if name is not None else self.name,
-            units=units if units is not None else self.units,
         )
 
     # ------------------------------------------------------------------
@@ -245,10 +204,6 @@ class IrradianceTrace(Trace):
     def __init__(self, times, values, name: str = "irradiance", units: str = "W/m^2"):
         super().__init__(times=np.asarray(times), values=np.asarray(values), name=name, units=units)
 
-    def clipped(self) -> "IrradianceTrace":
-        """Return a copy with negative irradiance values clipped to zero."""
-        return IrradianceTrace(self.times.copy(), np.clip(self.values, 0.0, None), self.name, self.units)
-
 
 class PowerTrace(Trace):
     """A trace of electrical power in watts."""
@@ -259,21 +214,3 @@ class PowerTrace(Trace):
     def energy_joules(self) -> float:
         """Total energy represented by the trace."""
         return self.integral()
-
-
-def trace_from_function(
-    fn: Callable[[float], float],
-    duration: float,
-    dt: float,
-    name: str = "signal",
-    units: str = "",
-    t_start: float = 0.0,
-) -> Trace:
-    """Sample a function of time onto a uniform grid and wrap it in a Trace."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    times = t_start + np.arange(0.0, duration + dt * 0.5, dt)
-    values = np.array([fn(float(t)) for t in times])
-    return Trace(times=times, values=values, name=name, units=units)

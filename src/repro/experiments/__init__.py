@@ -1,13 +1,7 @@
 """Experiment harness: shared scenarios plus one function per paper figure/table."""
 
-from .scenarios import (
-    PV_TARGET_VOLTAGE,
-    PaperSystem,
-    fig11_supply_profile,
-    run_controlled_supply_experiment,
-    run_pv_experiment,
-    solar_irradiance_trace,
-)
+from ..energy.profiles import PV_TARGET_VOLTAGE, fig11_supply_profile, solar_irradiance_trace
+from .scenarios import run_controlled_supply_experiment, run_pv_experiment
 from .characterisation import (
     fig1_solar_day,
     fig3_concept,
@@ -28,7 +22,6 @@ from .evaluation import (
 
 __all__ = [
     "PV_TARGET_VOLTAGE",
-    "PaperSystem",
     "fig11_supply_profile",
     "run_controlled_supply_experiment",
     "run_pv_experiment",

@@ -26,6 +26,7 @@ from ..energy.irradiance import (
     sinusoidal_irradiance,
     step_irradiance,
 )
+from ..energy.profiles import PV_TARGET_VOLTAGE
 from ..energy.pv_array import fig1_small_cell, paper_pv_array
 from ..energy.supercapacitor import PAPER_BUFFER_CAPACITANCE_F, Supercapacitor
 from ..energy.traces import PowerTrace
@@ -41,7 +42,6 @@ from ..soc.exynos5422 import (
     exynos5422_power_model,
 )
 from ..soc.opp import GHZ, OperatingPoint
-from .scenarios import PV_TARGET_VOLTAGE, solar_irradiance_trace
 
 __all__ = [
     "fig1_solar_day",

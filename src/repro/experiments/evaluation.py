@@ -29,15 +29,11 @@ from ..core.parameters import (
     PAPER_TUNED_PARAMETERS,
 )
 from ..energy.irradiance import WeatherCondition
+from ..energy.profiles import PV_TARGET_VOLTAGE, fig11_supply_profile
 from ..energy.pv_array import paper_pv_array
 from ..soc.exynos5422 import build_exynos5422_platform
 from ..soc.opp import GHZ
-from .scenarios import (
-    PV_TARGET_VOLTAGE,
-    fig11_supply_profile,
-    run_controlled_supply_experiment,
-    run_pv_experiment,
-)
+from .scenarios import run_controlled_supply_experiment, run_pv_experiment
 
 __all__ = [
     "fig11_controlled_supply",

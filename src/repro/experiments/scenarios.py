@@ -10,86 +10,23 @@ thin wrappers that translate their historical signatures (live governor /
 platform / trace objects) into a scenario config plus component overrides, so
 the examples, the CLI and every benchmark construct systems exactly the way a
 sweep worker does.
-
-The pure profile builders (:func:`solar_irradiance_trace`,
-:func:`fig11_supply_profile`, :data:`PV_TARGET_VOLTAGE`) now live in
-:mod:`repro.energy.profiles` and are re-exported here for compatibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.governor import PowerNeutralGovernor
-from ..core.parameters import PAPER_TUNED_PARAMETERS
 from ..energy.irradiance import WeatherCondition
-from ..energy.profiles import (  # noqa: F401  (re-exported for compatibility)
-    PAPER_TEST_START_S,
-    PV_TARGET_VOLTAGE,
-    fig11_supply_profile,
-    solar_irradiance_trace,
-)
+from ..energy.profiles import PV_TARGET_VOLTAGE, fig11_supply_profile, solar_irradiance_trace
 from ..energy.pv_array import PVArray, paper_pv_array
-from ..energy.supercapacitor import PAPER_BUFFER_CAPACITANCE_F, Supercapacitor
+from ..energy.supercapacitor import PAPER_BUFFER_CAPACITANCE_F
 from ..energy.traces import IrradianceTrace, Trace
 from ..governors.base import Governor
 from ..sim.result import SimulationResult
-from ..sim.simulator import EnergyHarvestingSimulation, SimulationConfig
 from ..sim.supplies import ControlledVoltageSupply, PVArraySupply, Supply
-from ..soc.exynos5422 import build_exynos5422_platform
 from ..soc.platform import SoCPlatform
 
-__all__ = [
-    "PV_TARGET_VOLTAGE",
-    "PAPER_TEST_START_S",
-    "PaperSystem",
-    "solar_irradiance_trace",
-    "fig11_supply_profile",
-    "run_pv_experiment",
-    "run_controlled_supply_experiment",
-]
-
-
-@dataclass
-class PaperSystem:
-    """The complete experimental system of Fig. 8, ready to simulate.
-
-    Attributes
-    ----------
-    platform:
-        The calibrated ODROID-XU4 model.
-    pv_array:
-        The 1340 cm² monocrystalline array.
-    capacitor:
-        The buffer capacitor (47 mF by default).
-    governor:
-        The governor under test (the proposed power-neutral governor by
-        default).
-    """
-
-    platform: SoCPlatform = field(default_factory=build_exynos5422_platform)
-    pv_array: PVArray = field(default_factory=paper_pv_array)
-    capacitor: Supercapacitor = field(
-        default_factory=lambda: Supercapacitor(PAPER_BUFFER_CAPACITANCE_F)
-    )
-    governor: Governor = field(default_factory=lambda: PowerNeutralGovernor(PAPER_TUNED_PARAMETERS))
-
-    def simulation(
-        self,
-        supply: Supply,
-        duration_s: float,
-        **config_overrides,
-    ) -> EnergyHarvestingSimulation:
-        """Assemble a simulation of this system under the given supply."""
-        config = SimulationConfig(duration_s=duration_s, **config_overrides)
-        return EnergyHarvestingSimulation(
-            platform=self.platform,
-            governor=self.governor,
-            supply=supply,
-            capacitor=self.capacitor,
-            config=config,
-        )
+__all__ = ["run_pv_experiment", "run_controlled_supply_experiment"]
 
 
 def run_pv_experiment(

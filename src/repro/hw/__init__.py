@@ -1,13 +1,12 @@
 """Voltage-monitoring hardware substrate (paper Fig. 9).
 
 Models the external low-power circuitry that generates the ``V_high`` /
-``V_low`` interrupts: resistor dividers, the MCP4131 digital potentiometer,
-the comparator, and the dual-channel :class:`VoltageMonitor` that the system
-simulator samples each step.
+``V_low`` interrupts: the MCP4131 digital potentiometer, the comparator, and
+the dual-channel :class:`VoltageMonitor` (one divider-plus-comparator channel
+per threshold) that the system simulator samples each step.
 """
 
 from .comparator import Comparator, LT6703_REFERENCE_V
-from .divider import ResistorDivider
 from .potentiometer import (
     DigitalPotentiometer,
     MCP4131_FULL_SCALE_OHM,
@@ -23,7 +22,6 @@ from .monitor import (
 __all__ = [
     "Comparator",
     "LT6703_REFERENCE_V",
-    "ResistorDivider",
     "DigitalPotentiometer",
     "MCP4131_FULL_SCALE_OHM",
     "MCP4131_TAPS",

@@ -263,9 +263,6 @@ class Registry:
     def names(self) -> list[str]:
         return sorted(self._entries)
 
-    def labels(self) -> dict[str, str]:
-        return {name: entry.label for name, entry in self._entries.items()}
-
     def __contains__(self, name: object) -> bool:
         return name in self._entries
 

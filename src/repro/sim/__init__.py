@@ -2,7 +2,7 @@
 
 from .supplies import ConstantPowerSupply, ControlledVoltageSupply, PVArraySupply, Supply
 from .result import SimulationEvent, SimulationResult
-from .simulator import EnergyHarvestingSimulation, SimulationConfig, simulate
+from .simulator import EnergyHarvestingSimulation, SimulationConfig
 
 __all__ = [
     "ConstantPowerSupply",
@@ -13,5 +13,4 @@ __all__ = [
     "SimulationResult",
     "EnergyHarvestingSimulation",
     "SimulationConfig",
-    "simulate",
 ]

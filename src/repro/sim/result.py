@@ -121,10 +121,6 @@ class SimulationResult:
             return 0.0
         return float(np.mean(self.running > 0.5))
 
-    def instructions_completed(self) -> float:
-        """Total useful instructions executed over the run."""
-        return self.total_instructions
-
     def renders_completed(self, instructions_per_render: float) -> float:
         """Number of Table II renders completed over the run."""
         if instructions_per_render <= 0:

@@ -50,7 +50,7 @@ from ..soc.platform import SoCPlatform
 from .result import SimulationEvent, SimulationResult
 from .supplies import Supply
 
-__all__ = ["DeadlineExceeded", "SimulationConfig", "EnergyHarvestingSimulation", "simulate"]
+__all__ = ["DeadlineExceeded", "SimulationConfig", "EnergyHarvestingSimulation"]
 
 
 class DeadlineExceeded(TimeoutError):
@@ -572,23 +572,3 @@ class EnergyHarvestingSimulation:
                 f"{decision.target} (latency {latency * 1e3:.1f} ms)",
             )
         )
-
-
-def simulate(
-    platform: SoCPlatform,
-    governor: Governor,
-    supply: Supply,
-    duration_s: float,
-    capacitor: Supercapacitor | None = None,
-    **config_overrides,
-) -> SimulationResult:
-    """Convenience wrapper: build a simulation with the given duration and run it."""
-    config = SimulationConfig(duration_s=duration_s, **config_overrides)
-    sim = EnergyHarvestingSimulation(
-        platform=platform,
-        governor=governor,
-        supply=supply,
-        capacitor=capacitor,
-        config=config,
-    )
-    return sim.run()

@@ -18,7 +18,6 @@ from .opp import (
 from .power_model import (
     BigLittlePowerModel,
     ClusterPowerParameters,
-    TabulatedPowerModel,
     VoltageFrequencyMap,
 )
 from .performance_model import PerformanceModel, WorkloadScaling
@@ -49,7 +48,6 @@ __all__ = [
     "OPPTable",
     "BigLittlePowerModel",
     "ClusterPowerParameters",
-    "TabulatedPowerModel",
     "VoltageFrequencyMap",
     "PerformanceModel",
     "WorkloadScaling",

@@ -35,11 +35,6 @@ class TransitionStep:
     latency_s: float
     power_during_w: float
 
-    @property
-    def charge_coulombs_at(self) -> float:  # pragma: no cover - simple alias
-        """Deprecated alias kept for backwards compatibility."""
-        return self.latency_s * self.power_during_w
-
 
 class TransitionLatencyModel:
     """Analytical fit of the Fig. 10 latency measurements.

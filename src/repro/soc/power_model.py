@@ -10,15 +10,13 @@ model calibrated to the figure:
                          + n_little * (P_static_L + C_eff_L * f * Vdd_L(f)^2)
                          + n_big    * (P_static_B + C_eff_B * f * Vdd_B(f)^2)
 
-where ``Vdd(f)`` is a per-cluster linear voltage/frequency map.  A tabulated
-variant is also provided so users with measured OPP tables (e.g. from a real
-ODROID-XU4) can plug in their own data.
+where ``Vdd(f)`` is a per-cluster linear voltage/frequency map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -30,7 +28,6 @@ __all__ = [
     "ClusterPowerParameters",
     "PowerModel",
     "BigLittlePowerModel",
-    "TabulatedPowerModel",
 ]
 
 
@@ -150,42 +147,3 @@ class BigLittlePowerModel:
     def power_curve(self, config: CoreConfig, frequencies_hz) -> np.ndarray:
         """Board power over an array of frequencies for a fixed configuration."""
         return np.array([self.power_of(config, float(f)) for f in frequencies_hz])
-
-
-class TabulatedPowerModel:
-    """Board power from a measured (config, frequency) -> watts table.
-
-    Frequencies between table entries are linearly interpolated; frequencies
-    outside the tabulated range are clamped.  Configurations must match
-    exactly (hot-plugging is discrete).
-    """
-
-    def __init__(self, table: Mapping[tuple[tuple[int, int], float], float]):
-        if not table:
-            raise ValueError("the power table must not be empty")
-        self._by_config: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        grouped: dict[tuple[int, int], list[tuple[float, float]]] = {}
-        for (config_tuple, frequency_hz), watts in table.items():
-            if watts <= 0:
-                raise ValueError("all tabulated powers must be positive")
-            grouped.setdefault(tuple(config_tuple), []).append((float(frequency_hz), float(watts)))
-        for config_tuple, pairs in grouped.items():
-            pairs.sort()
-            freqs = np.array([p[0] for p in pairs])
-            watts = np.array([p[1] for p in pairs])
-            self._by_config[config_tuple] = (freqs, watts)
-
-    def power(self, opp: OperatingPoint) -> float:
-        key = opp.config.as_tuple()
-        if key not in self._by_config:
-            raise KeyError(f"no power data for configuration {opp.config}")
-        freqs, watts = self._by_config[key]
-        return float(np.interp(opp.frequency_hz, freqs, watts))
-
-    def power_of(self, config: CoreConfig, frequency_hz: float) -> float:
-        return self.power(OperatingPoint(config, frequency_hz))
-
-    @property
-    def configurations(self) -> list[tuple[int, int]]:
-        """The core configurations present in the table."""
-        return sorted(self._by_config)

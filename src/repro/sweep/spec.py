@@ -217,7 +217,8 @@ class ScenarioConfig:
     capacitor:
         ``{"kind": "supercapacitor", "capacitance_f": ..., "esr_ohm": ...,
         "leakage_conductance_s": ..., "max_voltage": ...,
-        "initial_voltage": V | null | "open-circuit"}``.
+        "initial_voltage": V | null | "open-circuit"}``.  ``esr_ohm`` is
+        validated and hashed but not modelled.
     workload:
         ``{"kind": "table2-render" | "fig7-frame" | "synthetic", **params}``.
     duration_s / monitor_quantised:

@@ -1,6 +1,6 @@
-"""Workloads: the smallpt-style path tracer and instruction-cost workload models."""
+"""Workloads: the smallpt render settings and instruction-cost workload models."""
 
-from .raytracer import PathTracer, RenderSettings, Scene, Sphere, cornell_box_scene
+from .raytracer import RenderSettings
 from .workload import (
     FIG7_FRAME,
     TABLE2_RENDER,
@@ -10,11 +10,7 @@ from .workload import (
 )
 
 __all__ = [
-    "PathTracer",
     "RenderSettings",
-    "Scene",
-    "Sphere",
-    "cornell_box_scene",
     "FIG7_FRAME",
     "TABLE2_RENDER",
     "RaytraceWorkload",

@@ -1,54 +1,18 @@
-"""A small numpy path tracer in the spirit of smallpt (paper reference [12]).
+"""Render settings of the smallpt workload (paper reference [12]).
 
 The paper benchmarks the ODROID-XU4 with Kevin Beason's ``smallpt`` global
 illumination renderer because it is CPU-intensive and embarrassingly
-parallel.  The governor itself never looks inside the workload — it only sees
-board power — but the reproduction ships a real renderer so that
-
-* the examples can run an actual computation whose progress is throttled by
-  the simulated power budget, and
-* the instruction-cost scaling assumptions of the performance model
-  (instructions per frame proportional to ``width * height * samples``) are
-  grounded in a real implementation.
-
-The scene is the classic Cornell-box arrangement of spheres.  Rendering is
-vectorised over pixels with numpy; it is a faithful (if simplified) diffuse
-path tracer with explicit-sphere intersection, cosine-weighted bounces and
-Russian-roulette termination.
+parallel.  The governor never looks inside the workload — it only sees board
+power — so the reproduction models a render by its instruction cost alone:
+primary samples (``width * height * samples_per_pixel``) times a calibrated
+per-sample constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["Sphere", "Scene", "RenderSettings", "PathTracer", "cornell_box_scene"]
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """A sphere with a diffuse (Lambertian) material and optional emission."""
-
-    centre: tuple[float, float, float]
-    radius: float
-    colour: tuple[float, float, float]
-    emission: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-
-@dataclass
-class Scene:
-    """A collection of spheres plus a background colour."""
-
-    spheres: list[Sphere] = field(default_factory=list)
-    background: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def add(self, sphere: Sphere) -> None:
-        self.spheres.append(sphere)
+__all__ = ["RenderSettings"]
 
 
 @dataclass(frozen=True)
@@ -58,16 +22,12 @@ class RenderSettings:
     width: int = 64
     height: int = 48
     samples_per_pixel: int = 4
-    max_bounces: int = 4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
         if self.samples_per_pixel < 1:
             raise ValueError("samples_per_pixel must be positive")
-        if self.max_bounces < 1:
-            raise ValueError("max_bounces must be positive")
 
     @property
     def pixel_count(self) -> int:
@@ -77,182 +37,7 @@ class RenderSettings:
     def primary_ray_count(self) -> int:
         return self.pixel_count * self.samples_per_pixel
 
-
-def cornell_box_scene() -> Scene:
-    """The classic smallpt Cornell-box scene (walls as huge spheres)."""
-    big = 1e4
-    scene = Scene()
-    scene.add(Sphere((big + 1, 40.8, 81.6), big, (0.75, 0.25, 0.25)))      # left wall (red)
-    scene.add(Sphere((-big + 99, 40.8, 81.6), big, (0.25, 0.25, 0.75)))    # right wall (blue)
-    scene.add(Sphere((50, 40.8, big), big, (0.75, 0.75, 0.75)))            # back wall
-    scene.add(Sphere((50, big, 81.6), big, (0.75, 0.75, 0.75)))            # floor
-    scene.add(Sphere((50, -big + 81.6, 81.6), big, (0.75, 0.75, 0.75)))    # ceiling
-    scene.add(Sphere((27, 16.5, 47), 16.5, (0.8, 0.8, 0.8)))               # left ball
-    scene.add(Sphere((73, 16.5, 78), 16.5, (0.7, 0.9, 0.7)))               # right ball
-    scene.add(Sphere((50, 681.6 - 0.27, 81.6), 600, (0.0, 0.0, 0.0), (12.0, 12.0, 12.0)))  # light
-    return scene
-
-
-class PathTracer:
-    """Vectorised diffuse path tracer.
-
-    Parameters
-    ----------
-    scene:
-        The scene to render; defaults to the Cornell box.
-    """
-
-    def __init__(self, scene: Scene | None = None):
-        self.scene = scene if scene is not None else cornell_box_scene()
-        if not self.scene.spheres:
-            raise ValueError("the scene must contain at least one sphere")
-        self._centres = np.array([s.centre for s in self.scene.spheres])
-        self._radii = np.array([s.radius for s in self.scene.spheres])
-        self._colours = np.array([s.colour for s in self.scene.spheres])
-        self._emissions = np.array([s.emission for s in self.scene.spheres])
-
-    # ------------------------------------------------------------------
-    # Ray / scene intersection
-    # ------------------------------------------------------------------
-    def _intersect(self, origins: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest-hit sphere index (-1 for miss) and hit distance per ray."""
-        n_rays = origins.shape[0]
-        best_t = np.full(n_rays, np.inf)
-        best_idx = np.full(n_rays, -1, dtype=int)
-        eps = 1e-4
-        for idx in range(len(self._radii)):
-            oc = origins - self._centres[idx]
-            b = np.einsum("ij,ij->i", oc, directions)
-            c = np.einsum("ij,ij->i", oc, oc) - self._radii[idx] ** 2
-            disc = b * b - c
-            hit = disc > 0.0
-            if not np.any(hit):
-                continue
-            sqrt_disc = np.sqrt(np.where(hit, disc, 0.0))
-            t1 = -b - sqrt_disc
-            t2 = -b + sqrt_disc
-            t = np.where(t1 > eps, t1, np.where(t2 > eps, t2, np.inf))
-            closer = hit & (t < best_t)
-            best_t = np.where(closer, t, best_t)
-            best_idx = np.where(closer, idx, best_idx)
-        return best_idx, best_t
-
-    @staticmethod
-    def _cosine_sample(normals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Cosine-weighted hemisphere sample around each normal."""
-        n = normals.shape[0]
-        u1 = rng.random(n)
-        u2 = rng.random(n)
-        r = np.sqrt(u1)
-        theta = 2.0 * np.pi * u2
-        x = r * np.cos(theta)
-        y = r * np.sin(theta)
-        z = np.sqrt(np.clip(1.0 - u1, 0.0, 1.0))
-        # Build an orthonormal basis around each normal.
-        w = normals
-        helper = np.where(np.abs(w[:, :1]) > 0.1, np.array([[0.0, 1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
-        u = np.cross(helper, w)
-        u /= np.linalg.norm(u, axis=1, keepdims=True) + 1e-12
-        v = np.cross(w, u)
-        return x[:, None] * u + y[:, None] * v + z[:, None] * w
-
-    # ------------------------------------------------------------------
-    # Rendering
-    # ------------------------------------------------------------------
-    def render(self, settings: RenderSettings = RenderSettings()) -> np.ndarray:
-        """Render the scene; returns an (height, width, 3) float image in [0, 1]."""
-        rng = np.random.default_rng(settings.seed)
-        width, height = settings.width, settings.height
-
-        # Camera matching smallpt's: positioned at (50, 52, 295.6) looking down -z.
-        cam_origin = np.array([50.0, 52.0, 295.6])
-        cam_dir = np.array([0.0, -0.042612, -1.0])
-        cam_dir /= np.linalg.norm(cam_dir)
-        cx = np.array([width * 0.5135 / height, 0.0, 0.0])
-        cy = np.cross(cx, cam_dir)
-        cy = cy / np.linalg.norm(cy) * 0.5135
-
-        xs, ys = np.meshgrid(np.arange(width), np.arange(height))
-        accumulated = np.zeros((height * width, 3))
-
-        for _ in range(settings.samples_per_pixel):
-            jitter_x = (xs + rng.random(xs.shape)) / width - 0.5
-            jitter_y = (ys + rng.random(ys.shape)) / height - 0.5
-            directions = (
-                cam_dir[None, None, :]
-                + cx[None, None, :] * jitter_x[..., None]
-                - cy[None, None, :] * jitter_y[..., None]
-            ).reshape(-1, 3)
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            origins = np.broadcast_to(cam_origin, directions.shape).copy()
-            accumulated += self._trace(origins, directions, settings, rng)
-
-        image = accumulated / settings.samples_per_pixel
-        image = np.clip(image, 0.0, 1.0) ** (1.0 / 2.2)  # gamma correction
-        return image.reshape(height, width, 3)
-
-    def _trace(
-        self,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        settings: RenderSettings,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Trace a batch of rays; returns the radiance per ray."""
-        n_rays = origins.shape[0]
-        radiance = np.zeros((n_rays, 3))
-        throughput = np.ones((n_rays, 3))
-        active = np.ones(n_rays, dtype=bool)
-
-        for bounce in range(settings.max_bounces):
-            if not np.any(active):
-                break
-            idx_active = np.nonzero(active)[0]
-            hit_idx, hit_t = self._intersect(origins[idx_active], directions[idx_active])
-
-            missed = hit_idx < 0
-            miss_rows = idx_active[missed]
-            radiance[miss_rows] += throughput[miss_rows] * np.array(self.scene.background)
-            active[miss_rows] = False
-
-            hit_rows = idx_active[~missed]
-            if len(hit_rows) == 0:
-                continue
-            spheres = hit_idx[~missed]
-            t = hit_t[~missed][:, None]
-            points = origins[hit_rows] + directions[hit_rows] * t
-            normals = points - self._centres[spheres]
-            normals /= np.linalg.norm(normals, axis=1, keepdims=True) + 1e-12
-            # Flip normals to face the incoming ray.
-            facing = np.einsum("ij,ij->i", normals, directions[hit_rows]) < 0.0
-            normals = np.where(facing[:, None], normals, -normals)
-
-            radiance[hit_rows] += throughput[hit_rows] * self._emissions[spheres]
-            throughput[hit_rows] *= self._colours[spheres]
-
-            # Russian roulette after a couple of bounces.
-            if bounce >= 2:
-                survive_p = np.clip(np.max(throughput[hit_rows], axis=1), 0.05, 0.95)
-                survived = rng.random(len(hit_rows)) < survive_p
-                throughput[hit_rows[survived]] /= survive_p[survived][:, None]
-                active[hit_rows[~survived]] = False
-                hit_rows = hit_rows[survived]
-                normals = normals[survived]
-                points = points[survived]
-                if len(hit_rows) == 0:
-                    continue
-
-            new_dirs = self._cosine_sample(normals, rng)
-            origins[hit_rows] = points + normals * 1e-3
-            directions[hit_rows] = new_dirs
-
-        return radiance
-
-    # ------------------------------------------------------------------
-    # Cost model hooks
-    # ------------------------------------------------------------------
-    @staticmethod
-    def estimated_instructions(settings: RenderSettings, instructions_per_sample: float = 5.0e3) -> float:
+    def estimated_instructions(self, instructions_per_sample: float = 5.0e3) -> float:
         """Rough instruction cost of a render on the target platform.
 
         The calibration is anchored on the paper's own numbers rather than a
@@ -261,4 +46,4 @@ class PathTracer:
         instructions, i.e. ~5 k effective instructions per primary sample;
         the same per-sample constant scales other sizes / sample counts.
         """
-        return settings.primary_ray_count * instructions_per_sample
+        return self.primary_ray_count * instructions_per_sample

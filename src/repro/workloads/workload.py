@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .raytracer import RenderSettings, PathTracer
+from .raytracer import RenderSettings
 
 __all__ = ["Workload", "SyntheticWorkload", "RaytraceWorkload", "FIG7_FRAME", "TABLE2_RENDER"]
 
@@ -76,7 +76,7 @@ class RaytraceWorkload(Workload):
         name: str = "raytrace",
         instructions_per_sample: float = 5.0e3,
     ):
-        instructions = PathTracer.estimated_instructions(settings, instructions_per_sample)
+        instructions = settings.estimated_instructions(instructions_per_sample)
         object.__setattr__(self, "settings", settings)
         super().__init__(name=name, instructions_per_unit=instructions, utilization=1.0)
 

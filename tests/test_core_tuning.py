@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.parameters import PAPER_TUNED_PARAMETERS, ControllerParameters
-from repro.core.tuning import (
-    TuningScenario,
-    evaluate_parameters,
-    grid_search,
-    random_search,
-)
+from repro.core.tuning import TuningScenario, evaluate_parameters, grid_search
 from repro.soc.exynos5422 import build_exynos5422_platform
 
 
@@ -57,19 +52,3 @@ class TestSearches:
         assert len(results) == 1
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
-
-    def test_random_search_reproducible(self, scenario):
-        a = random_search(scenario, n_candidates=3, seed=4)
-        b = random_search(scenario, n_candidates=3, seed=4)
-        assert [r.parameters for r in a] == [r.parameters for r in b]
-
-    def test_random_search_respects_ranges(self, scenario):
-        results = random_search(scenario, n_candidates=4, seed=1)
-        for r in results:
-            p = r.parameters
-            assert 0.05 <= p.v_width <= 0.40
-            assert p.beta >= p.alpha
-
-    def test_random_search_rejects_zero_candidates(self, scenario):
-        with pytest.raises(ValueError):
-            random_search(scenario, n_candidates=0)

@@ -1,7 +1,6 @@
 """Tests for the buffer capacitor model."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.energy.supercapacitor import (
     PAPER_BUFFER_CAPACITANCE_F,
@@ -45,56 +44,9 @@ class TestEnergyBookkeeping:
 
 
 class TestDynamics:
-    def test_constant_current_charging_rate(self):
-        cap = Supercapacitor(0.1, leakage_conductance_s=0.0, voltage=1.0)
-        dvdt = cap.derivative(0.5)
-        assert dvdt == pytest.approx(5.0)
-
-    def test_step_integrates_voltage(self):
-        cap = Supercapacitor(0.1, leakage_conductance_s=0.0, voltage=1.0)
-        cap.step(0.5, dt=0.1)
-        assert cap.voltage == pytest.approx(1.5)
-
-    def test_step_clamps_at_zero_and_max(self):
-        cap = Supercapacitor(0.01, voltage=0.05, max_voltage=5.0)
-        cap.step(-10.0, dt=1.0)
-        assert cap.voltage == 0.0
-        cap.step(100.0, dt=10.0)
-        assert cap.voltage == 5.0
-
-    def test_step_rejects_non_positive_dt(self):
-        cap = Supercapacitor(0.01)
-        with pytest.raises(ValueError):
-            cap.step(0.1, dt=0.0)
-
-    def test_terminal_voltage_includes_esr_drop(self):
-        cap = Supercapacitor(0.047, esr_ohm=0.1, voltage=5.0)
-        assert cap.terminal_voltage(1.0) == pytest.approx(4.9)
-
     def test_reset(self):
         cap = Supercapacitor(0.047)
         cap.reset(5.3)
         assert cap.voltage == pytest.approx(5.3)
         with pytest.raises(ValueError):
             cap.reset(50.0)
-
-    @given(
-        capacitance=st.floats(min_value=1e-3, max_value=1.0),
-        current=st.floats(min_value=-1.0, max_value=1.0),
-        dt=st.floats(min_value=1e-4, max_value=0.1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_voltage_always_within_bounds(self, capacitance, current, dt):
-        cap = Supercapacitor(capacitance, voltage=2.5, max_voltage=6.0)
-        for _ in range(20):
-            cap.step(current, dt)
-        assert 0.0 <= cap.voltage <= 6.0
-
-    def test_charge_conservation_without_leakage(self):
-        """Integrating a known current profile reproduces Q = integral(I dt)."""
-        cap = Supercapacitor(0.2, leakage_conductance_s=0.0, voltage=0.0, max_voltage=100.0)
-        dt = 1e-3
-        for _ in range(1000):
-            cap.step(0.4, dt)
-        # Q = 0.4 A * 1 s = 0.4 C -> V = Q / C = 2 V
-        assert cap.voltage == pytest.approx(2.0, rel=1e-6)

@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.energy.traces import IrradianceTrace, PowerTrace, Trace, trace_from_function
+from repro.energy.traces import PowerTrace, Trace
 
 
 @pytest.fixture()
@@ -49,31 +48,9 @@ class TestSampling:
         out = ramp.values_at([0.5, 1.5])
         np.testing.assert_allclose(out, [1.0, 3.0])
 
-    def test_resample_grid(self, ramp):
-        fine = ramp.resample(0.5)
-        assert fine.times[1] - fine.times[0] == pytest.approx(0.5)
-        assert fine.value_at(3.3) == pytest.approx(ramp.value_at(3.3))
-
-    def test_resample_rejects_bad_dt(self, ramp):
-        with pytest.raises(ValueError):
-            ramp.resample(0.0)
-
-    def test_slice_window(self, ramp):
-        window = ramp.slice(2.0, 4.0)
-        assert window.start_time == pytest.approx(2.0)
-        assert window.end_time == pytest.approx(4.0)
-        assert window.value_at(3.0) == pytest.approx(6.0)
-
-    def test_shifted_and_scaled(self, ramp):
-        shifted = ramp.shifted(5.0)
-        assert shifted.start_time == pytest.approx(5.0)
+    def test_scaled(self, ramp):
         scaled = ramp.scaled(3.0)
         assert scaled.value_at(1.0) == pytest.approx(6.0)
-
-    def test_map_applies_function(self, ramp):
-        squared = ramp.map(lambda v: v * v, name="sq")
-        assert squared.name == "sq"
-        assert squared.value_at(2.0) == pytest.approx(16.0)
 
 
 class TestStatistics:
@@ -101,29 +78,3 @@ class TestPersistence:
         np.testing.assert_allclose(loaded.times, ramp.times)
         np.testing.assert_allclose(loaded.values, ramp.values)
         assert loaded.name == "ramp"
-
-    def test_irradiance_clipping(self):
-        trace = IrradianceTrace(times=[0.0, 1.0], values=[-5.0, 100.0])
-        clipped = trace.clipped()
-        assert clipped.values[0] == 0.0
-        assert clipped.values[1] == 100.0
-
-
-class TestFromFunction:
-    def test_samples_function(self):
-        trace = trace_from_function(lambda t: 3.0 * t, duration=4.0, dt=1.0)
-        assert trace.value_at(2.0) == pytest.approx(6.0)
-        assert len(trace) == 5
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            trace_from_function(lambda t: t, duration=0.0, dt=1.0)
-        with pytest.raises(ValueError):
-            trace_from_function(lambda t: t, duration=1.0, dt=0.0)
-
-    @given(duration=st.floats(min_value=0.5, max_value=20.0), dt=st.floats(min_value=0.05, max_value=1.0))
-    @settings(max_examples=30, deadline=None)
-    def test_duration_covered(self, duration, dt):
-        trace = trace_from_function(lambda t: 1.0, duration=duration, dt=dt)
-        assert trace.end_time >= duration - dt
-        assert trace.start_time == 0.0

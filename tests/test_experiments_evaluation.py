@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.governor import PowerNeutralGovernor
 from repro.energy.irradiance import WeatherCondition
+from repro.energy.profiles import PV_TARGET_VOLTAGE
 from repro.experiments.evaluation import (
     fig11_controlled_supply,
     fig12_voltage_stability,
@@ -17,7 +18,7 @@ from repro.experiments.evaluation import (
     fig14_power_tracking,
     fig15_overhead,
 )
-from repro.experiments.scenarios import PV_TARGET_VOLTAGE, run_pv_experiment
+from repro.experiments.scenarios import run_pv_experiment
 from repro.sweep import (
     TABLE2_GOVERNOR_AXIS,
     Axis,

@@ -4,33 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.comparator import Comparator, LT6703_REFERENCE_V
-from repro.hw.divider import ResistorDivider
 from repro.hw.potentiometer import (
     DigitalPotentiometer,
     MCP4131_FULL_SCALE_OHM,
     MCP4131_TAPS,
 )
-
-
-class TestResistorDivider:
-    def test_paper_divider_ratio(self):
-        divider = ResistorDivider(470e3, 100e3)
-        assert divider.ratio == pytest.approx(100.0 / 570.0)
-
-    def test_output_and_inverse(self):
-        divider = ResistorDivider(470e3, 100e3)
-        v_out = divider.output(5.3)
-        assert divider.required_input(v_out) == pytest.approx(5.3)
-
-    def test_quiescent_power_is_microwatts(self):
-        divider = ResistorDivider(470e3, 100e3)
-        assert divider.power_draw(5.7) < 100e-6
-
-    def test_invalid_resistances_rejected(self):
-        with pytest.raises(ValueError):
-            ResistorDivider(-1.0, 100e3)
-        with pytest.raises(ValueError):
-            ResistorDivider(470e3, 0.0)
 
 
 class TestDigitalPotentiometer:

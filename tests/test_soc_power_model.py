@@ -10,7 +10,6 @@ from repro.soc.opp import GHZ, PAPER_FREQUENCIES_HZ, OperatingPoint
 from repro.soc.power_model import (
     BigLittlePowerModel,
     ClusterPowerParameters,
-    TabulatedPowerModel,
     VoltageFrequencyMap,
 )
 
@@ -104,36 +103,3 @@ class TestBigLittleModel:
         model = exynos5422_power_model()
         power = model.power_of(CoreConfig(n_little, n_big), frequency)
         assert 1.0 < power < 10.0
-
-
-class TestTabulatedModel:
-    def test_exact_and_interpolated_lookup(self):
-        table = TabulatedPowerModel(
-            {
-                ((1, 0), 0.2e9): 1.8,
-                ((1, 0), 1.4e9): 2.2,
-                ((4, 4), 1.4e9): 7.0,
-            }
-        )
-        assert table.power_of(CoreConfig(1, 0), 0.2e9) == pytest.approx(1.8)
-        assert table.power_of(CoreConfig(1, 0), 0.8e9) == pytest.approx(2.0)
-        assert table.power_of(CoreConfig(4, 4), 1.4e9) == pytest.approx(7.0)
-
-    def test_out_of_range_clamps(self):
-        table = TabulatedPowerModel({((1, 0), 0.2e9): 1.8, ((1, 0), 1.4e9): 2.2})
-        assert table.power_of(CoreConfig(1, 0), 2.0e9) == pytest.approx(2.2)
-
-    def test_unknown_configuration_raises(self):
-        table = TabulatedPowerModel({((1, 0), 0.2e9): 1.8})
-        with pytest.raises(KeyError):
-            table.power_of(CoreConfig(4, 4), 0.2e9)
-
-    def test_empty_or_invalid_table_rejected(self):
-        with pytest.raises(ValueError):
-            TabulatedPowerModel({})
-        with pytest.raises(ValueError):
-            TabulatedPowerModel({((1, 0), 0.2e9): -1.0})
-
-    def test_configurations_listing(self):
-        table = TabulatedPowerModel({((1, 0), 0.2e9): 1.8, ((4, 4), 0.2e9): 3.0})
-        assert table.configurations == [(1, 0), (4, 4)]
