@@ -76,6 +76,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Callable
 
@@ -97,6 +98,7 @@ from .obs import (
     run_top,
     summarize_run,
 )
+from .obs.resource import rusage_totals
 from .energy.irradiance import WeatherCondition
 from .experiments import characterisation, evaluation
 from .experiments.scenarios import run_pv_experiment
@@ -187,10 +189,9 @@ _RUN_FLAGS: dict[str, dict] = {
         "metavar": "DIR",
         "help": (
             "write JSONL trace events (phase spans, per-scenario timings, "
-            "counters, the campaign's CPU seconds and peak RSS from "
-            "getrusage; serve: request spans) to per-process files in DIR, "
-            "plus a metrics.json sidecar next to the store; inspect with "
-            "'obs tail DIR' / 'obs report DIR' / 'obs top DIR'"
+            "counters, the command's CPU seconds and peak RSS from "
+            "getrusage; serve: request spans) to per-process files in DIR; "
+            "inspect with 'obs tail DIR' / 'obs report DIR' / 'obs top DIR'"
         ),
     },
     "--profile": {
@@ -455,9 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
             "and DEST is compacted — ready for sweep --resume, boundary, or "
             "aggregation. 'stats [PATH]' prints the store inventory — record "
             "counts by status and schema version, bytes and records appended "
-            "since the last compact, the last run's cache-hit ratio — served "
-            "from the SQLite and metrics sidecars without opening the store "
-            "(a broken SQLite sidecar falls back to opening it)."
+            "since the last compact — served from the SQLite sidecar without "
+            "opening the store (a broken SQLite sidecar falls back to opening "
+            "it). A run's cache-hit ratio is in its trace ('obs report') and "
+            "the run ledger."
         ),
     )
     store.add_argument(
@@ -489,9 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
             "poll /campaigns/{id}, stream live trace events from "
             "/campaigns/{id}/events (Server-Sent Events), and fetch results "
             "from /campaigns/{id}/records and /aggregate, filtered from the "
-            "records the open store holds. GET /metrics reads the process's "
-            "RSS, CPU seconds, open fds and threads when it is scraped; the "
-            "registry is written to <data-dir>/metrics.json at shutdown. "
+            "records the open store holds. GET /metrics serves the service's "
+            "own series (requests, scheduler, scenario latency) and reads the "
+            "process's RSS, CPU seconds, open fds and threads when it is "
+            "scraped; the registry is written to <data-dir>/metrics.json at "
+            "shutdown. Each finished campaign appends its run summary, cache "
+            "hits included, to <data-dir>/ledger.jsonl. "
             "Submit with 'repro submit' or any HTTP client; stop with Ctrl-C."
         ),
     )
@@ -606,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
             "coverage, cache-hit ratio, slowest scenarios, per-worker "
             "utilisation and queue-wait statistics, exact scenario-latency "
             "quantiles over every process's scenario spans, counter totals, "
-            "HTTP route latencies, and the campaign's CPU seconds and peak "
+            "HTTP route latencies, and the command's CPU seconds and peak "
             "RSS (getrusage, worker slots included). 'top' is the live view: "
             "a refreshing terminal frame of throughput, scenario p95 and "
             "request p50/p95 per route, fed by the same polling the SSE "
@@ -1031,11 +1036,13 @@ def _run_campaign(
     ``--trace DIR`` was passed, builds the :class:`SweepRunner` from the run
     flags and calls ``body``; with --profile, under cProfile: the binary
     profile lands in ``<trace>/profile.prof`` (or ``<store>.prof``) and the
-    15 hottest functions are printed.  Then it writes the metrics sidecar
-    next to the store and closes the tracer; a traced run also appends a
+    15 hottest functions are printed.  A traced run then emits one
+    ``command.run`` span carrying the process's ``getrusage`` totals since
+    exec (worker slots included), closes the tracer and appends a
     :class:`RunSummary` to the performance-history ledger (``--ledger``,
     default ``<store>.ledger.jsonl``) for ``obs diff``.
     """
+    started = time.perf_counter()
     telemetry = (
         Telemetry.create(args.trace, worker=worker, campaign=campaign) if args.trace else DISABLED
     )
@@ -1068,14 +1075,20 @@ def _run_campaign(
         print(f"profile written to {destination}")
         print(stream.getvalue())
 
-    sidecar = telemetry.write_metrics(store.path)
+    if telemetry.trace_dir is None:
+        return result
+    cpu_s, peak_rss = rusage_totals()
+    telemetry.tracer.span_event(
+        "command.run",
+        time.perf_counter() - started,
+        cpu_s=round(cpu_s, 6),
+        max_rss_bytes=peak_rss,
+    )
     telemetry.close()
-    if sidecar is not None:
-        print(
-            f"telemetry: trace in {telemetry.trace_dir}/ (obs report "
-            f"{telemetry.trace_dir}), metrics in {sidecar}"
-        )
-    if telemetry.trace_dir is None or args.ledger == "none":
+    print(
+        f"telemetry: trace in {telemetry.trace_dir}/ (obs report {telemetry.trace_dir})"
+    )
+    if args.ledger == "none":
         return result
     ledger_file = Path(args.ledger) if args.ledger else ledger_path(store.path)
     try:

@@ -17,7 +17,7 @@ deterministic, so tests and benchmarks are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 

@@ -9,7 +9,6 @@ trends, crossover locations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,11 +19,9 @@ from ..core.parameters import ControllerParameters, FIG6_PARAMETERS
 from ..core.tuning import TuningScenario, grid_search
 from ..energy.irradiance import (
     IrradianceGenerator,
-    ShadowingEvent,
     WeatherCondition,
     ramped_shadow_irradiance,
     sinusoidal_irradiance,
-    step_irradiance,
 )
 from ..energy.profiles import PV_TARGET_VOLTAGE
 from ..energy.pv_array import fig1_small_cell, paper_pv_array

@@ -242,7 +242,8 @@ class FaultInjector:
         returned for the caller to enact) or ``None``.  A delay sleeps no
         later than ``deadline``, a :func:`time.monotonic` instant.  ``error``
         raises and ``crash`` never returns.  Injections are counted into
-        ``faults.injected`` *before* enacting, so even a crash leaves its
+        ``faults.injected`` — on ``telemetry``'s tracer and, when given, the
+        ``metrics`` registry — *before* enacting, so even a crash leaves its
         trace (the tracer flushes per event, like the store fsyncs per
         append).
         """
@@ -295,9 +296,8 @@ class FaultInjector:
         return True
 
     def _count(self, rule: FaultRule, site: str, telemetry, metrics) -> None:
-        registry = metrics if metrics is not None else getattr(telemetry, "metrics", None)
-        if registry is not None:
-            registry.counter("faults.injected")
+        if metrics is not None:
+            metrics.counter("faults.injected")
         tracer = getattr(telemetry, "tracer", None)
         if tracer is not None:
             tracer.counter("faults.injected", site=site, kind=rule.kind)

@@ -10,7 +10,7 @@ configured to include or idealise (see the ablation benches).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["DigitalPotentiometer", "MCP4131_TAPS", "MCP4131_FULL_SCALE_OHM"]
 

@@ -9,12 +9,13 @@ It is built from four small parts:
   with pid / worker label / campaign hash, one file per writing process so
   multi-process campaigns merge traces exactly like they merge result
   stores;
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: in-memory counters /
-  gauges / timers rolled up once per run into a ``<store>.metrics.json``
-  sidecar next to the result store;
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: the campaign
+  service's in-memory counters / gauges / histograms behind ``GET
+  /metrics`` (campaign code reports only through its trace);
 * :mod:`repro.obs.resource` — CPU seconds and peak RSS from ``getrusage``
-  (stamped on each ``campaign.run`` span, worker slots included) and the
-  process gauges ``/metrics`` reads when it is scraped;
+  (stamped on each ``campaign.run`` span, worker slots included, and on
+  the ``command.run`` span a traced CLI command ends with) and the process
+  gauges ``/metrics`` reads when it is scraped;
 * :mod:`repro.obs.telemetry` — :class:`Telemetry`: the bundle the execution
   layers (:class:`~repro.sweep.runner.SweepRunner`,
   :class:`~repro.sweep.adaptive.BoundarySearch`,
@@ -38,20 +39,12 @@ Quick start::
     telemetry = Telemetry.create("trace/", worker="main")
     store = ResultStore("campaign.jsonl", telemetry=telemetry)
     SweepRunner(store, workers=4, telemetry=telemetry).run(spec)
-    telemetry.write_metrics(store.path)   # -> campaign.jsonl.metrics.json
     telemetry.close()
 
 then ``python -m repro obs report trace/``.
 """
 
-from .metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    NullMetrics,
-    metrics_sidecar_path,
-    series_key,
-    split_series_key,
-)
+from .metrics import MetricsRegistry, series_key, split_series_key
 from .diff import DiffThresholds, diff_summaries, format_diff
 from .history import (
     RunLedger,
@@ -90,9 +83,6 @@ __all__ = [
     "NULL_TRACER",
     "trace_file_name",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "metrics_sidecar_path",
     "series_key",
     "split_series_key",
     "Histogram",

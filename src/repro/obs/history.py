@@ -7,13 +7,13 @@ like.  This module is that something:
   :class:`RunSummary` — phase timings, throughput, cache-hit ratio, exact
   scenario-latency quantiles over the scenario spans of **every** process
   that traced into the directory, per-route request quantiles, the
-  campaign's CPU seconds and peak RSS from ``getrusage``, fault/retry
+  command's CPU seconds and peak RSS from ``getrusage``, fault/retry
   counters, and provenance
   (``repro_version``, git revision, machine) — the longitudinal record a
   regression check needs, three orders of magnitude smaller than the trace;
 * :class:`RunLedger` appends those summaries to a JSONL ledger file with the
-  same atomic tmp+``os.replace`` discipline as the metrics sidecars, so a
-  writer dying mid-append can never tear the history;
+  atomic tmp+``os.replace`` discipline, so a writer dying mid-append can
+  never tear the history;
 * ``repro obs diff`` (:mod:`repro.obs.diff`) compares two summaries — or a
   fresh run against the ledger's last entry — and turns "did this change
   make things slower?" into an exit code.
@@ -104,8 +104,9 @@ class RunSummary:
     ``scenario_latency`` carries the exact quantiles of the executed
     ``scenario`` spans of *all* traced processes (one per shard), with the
     contributing worker labels; ``routes`` the per-route request quantiles;
-    ``resource`` the campaign CPU seconds (``cpu_s``, worker slots included)
-    and peak RSS (``rss_peak_bytes``) the kernel counted; ``counters`` the
+    ``resource`` the CPU seconds (``cpu_s``: the whole traced command where
+    the trace has ``command.run`` spans, else its campaigns; worker slots
+    included) and peak RSS (``rss_peak_bytes``) the kernel counted; ``counters`` the
     fault/retry/restart totals a regression gate cares about.  ``meta`` is
     free-form (benchmark figures, provenance extras).
     """
@@ -149,8 +150,8 @@ class RunLedger:
     """Append-only JSONL history of :class:`RunSummary` lines.
 
     Appends are read-modify-write through a per-process temp file renamed
-    into place (``os.replace``), exactly like the metrics sidecars: however
-    the writer dies, a reader only ever sees a sequence of complete lines.
+    into place (``os.replace``), like the service's ``metrics.json``
+    snapshot: however the writer dies, a reader only ever sees a sequence of complete lines.
     Unparseable lines (a torn legacy append, hand-editing damage) are
     skipped on read rather than poisoning the whole history.
     """

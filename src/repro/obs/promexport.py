@@ -1,14 +1,12 @@
 """Prometheus text exposition (version 0.0.4) over a metrics registry.
 
 :func:`render_prometheus` turns a :class:`~repro.obs.metrics.MetricsRegistry`
-(or its :meth:`to_dict` document, so a ``<store>.metrics.json`` sidecar read
-back from disk renders identically) into the plain-text format every
-Prometheus-compatible scraper ingests:
+(or its :meth:`to_dict` document, so the service's ``metrics.json``
+snapshot read back from disk renders identically) into the plain-text
+format every Prometheus-compatible scraper ingests:
 
 * counters  -> ``# TYPE name counter`` single samples;
 * gauges    -> ``# TYPE name gauge`` single samples;
-* timers    -> ``# TYPE name summary``: ``name_count`` / ``name_sum``
-  (min/max ride along as ``name_min`` / ``name_max`` gauges);
 * histograms -> ``# TYPE name histogram``: **cumulative** ``name_bucket``
   samples with ``le`` upper-edge labels ending in ``le="+Inf"``, plus
   ``name_sum`` / ``name_count`` — the exact shape PromQL's
@@ -16,14 +14,14 @@ Prometheus-compatible scraper ingests:
 
 Series names are sanitised to the Prometheus grammar
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``): dots and other junk become underscores, so
-the repo's internal ``store.appends`` counter exports as ``store_appends``.
+the service's ``scheduler.restart`` counter exports as ``scheduler_restart``.
 Labelled series produced via :func:`~repro.obs.metrics.series_key` —
 ``http_request_duration_seconds{route="/campaigns",status="200"}`` — keep
 their labels, with the histogram ``le`` label appended after them.
 
 Nothing here talks HTTP: the campaign service's ``GET
 /metrics?format=prometheus`` calls :func:`render_prometheus` and writes the
-string; ``python -c`` one-liners can render a sidecar file the same way.
+string; ``python -c`` one-liners can render a snapshot file the same way.
 """
 
 from __future__ import annotations
@@ -101,18 +99,6 @@ def render_prometheus(metrics: "Union[MetricsRegistry, Mapping]") -> str:
         name = sanitise_metric_name(raw_name)
         declare(name, "gauge")
         lines.append(_sample(name, labels, float(value)))
-
-    for key, timer in sorted((doc.get("timers") or {}).items()):
-        raw_name, labels = split_series_key(key)
-        name = sanitise_metric_name(raw_name)
-        declare(name, "summary")
-        lines.append(_sample(name + "_count", labels, float(timer.get("count", 0))))
-        lines.append(_sample(name + "_sum", labels, float(timer.get("total_s", 0.0))))
-        for suffix, field in (("_min", "min_s"), ("_max", "max_s")):
-            value = timer.get(field)
-            if value is not None and math.isfinite(float(value)):
-                declare(name + suffix, "gauge")
-                lines.append(_sample(name + suffix, labels, float(value)))
 
     for key, data in sorted((doc.get("histograms") or {}).items()):
         raw_name, labels = split_series_key(key)

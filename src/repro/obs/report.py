@@ -175,7 +175,7 @@ def build_report(events: Sequence[dict], slowest: int = 10) -> dict:
     When the trace holds them, ``latency`` gives exact quantiles of the
     executed ``scenario`` spans of every process that wrote one, ``http``
     the per-route request quantiles, and ``resource`` the kernel's CPU and
-    peak-RSS accounting stamped on the ``campaign.run`` spans.
+    peak-RSS accounting (see :func:`_resource_section`).
     """
     report: dict = {"events": len(events)}
     if not events:
@@ -324,7 +324,7 @@ def build_report(events: Sequence[dict], slowest: int = 10) -> dict:
     http = _http_section(events)
     if http:
         report["http"] = http
-    resources = _resource_section(run_spans)
+    resources = _resource_section(events, run_spans)
     if resources:
         report["resource"] = resources
     fault_section = _faults_section(report["counters"])
@@ -385,9 +385,24 @@ def _http_section(events: Sequence[dict]) -> dict:
     return section
 
 
-def _resource_section(run_spans: Sequence[dict]) -> dict:
-    """CPU seconds (summed) and peak RSS (max) the ``campaign.run`` spans carry."""
-    stamped = [e.get("attrs", {}) for e in run_spans if "cpu_s" in e.get("attrs", {})]
+def _resource_section(events: Sequence[dict], run_spans: Sequence[dict]) -> dict:
+    """CPU seconds (summed) and peak RSS (max) the kernel counted.
+
+    A traced CLI command ends with a ``command.run`` span carrying its
+    process's ``getrusage`` totals since exec, reaped children included;
+    those readings are cumulative, so the last one per pid counts.  A trace
+    without one (the service's) sums the ``campaign.run`` spans' readings.
+    """
+    commands = {
+        e.get("pid"): e["attrs"]
+        for e in events
+        if e.get("kind") == "span"
+        and e.get("name") == "command.run"
+        and "cpu_s" in e.get("attrs", {})
+    }
+    stamped = list(commands.values()) or [
+        e.get("attrs", {}) for e in run_spans if "cpu_s" in e.get("attrs", {})
+    ]
     if not stamped:
         return {}
     return {

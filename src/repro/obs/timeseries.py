@@ -1,8 +1,7 @@
 """Fixed-boundary log-bucket histograms and bounded rolling time-windows.
 
-The distribution side of :mod:`repro.obs`: where a
-:class:`~repro.obs.metrics.MetricsRegistry` timer keeps count/total/min/max,
-a :class:`Histogram` keeps a *shape* — sample counts in fixed, typically
+The distribution side of :mod:`repro.obs`: a :class:`Histogram` keeps a
+*shape* — sample counts in fixed, typically
 log-spaced buckets — from which quantiles (p50/p95/p99) are estimated by
 linear interpolation inside the bucket that crosses the target rank.  Fixed
 boundaries are what make histograms **mergeable**: two histograms recorded
@@ -92,8 +91,8 @@ class Histogram:
     overflow bucket catches everything above the last edge.  Observation is
     O(log buckets) (``bisect``), merging is element-wise addition, and the
     whole state round-trips through :meth:`to_dict`/:meth:`from_dict` so
-    histograms serialise into the ``<store>.metrics.json`` sidecar next to
-    counters and timers.
+    histograms serialise into the service's ``metrics.json`` snapshot next
+    to its counters and gauges.
     """
 
     __slots__ = ("boundaries", "counts", "count", "sum", "min", "max")
@@ -217,34 +216,6 @@ class Histogram:
         histogram.min = math.inf if data.get("min") is None else float(data["min"])
         histogram.max = -math.inf if data.get("max") is None else float(data["max"])
         return histogram
-
-
-class NullHistogram:
-    """The disabled histogram: observes nothing, reports nothing."""
-
-    __slots__ = ()
-    boundaries: tuple = ()
-    count = 0
-    sum = 0.0
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def merge(self, other) -> "NullHistogram":
-        return self
-
-    def quantile(self, q: float) -> None:
-        return None
-
-    def quantiles(self, qs: Sequence[float] = DEFAULT_QUANTILES) -> dict:
-        return {}
-
-    def to_dict(self) -> dict:
-        return {}
-
-
-#: The shared disabled histogram handed out by a disabled registry.
-NULL_HISTOGRAM = NullHistogram()
 
 
 class RollingWindow:

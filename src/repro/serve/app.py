@@ -34,11 +34,18 @@ from .. import faults
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import TracePoller
 from ..obs.resource import record_process_gauges
-from ..obs.telemetry import Telemetry
+from ..obs.telemetry import DISABLED, Telemetry
 from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
-from ..obs.tracer import NULL_TRACER, Tracer, trace_file_name
 from ..sweep.store import ResultStore
-from .handlers import Api, EventStreamResponse, JsonResponse, Request, TextResponse
+from .handlers import (
+    JSON_CONTENT_TYPE,
+    Api,
+    EventStreamResponse,
+    JsonResponse,
+    Request,
+    TextResponse,
+    encode_json,
+)
 from .scheduler import TERMINAL_STATES, CampaignScheduler
 
 __all__ = ["CampaignService", "ServiceThread", "run_service", "route_template"]
@@ -132,20 +139,20 @@ class CampaignService:
     async def start(self) -> "CampaignService":
         """Open the store, start the worker task, bind the listening socket.
 
-        The store is opened with a metrics-only telemetry bundle so its
-        counters and timers (``store.appends``, ``store.append_s``, ...)
-        land in the registry ``GET /metrics`` exposes.  With ``trace_dir``
-        set the service also writes its own trace file (request spans).
+        The registry ``GET /metrics`` exposes holds the service's own series
+        (requests, scheduler, scenario latency, process gauges).  With
+        ``trace_dir`` set the service also writes its own trace file
+        (request spans, and the store's events); the store is opened with
+        that telemetry.
         """
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.metrics = MetricsRegistry()
         if self.trace_dir is not None:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
-            tracer = Tracer(self.trace_dir / trace_file_name("serve"), worker="serve")
+            self.telemetry = Telemetry.create(self.trace_dir, worker="serve")
         else:
-            tracer = NULL_TRACER
-        self.telemetry = Telemetry(tracer, self.metrics, trace_dir=self.trace_dir)
-        self.store = ResultStore(self.store_path, telemetry=Telemetry(NULL_TRACER, self.metrics))
+            self.telemetry = DISABLED
+        self.store = ResultStore(self.store_path, telemetry=self.telemetry)
         self.scheduler = CampaignScheduler(
             self.store,
             self.data_dir,
@@ -174,7 +181,7 @@ class CampaignService:
 
         The registry, process gauges included, is written once to
         ``<data_dir>/metrics.json``; what must survive a kill is elsewhere
-        (each campaign's ledger line and the store's metrics sidecar).
+        (the store and each campaign's trace and ledger line).
         """
         if self._shutting_down is not None:
             self._shutting_down.set()  # any open SSE stream closes promptly
@@ -239,6 +246,7 @@ class CampaignService:
                         injector.fire(
                             "serve.handle",
                             telemetry=self.telemetry,
+                            metrics=self.metrics,
                             path=request.path,
                             method=method,
                         )
@@ -334,15 +342,14 @@ class CampaignService:
 
     @staticmethod
     def _write_json(writer: asyncio.StreamWriter, response: JsonResponse) -> None:
-        # Compact: ``indent`` would force the pure-Python encoder.
-        body = (json.dumps(response.payload, default=str) + "\n").encode("utf-8")
+        body = encode_json(response.payload).encode("utf-8")
         status_text = _STATUS_TEXT.get(response.status, "OK")
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (response.headers or {}).items()
         )
         head = (
             f"HTTP/1.1 {response.status} {status_text}\r\n"
-            "Content-Type: application/json\r\n"
+            f"Content-Type: {JSON_CONTENT_TYPE}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"{extra}"
             "Connection: close\r\n\r\n"

@@ -200,7 +200,7 @@ function renderCampaigns(campaigns) {
       <td><code>${c.id.slice(0, 16)}</code></td><td>${c.kind}</td>
       <td><span class="dot"></span>${c.state}</td>
       <td class="num">${c.scenarios ?? "\\u2013"}</td><td class="num">${prog}</td>
-      <td class="num">${r.executed ?? "\\u2013"}</td><td class="num">${r.cache_hits ?? "\\u2013"}</td>
+      <td class="num">${r.executed ?? "\\u2013"}</td><td class="num">${r.cached ?? "\\u2013"}</td>
     </tr>`;
   }).join("");
 }

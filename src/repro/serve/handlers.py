@@ -11,7 +11,7 @@ Endpoints::
 
     GET  /healthz                     liveness + store/campaign counts
     GET  /readyz                      readiness (scheduler alive, store open)
-    GET  /metrics                     service metrics (counters, timers, histograms,
+    GET  /metrics                     service metrics (counters, gauges, histograms,
                                       process gauges read at scrape time)
     GET  /metrics?format=prometheus   the same registry as Prometheus text 0.0.4
     GET  /dashboard                   self-contained live HTML dashboard
@@ -26,6 +26,7 @@ Endpoints::
 from __future__ import annotations
 
 import asyncio
+import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -53,6 +54,9 @@ __all__ = [
 #: The Retry-After horizon stamped on drain 503s: drains complete quickly
 #: (one in-flight campaign at most), so clients should re-poll soon.
 DRAIN_RETRY_AFTER_S = 1
+
+#: The Content-Type of every JSON response.
+JSON_CONTENT_TYPE = "application/json"
 
 #: Query parameters that are *not* record filters.
 _PAGING_PARAMS = ("limit", "offset")
@@ -88,12 +92,16 @@ class Request:
     body: bytes = b""
 
     def json(self):
-        import json as _json
-
         try:
-            return _json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, _json.JSONDecodeError) as exc:
+            return json.loads(self.body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") from None
+
+
+def encode_json(payload) -> str:
+    """A JSON response body: compact (``indent`` would force the
+    pure-Python encoder), newline-terminated."""
+    return json.dumps(payload, default=str) + "\n"
 
 
 @dataclass
@@ -280,7 +288,9 @@ class Api:
             raise ValueError("limit/offset must not be negative")
         return filters, limit, offset
 
-    async def _records(self, campaign: Campaign, request: Request) -> JsonResponse:
+    async def _records(
+        self, campaign: Campaign, request: Request
+    ) -> Union[JsonResponse, TextResponse]:
         try:
             filters, limit, offset = self._parse_filters(request)
         except ValueError as exc:
@@ -289,24 +299,26 @@ class Api:
         # empty) list: a boundary campaign that has not probed yet correctly
         # serves zero records, not the whole store.
         scenario_ids = list(campaign.scenario_ids)
-        records = await asyncio.to_thread(
-            lambda: self.store.query(
+
+        def body() -> str:
+            records = self.store.query(
                 scenario_ids=scenario_ids, limit=limit, offset=offset, **filters
             )
-        )
-        slim = [{k: v for k, v in record.items() if k != "series"} for record in records]
-        return JsonResponse(
-            200, {"campaign": campaign.id, "count": len(slim), "records": slim}
-        )
+            slim = [{k: v for k, v in record.items() if k != "series"} for record in records]
+            return encode_json({"campaign": campaign.id, "count": len(slim), "records": slim})
 
-    async def _aggregate(self, campaign: Campaign, request: Request) -> JsonResponse:
-        # The whole document is built in a worker thread: one pass over a
-        # large campaign's records still takes milliseconds, which the event
-        # loop must spend answering other requests.
-        doc = await asyncio.to_thread(
-            self._aggregate_doc, campaign, list(campaign.scenario_ids), request.query.get("axis")
+        return TextResponse(200, await asyncio.to_thread(body), content_type=JSON_CONTENT_TYPE)
+
+    async def _aggregate(self, campaign: Campaign, request: Request) -> TextResponse:
+        # The whole body is built and encoded in a worker thread: one pass
+        # over a large campaign's records, and the encode of its document,
+        # each take milliseconds the event loop must spend answering other
+        # requests.
+        scenario_ids, axis = list(campaign.scenario_ids), request.query.get("axis")
+        body = await asyncio.to_thread(
+            lambda: encode_json(self._aggregate_doc(campaign, scenario_ids, axis))
         )
-        return JsonResponse(200, doc)
+        return TextResponse(200, body, content_type=JSON_CONTENT_TYPE)
 
     def _aggregate_doc(
         self, campaign: Campaign, scenario_ids: list, axis: Optional[str]

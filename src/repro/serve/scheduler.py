@@ -33,7 +33,8 @@ from typing import Mapping, Optional, Union
 
 from .. import faults
 from ..obs.history import RunLedger, summarize_run
-from ..obs.telemetry import DISABLED, Telemetry
+from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import Telemetry
 from ..obs.timeseries import DEFAULT_LATENCY_BOUNDARIES
 from ..sweep.adaptive import BoundaryQuery, BoundarySearch
 from ..sweep.presets import build_preset
@@ -226,8 +227,8 @@ class CampaignScheduler:
         self.series_samples = int(series_samples)
         self.fast = bool(fast)
         #: Service-level registry (the one ``/metrics`` serves); defaults to
-        #: the disabled bundle's no-op registry.
-        self.metrics = metrics if metrics is not None else DISABLED.metrics
+        #: a private one nothing reads.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Per-campaign wall-clock budget: a campaign running longer is
         #: stopped and failed honestly (``scheduler.watchdog_timeout``)
         #: instead of wedging the FIFO queue forever.
@@ -425,10 +426,8 @@ class CampaignScheduler:
 
         Per-campaign telemetry writes ``trace-serve-<pid>.jsonl`` under the
         campaign's trace dir — the live feed of the ``/events`` stream and
-        the source of the campaign's ledger line — and, on completion, its
-        counters (``campaign.cache_hits`` / ``campaign.executed``) land in
-        the store's metrics sidecar, which is what keeps ``store stats``'
-        cache-hit ratio current.
+        the source of the campaign's ledger line, which carries its cache
+        economics.
         """
         campaign.trace_dir.mkdir(parents=True, exist_ok=True)
         telemetry = Telemetry.create(campaign.trace_dir, worker="serve", campaign=campaign.id)
@@ -476,7 +475,6 @@ class CampaignScheduler:
                     **boundary.summary(),
                     "cells_detail": [cell.to_dict() for cell in boundary.cells],
                 }
-            telemetry.write_metrics(self.store.path)
             retried = int(result.get("retried") or 0)
             if retried:
                 # Mirror campaign-level retries into the service registry so

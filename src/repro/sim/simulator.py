@@ -45,7 +45,7 @@ import numpy as np
 
 from ..energy.supercapacitor import PAPER_BUFFER_CAPACITANCE_F, Supercapacitor
 from ..governors.base import Governor, GovernorDecision
-from ..hw.monitor import ThresholdCrossing, VoltageMonitor
+from ..hw.monitor import VoltageMonitor
 from ..soc.platform import SoCPlatform
 from .result import SimulationEvent, SimulationResult
 from .supplies import Supply

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 __all__ = ["CoreType", "CoreConfig", "CORE_LADDER", "core_ladder"]
 

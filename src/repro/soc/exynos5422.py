@@ -16,7 +16,7 @@ closely the reproduced values match the paper's.
 
 from __future__ import annotations
 
-from .cores import CoreConfig, core_ladder
+from .cores import core_ladder
 from .latency import TransitionLatencyModel
 from .opp import GHZ, FrequencyLadder, OPPTable, OperatingPoint, PAPER_FREQUENCIES_HZ
 from .performance_model import PerformanceModel, WorkloadScaling

@@ -21,14 +21,13 @@ serialised sysfs writes the real governor performs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .cores import CoreConfig
 from .latency import TransitionLatencyModel
 from .opp import FrequencyLadder, OperatingPoint, OPPTable
 from .performance_model import PerformanceModel
-from .power_model import BigLittlePowerModel, PowerModel
+from .power_model import PowerModel
 
 __all__ = ["PlatformSpec", "PendingTransition", "SoCPlatform"]
 

@@ -21,7 +21,7 @@ from typing import Protocol
 import numpy as np
 
 from .cores import CoreConfig, CoreType
-from .opp import GHZ, OperatingPoint
+from .opp import OperatingPoint
 
 __all__ = [
     "VoltageFrequencyMap",

@@ -40,7 +40,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 from ..obs.telemetry import DISABLED, Telemetry
 from ..registry import jsonable_value, normalise_value
@@ -536,7 +536,7 @@ class BoundarySearch:
         self.telemetry = telemetry if telemetry is not None else DISABLED
 
     def run(self) -> BoundaryReport:
-        tracer, metrics = self.telemetry.tracer, self.telemetry.metrics
+        tracer = self.telemetry.tracer
         started = time.perf_counter()
         cells = [_CellSearch(self.query, outer) for outer in self.query.cells()]
         report = BoundaryReport(path=self.query.path, predicate=self.query.predicate_name)
@@ -578,8 +578,6 @@ class BoundarySearch:
                         cell.observe(
                             value, record, cached=record["scenario_id"] in cached_ids
                         )
-            metrics.counter("boundary.rounds")
-            metrics.counter("boundary.probes", len(batch))
             tracer.counter("boundary.rounds")
             tracer.counter("boundary.probes", len(batch))
             # Bracket evolution: one gauge sample per still-open cell per
@@ -596,8 +594,6 @@ class BoundarySearch:
                     )
         report.cells = [cell.result() for cell in cells]
         report.elapsed_s = time.perf_counter() - started
-        for cell in report.cells:
-            metrics.counter(f"boundary.cells_{cell.status}")
         return report
 
 

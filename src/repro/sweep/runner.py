@@ -330,7 +330,7 @@ class SweepRunner:
         the ``campaign.run`` span and a trace report's phase coverage is 1.0
         by construction, not modulo span-emission overhead.
         """
-        tracer, metrics = self.telemetry.tracer, self.telemetry.metrics
+        tracer = self.telemetry.tracer
         # The kernel readings go only on the traced campaign.run span; an
         # untraced run (every cached resubmission too) makes no syscall here.
         cpu_start = rusage_totals()[0] if tracer.enabled else 0.0
@@ -349,7 +349,6 @@ class SweepRunner:
                 report.cached += 1
                 report.records.append(record)
                 done += 1
-                metrics.counter("campaign.cache_hits")
                 tracer.span_event(
                     "scenario",
                     time.perf_counter() - lookup_t0,
@@ -374,21 +373,17 @@ class SweepRunner:
                 status = record.get("status")
                 if status == "error":
                     report.failed += 1
-                    metrics.counter("campaign.failed")
                     if record.get("error_kind") == "transient":
                         # In-worker retries ran out: the failure is persisted,
                         # but a resume (or a respawned worker) may still clear it.
-                        metrics.counter("retry.exhausted")
                         tracer.counter(
                             "retry.exhausted", scenario_id=record.get("scenario_id")
                         )
                 elif status == "timeout":
                     report.timed_out += 1
-                    metrics.counter("campaign.timeouts")
                 attempts = int(record.get("attempts") or 1)
                 if attempts > 1:
                     report.retried += attempts - 1
-                    metrics.counter("retry.attempt", attempts - 1)
                     tracer.counter(
                         "retry.attempt",
                         attempts - 1,
@@ -397,11 +392,8 @@ class SweepRunner:
                 injected = int(record.get("faults_injected") or 0)
                 if injected:
                     # Worker-side injections, re-counted into the coordinator's
-                    # registry (pool children have no telemetry of their own).
-                    metrics.counter("faults.injected", injected)
+                    # trace (pool children have no telemetry of their own).
                     tracer.counter("faults.injected", injected, site="worker.simulate")
-                metrics.counter("campaign.executed")
-                metrics.observe("campaign.scenario_s", record.get("elapsed_s", 0.0))
                 timings = record.get("timings") or {}
                 tracer.span_event(
                     "scenario",

@@ -186,10 +186,7 @@ class SqliteIndex:
             # indexed offsets valid; verify the last indexed line survived.
             if not self._tail_anchor_valid(conn, indexed):
                 return self._rebuild_locked(conn)
-            timer = self.telemetry.metrics.timer("store.sqlite_tail_s")
-            with timer:
-                self._scan(conn, start=indexed)
-            self.telemetry.metrics.counter("store.sqlite_tail")
+            self._scan(conn, start=indexed)
             return "tail"
 
     def _tail_anchor_valid(self, conn, indexed: int) -> bool:
@@ -218,15 +215,12 @@ class SqliteIndex:
             return self._rebuild_locked(self._connect())
 
     def _rebuild_locked(self, conn) -> str:
-        timer = self.telemetry.metrics.timer("store.sqlite_build_s")
-        with timer:
-            # Dropped, not emptied: a sidecar of another layout has other columns.
-            conn.execute("DROP TABLE records")
-            conn.execute("DELETE FROM meta")  # drops the compaction baseline too
-            for statement in _SCHEMA:
-                conn.execute(statement)
-            self._scan(conn, start=0)
-        self.telemetry.metrics.counter("store.sqlite_build")
+        # Dropped, not emptied: a sidecar of another layout has other columns.
+        conn.execute("DROP TABLE records")
+        conn.execute("DELETE FROM meta")  # drops the compaction baseline too
+        for statement in _SCHEMA:
+            conn.execute(statement)
+        self._scan(conn, start=0)
         return "rebuild"
 
     def mark_compacted(self) -> None:

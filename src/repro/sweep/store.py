@@ -59,7 +59,6 @@ from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .. import faults
-from ..obs.metrics import metrics_sidecar_path
 from ..obs.telemetry import DISABLED, Telemetry
 from ..sim.result import SimulationResult
 from . import sqlindex
@@ -240,7 +239,6 @@ class ResultStore:
             load_t0 = time.perf_counter()
             self._scan_lines()
             load_s = time.perf_counter() - load_t0
-            self.telemetry.metrics.observe("store.load_s", load_s)
             self.telemetry.tracer.span_event(
                 "store.load", load_s, store=str(self.path), records=len(self._entries)
             )
@@ -301,7 +299,6 @@ class ResultStore:
                 fh.seek(0, os.SEEK_END)
                 fh.write(b"\n")
                 os.fsync(fh.fileno())
-                self.telemetry.metrics.counter("store.tail_healed")
                 return 0
             with self.quarantine_path.open("ab") as quarantine:
                 quarantine.write(torn + b"\n")
@@ -310,7 +307,6 @@ class ResultStore:
             fh.truncate(boundary)
             os.fsync(fh.fileno())
         self._quarantined_bytes += len(torn)
-        self.telemetry.metrics.counter("store.torn_tail_quarantined")
         self.telemetry.tracer.event(
             "store.repair",
             store=str(self.path),
@@ -400,7 +396,6 @@ class ResultStore:
     def append(self, record: Mapping) -> None:
         """Append one record (stamped with the current schema version) and
         flush it to disk immediately."""
-        append_t0 = time.perf_counter()
         record = dict(record)
         scenario_id = record.get("scenario_id")
         if not scenario_id:
@@ -439,8 +434,6 @@ class ResultStore:
         # Hold the on-disk form (sorted keys, lists not tuples): what a
         # reopen would parse from this line.
         self._set_entry(scenario_id, json.loads(line))
-        self.telemetry.metrics.observe("store.append_s", time.perf_counter() - append_t0)
-        self.telemetry.metrics.counter("store.appends")
 
     def compact(self) -> dict:
         """Rewrite the store keeping only the newest record per scenario id,
@@ -484,7 +477,6 @@ class ResultStore:
             "bytes_after": offset,
         }
         compact_s = time.perf_counter() - compact_t0
-        self.telemetry.metrics.observe("store.compact_s", compact_s)
         self.telemetry.tracer.span_event(
             "store.compact",
             compact_s,
@@ -546,7 +538,6 @@ class ResultStore:
         if compact:
             stats["records"] = self.compact()["records"]
         merge_s = time.perf_counter() - merge_t0
-        self.telemetry.metrics.observe("store.merge_s", merge_s)
         self.telemetry.tracer.span_event(
             "store.merge",
             merge_s,
@@ -704,14 +695,15 @@ def store_stats(
     index: "Optional[sqlindex.SqliteIndex]" = None,
     telemetry: Optional[Telemetry] = None,
 ) -> dict:
-    """A store's inventory, served from its sidecars without record reads.
+    """A store's inventory, served from its SQLite sidecar without record reads.
 
     Behind ``python -m repro store stats``: counts by status and schema
     version and the compaction baseline come from the SQLite sidecar
-    (built/refreshed on demand), and the cache-hit ratio from the
-    ``<store>.metrics.json`` sidecar the last campaign run wrote — no JSONL
-    record is materialised on this path.  Only a broken SQLite sidecar
-    makes it fall back to opening the store, and then no baseline is shown.
+    (built/refreshed on demand) — no JSONL record is materialised on this
+    path.  Only a broken SQLite sidecar makes it fall back to opening the
+    store, and then no baseline is shown.  It reports only what the store
+    holds: a run's cache economics are in its trace (``obs report``) and
+    the run ledger.
     """
     path = Path(store_path)
     telemetry = telemetry if telemetry is not None else DISABLED
@@ -743,17 +735,4 @@ def store_stats(
     stats["by_status"] = by_status
     stats["by_schema_version"] = by_version
     stats.update(baseline)
-    # Cache economics of the most recent campaign against this store, from
-    # the metrics sidecar (cache_hits / executed counters).
-    try:
-        doc = json.loads(metrics_sidecar_path(path).read_text(encoding="utf-8"))
-        counters = doc.get("counters", {}) if isinstance(doc, dict) else {}
-        hits = int(counters.get("campaign.cache_hits", 0))
-        executed = int(counters.get("campaign.executed", 0))
-        if hits + executed > 0:
-            stats["cache_hits"] = hits
-            stats["executed"] = executed
-            stats["cache_hit_ratio"] = round(hits / (hits + executed), 4)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError):
-        pass
     return stats

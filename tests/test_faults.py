@@ -275,13 +275,14 @@ class TestRunnerSelfHealing:
         assert strip_volatile(chaos) == strip_volatile(clean)
 
     def test_retry_counters_reach_telemetry(self, tmp_path):
-        from repro.obs import Telemetry
+        from repro.obs import Telemetry, build_report, load_events
 
         faults.install(plan(FaultRule(site="worker.simulate", times=1)))
         telemetry = Telemetry.create(tmp_path / "obs")
         store = ResultStore(tmp_path / "s.jsonl")
         runner = SweepRunner(store, workers=1, retry=FAST_RETRY, telemetry=telemetry)
         runner.run([ScenarioConfig(governor="power-neutral", duration_s=2.0)])
-        counters = telemetry.metrics.to_dict()["counters"]
+        telemetry.close()
+        counters = build_report(load_events(tmp_path / "obs"))["counters"]
         assert counters["retry.attempt"] == 1
         assert counters["faults.injected"] == 1

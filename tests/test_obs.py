@@ -29,7 +29,6 @@ from repro.obs import (
     format_report,
     format_scenario_line,
     load_events,
-    metrics_sidecar_path,
     trace_files,
 )
 from repro.sweep import (
@@ -115,18 +114,11 @@ class TestMetrics:
         metrics.counter("campaign.cache_hits")
         metrics.counter("campaign.cache_hits", 2)
         metrics.gauge("open_cells", 3)
-        metrics.observe("campaign.scenario_s", 0.5)
-        metrics.observe("campaign.scenario_s", 1.5)
-        sidecar = metrics.write(metrics_sidecar_path(tmp_path / "campaign.jsonl"))
-        assert sidecar == tmp_path / "campaign.jsonl.metrics.json"
-        data = json.loads(sidecar.read_text())
+        snapshot = metrics.write(tmp_path / "metrics.json")
+        assert snapshot == tmp_path / "metrics.json"
+        data = json.loads(snapshot.read_text())
         assert data["counters"]["campaign.cache_hits"] == 3
         assert data["gauges"]["open_cells"] == 3
-        timer = data["timers"]["campaign.scenario_s"]
-        assert timer["count"] == 2
-        assert timer["total_s"] == pytest.approx(2.0)
-        assert timer["min_s"] == pytest.approx(0.5)
-        assert timer["max_s"] == pytest.approx(1.5)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +131,6 @@ class TestDisabledTelemetry:
         report = SweepRunner(store, telemetry=DISABLED).run(small_spec())
         assert report.executed == 2
         store.compact()
-        assert DISABLED.write_metrics(store.path) is None
         DISABLED.close()
         # Only the store and its index sidecar exist — no trace files, no
         # metrics sidecar, nothing else.
@@ -203,8 +194,8 @@ class TestTraceMerging:
         workers = {e["worker"] for e in load_events(trace_dir)}
         assert workers == {"shard-0", "shard-1"}
         assert len(trace_files(trace_dir)) == 2
-        # Each shard writes its metrics sidecar next to its store.
-        assert len(list(tmp_path.glob("shard-*.jsonl.metrics.json"))) == 2
+        # The shards report only through their traces: no sidecar beside a store.
+        assert not list(tmp_path.glob("*.metrics.json"))
         # Records are stamped with the shard that computed them.
         for index in (0, 1):
             records = list(ResultStore(tmp_path / f"shard-{index}.jsonl").records())
@@ -330,7 +321,7 @@ class TestObsCli:
         argv = [*self.SWEEP, "--store", str(store), "--trace", str(trace)]
         assert main(argv) == 0
         assert list(trace.glob("trace-main-*.jsonl"))
-        assert (tmp_path / "campaign.jsonl.metrics.json").exists()
+        assert not list(tmp_path.glob("*.metrics.json"))
         assert "telemetry: trace in" in capsys.readouterr().out
 
         # obs report over the cold trace sees the executed scenarios.
@@ -374,6 +365,29 @@ class TestObsCli:
             assert latency["scenario"][f"p{round(q * 100)}_s"] == exact_quantile(durations, q)
         assert latency["workers"] == ["main"]
         assert sorted(p.name for p in trace.iterdir() if not p.name.startswith("trace-")) == []
+
+    def test_report_counts_the_whole_command(self, tmp_path):
+        """A traced command's ``resource.cpu_s`` covers its process tree:
+        start-up, imports and preset build as well as the campaign.  Only
+        interpreter teardown after the last reading is left out."""
+        import resource
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        trace = tmp_path / "trace"
+        argv = [sys.executable, "-m", "repro", "sweep", "--preset", "dist-smoke",
+                "--workers", "2", "--quiet", "--store", str(tmp_path / "s.jsonl"),
+                "--trace", str(trace)]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL, timeout=300)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        tree_cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+        doc = build_report(load_events(trace))
+        assert doc["resource"]["cpu_s"] >= 0.85 * tree_cpu_s
+        assert doc["resource"]["cpu_s"] <= tree_cpu_s
+        assert doc["runs"] == 1
 
     def test_obs_tail_replays_events(self, tmp_path, capsys):
         store = tmp_path / "campaign.jsonl"
@@ -481,7 +495,6 @@ from repro.obs import (  # noqa: E402
 import repro.obs.resource as resource_module  # noqa: E402
 from repro.obs.resource import maxrss_bytes, read_resource_sample, rusage_totals  # noqa: E402
 from repro.sweep.aggregate import campaign_overview  # noqa: E402
-from repro.obs.timeseries import NULL_HISTOGRAM  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -578,12 +591,6 @@ class TestHistogram:
         ratios = [b2 / b1 for b1, b2 in zip(bounds, bounds[1:])]
         assert all(r == pytest.approx(10 ** (1 / 3), rel=1e-3) for r in ratios)
 
-    def test_null_histogram_is_inert(self):
-        NULL_HISTOGRAM.observe(1.0)
-        assert NULL_HISTOGRAM.count == 0
-        assert NULL_HISTOGRAM.quantile(0.95) is None
-        assert NULL_HISTOGRAM.to_dict() == {}
-
 
 class TestRollingWindow:
     def test_evicts_by_age(self):
@@ -637,8 +644,6 @@ def build_reference_registry() -> MetricsRegistry:
     registry.counter("store.idx_hit", 7)
     registry.counter("http_requests_total", 3, labels={"route": "/healthz", "status": "200"})
     registry.gauge("process_resident_memory_bytes", 64 * 2**20)
-    registry.observe("campaign.run_s", 1.25)
-    registry.observe("campaign.run_s", 0.75)
     histogram = registry.histogram(
         "http_request_duration_seconds",
         labels={"route": "/healthz"},
@@ -682,14 +687,6 @@ class TestPrometheusExport:
         text = render_prometheus(build_reference_registry())
         assert "store_idx_hit 7" in text
         assert "store.idx_hit" not in text
-
-    def test_timer_renders_as_summary(self):
-        text = render_prometheus(build_reference_registry())
-        assert "# TYPE campaign_run_s summary" in text
-        assert "campaign_run_s_count 2" in text
-        assert "campaign_run_s_sum 2" in text
-        assert "campaign_run_s_min 0.75" in text
-        assert "campaign_run_s_max 1.25" in text
 
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""
@@ -824,6 +821,22 @@ class TestHttpAndResourceReportSections:
         assert latency["scenario"]["count"] == 2
         assert latency["scenario"]["p50_s"] == pytest.approx(0.3)
         assert latency["scenario"]["max_s"] == 0.4
+
+    def test_command_readings_replace_campaign_readings(self):
+        """With ``command.run`` spans in the trace, CPU is the last reading
+        of each process (they are cumulative since exec), summed over pids."""
+        events = self._synthetic_events()
+        for t, pid, cpu_s, rss in (
+            (106.0, 1, 2.0, 70e6), (107.0, 2, 0.75, 55e6), (108.0, 1, 3.0, 80e6)
+        ):
+            events.append(
+                {"t": t, "kind": "span", "name": "command.run", "pid": pid,
+                 "worker": "main", "dur_s": 2.5,
+                 "attrs": {"cpu_s": cpu_s, "max_rss_bytes": int(rss)}}
+            )
+        report = build_report(events)
+        assert report["resource"] == {"cpu_s": 3.75, "max_rss_bytes": 80_000_000}
+        assert report["runs"] == 2
 
     def test_text_renderer_includes_new_blocks(self):
         text = format_report(build_report(self._synthetic_events()))

@@ -355,7 +355,6 @@ class TestObservabilityEndpoints:
             assert "# TYPE http_request_duration_seconds histogram" in text
             assert "http_request_duration_seconds_bucket" in text
             assert "process_resident_memory_bytes" in text
-            assert "store_appends" in text  # dots sanitised to underscores
 
             # cumulative buckets per series: monotone, ending at +Inf == count
             series: dict = {}
@@ -385,6 +384,9 @@ class TestObservabilityEndpoints:
             html = client.dashboard()
             assert html.lstrip().startswith("<!DOCTYPE html>")
             assert campaign_id in html  # server-side bootstrap carries it
+            # every result field the campaign table prints is one the result has
+            shown = set(re.findall(r"\$\{r\.(\w+) \?\?", html))
+            assert {"executed", "cached"} <= shown <= set(done["result"]), shown
             assert str(store_path) in html
             assert "/campaigns" in html and "EventSource" in html
             # no alert surface: a fetch of the unknown /alerts route inside
@@ -776,6 +778,19 @@ class TestServiceLedger:
                 text = resp.read().decode("utf-8")
             assert "scenario_duration_seconds_count 4" in text.splitlines()
 
+    def test_served_campaign_writes_no_sidecar_beside_the_store(self, tmp_path):
+        """A campaign reports through its trace and ledger line; the service
+        registry is snapshotted once, in the data dir, at stop()."""
+        with ServiceThread(
+            store_path=tmp_path / "store.jsonl", data_dir=tmp_path / "data",
+            port=0, workers=1, trace_dir=tmp_path / "trace",
+        ) as service:
+            client = ServeClient(ServeConfig(base_url=service.base_url))
+            done = client.submit_and_wait(smoke_spec(), timeout_s=180)
+            assert done["result"]["executed"] == 4
+        assert not list(tmp_path.glob("*.metrics.json"))
+        assert (tmp_path / "data" / "metrics.json").exists()
+
 
 import os  # noqa: E402
 import re  # noqa: E402
@@ -953,3 +968,47 @@ class TestAggregateOffTheEventLoop:
                 reader.join(timeout=60)
             assert not reader.is_alive()
             assert docs and docs[0]["campaign"] == campaign_id and docs[0]["rows"] == []
+
+    def test_healthz_answers_while_an_aggregate_is_encoded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            CampaignScheduler,
+            "_execute",
+            lambda self, campaign: {"kind": "sweep", "succeeded": True},
+        )
+        started, release = threading.Event(), threading.Event()
+        real_encode = handlers_module.encode_json
+
+        def encode_json(payload):
+            if isinstance(payload, dict) and "rows" in payload:  # the aggregate body
+                started.set()
+                assert release.wait(timeout=60), "the encode was never released"
+            return real_encode(payload)
+
+        monkeypatch.setattr(handlers_module, "encode_json", encode_json)
+        bodies: list = []
+        with ServiceThread(store_path=tmp_path / "store.jsonl", port=0, workers=1) as service:
+            client = ServeClient(ServeConfig(base_url=service.base_url, timeout_s=10.0))
+            campaign_id = client.submit({"preset": "dist-smoke"})["id"]
+            url = f"{service.base_url}/campaigns/{campaign_id}/aggregate"
+
+            def read():
+                with urllib.request.urlopen(url, timeout=60) as response:
+                    bodies.append((response.headers["Content-Type"], response.read()))
+
+            reader = threading.Thread(target=read)
+            reader.start()
+            try:
+                assert started.wait(timeout=30), "the aggregate never reached its encode"
+                # The encode is blocked in its thread; the loop still serves.
+                assert client.health()["status"] == "ok"
+                assert bodies == []
+            finally:
+                release.set()
+                reader.join(timeout=60)
+            assert not reader.is_alive()
+        ((content_type, body),) = bodies
+        assert content_type == "application/json"
+        doc = json.loads(body)
+        assert doc["campaign"] == campaign_id and doc["rows"] == []
+        # The same bytes the JSON responses carry: compact, newline-terminated.
+        assert body == (json.dumps(doc) + "\n").encode("utf-8")

@@ -862,15 +862,28 @@ class TestStoreStats:
         assert main(["store", "compact", "--store", str(store)]) == 0
         argv = self._tiny_sweep_argv(store)
         argv[argv.index("--duration") + 1] = "5"  # a new cell
-        # --trace makes the run write the <store>.metrics.json sidecar the
-        # stats read their cache economics from.
         assert main(argv + ["--trace", str(tmp_path / "trace")]) == 0
         capsys.readouterr()
         assert main(["store", "stats", str(store)]) == 0
         out = capsys.readouterr().out
         assert "appended_records_since_compact : 1" in out
-        assert "cache_hit_ratio" in out  # from the campaign metrics sidecar
-        assert "executed                       : 1" in out
+
+    def test_store_stats_show_only_what_the_store_holds(self, tmp_path, capsys):
+        """A run's cache economics live in its trace, not in the store's
+        inventory: after a traced run and an untraced --fresh one, the stats
+        print no cache line that could belong to either run."""
+        store = tmp_path / "campaign.jsonl"
+        argv = self._tiny_sweep_argv(store)
+        assert main(argv + ["--trace", str(tmp_path / "cold")]) == 0
+        assert main(argv + ["--trace", str(tmp_path / "warm")]) == 0
+        assert main(argv + ["--fresh"]) == 0
+        capsys.readouterr()
+        assert main(["store", "stats", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "status_ok : 1" in out
+        for line in ("cache_hits", "executed", "cache_hit_ratio"):
+            assert line not in out, line
+        assert not list(tmp_path.glob("*.metrics.json"))
 
     def test_store_stats_missing_store(self, tmp_path):
         with pytest.raises(SystemExit, match="no store"):

@@ -12,7 +12,7 @@ import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, FaultRule
-from repro.obs import Telemetry
+from repro.obs import Telemetry, build_report, load_events
 from repro.sweep import (
     Axis,
     ResultStore,
@@ -233,7 +233,7 @@ class TestChaosRecovery:
         assert records_without_timing(ResultStore(store_path)) == (
             records_without_timing(clean)
         )
-        counters = telemetry.metrics.to_dict()["counters"]
+        counters = build_report(load_events(tmp_path / "obs"))["counters"]
         assert counters["faults.injected"] == 2
         assert counters["retry.attempt"] == 2
         assert counters.get("retry.exhausted", 0) == 0

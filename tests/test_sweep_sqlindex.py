@@ -10,9 +10,6 @@ import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, FaultRule
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import Telemetry
-from repro.obs.tracer import NULL_TRACER
 from repro.sweep.spec import SCHEMA_VERSION, ScenarioConfig
 from repro.sweep.sqlindex import SqliteIndex, sqlite_index_path
 from repro.sweep.store import ResultStore, store_stats
@@ -39,17 +36,27 @@ def fill(store: ResultStore, n: int = 6) -> list[ScenarioConfig]:
     return configs
 
 
-def metrics_store(path) -> tuple[ResultStore, MetricsRegistry]:
-    metrics = MetricsRegistry()
-    return ResultStore(path, telemetry=Telemetry(NULL_TRACER, metrics)), metrics
+def record_ensures(monkeypatch) -> list:
+    """The actions of every ``SqliteIndex.ensure`` call from now on."""
+    actions: list = []
+    real_ensure = SqliteIndex.ensure
+
+    def ensure(self):
+        action = real_ensure(self)
+        actions.append(action)
+        return action
+
+    monkeypatch.setattr(SqliteIndex, "ensure", ensure)
+    return actions
 
 
 class TestLifecycle:
-    def test_lazy_build_on_first_query(self, tmp_path):
+    def test_lazy_build_on_first_query(self, tmp_path, monkeypatch):
         """No sidecar exists until an inventory read queries it: record
         queries and counts answer from the held records and never open it."""
         path = tmp_path / "store.jsonl"
-        store, metrics = metrics_store(path)
+        store = ResultStore(path)
+        ensures = record_ensures(monkeypatch)
         fill(store)
         db = sqlite_index_path(path)
         assert len(store.query(status="ok")) == 5
@@ -59,19 +66,20 @@ class TestLifecycle:
         assert db.exists()
         assert stats["records"] == 6
         assert stats["by_status"] == {"error": 1, "ok": 5}
-        assert metrics.to_dict()["counters"]["store.sqlite_build"] == 1
+        assert ensures[0] == "rebuild"
+        assert ensures.count("rebuild") == 1
 
-    def test_appends_refresh_as_tail_scan(self, tmp_path):
+    def test_appends_refresh_as_tail_scan(self, tmp_path, monkeypatch):
         path = tmp_path / "store.jsonl"
-        store, metrics = metrics_store(path)
+        store = ResultStore(path)
+        ensures = record_ensures(monkeypatch)
         fill(store)
         assert store.stats()["by_status"] == {"error": 1, "ok": 5}
         late = ScenarioConfig(governor="ondemand", seed=99)
         store.append(make_record(late))
         assert store.stats()["by_status"] == {"error": 1, "ok": 6}
-        counters = metrics.to_dict()["counters"]
-        assert counters["store.sqlite_build"] == 1  # built once, then tailed
-        assert counters["store.sqlite_tail"] >= 1
+        assert ensures.count("rebuild") == 1  # built once, then tailed
+        assert "tail" in ensures[ensures.index("rebuild") + 1:]
         index = SqliteIndex(path)
         assert index.ensure() == "fresh"
         store.append(make_record(ScenarioConfig(governor="ondemand", seed=100)))
@@ -229,7 +237,7 @@ class TestQueries:
         # force the tail-anchor to look plausible by keeping mtime/meta stale.
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(reversed(lines)), encoding="utf-8")
-        store2, metrics = metrics_store(path)
+        store2 = ResultStore(path)
         records = store2.query(status="ok")
         assert {r["scenario_id"] for r in records} == {
             json.loads(line)["scenario_id"] for line in lines if '"ok"' in line
@@ -307,23 +315,6 @@ class TestStats:
         stats = store_stats(path)
         assert stats["records"] == 3
         assert "compacted_bytes" not in stats
-
-    def test_store_stats_reads_metrics_sidecar(self, tmp_path):
-        from repro.obs.telemetry import metrics_sidecar_path
-
-        path = tmp_path / "store.jsonl"
-        store = ResultStore(path)
-        fill(store, n=2)
-        metrics_sidecar_path(path).write_text(
-            json.dumps(
-                {"counters": {"campaign.cache_hits": 3, "campaign.executed": 1}}
-            ),
-            encoding="utf-8",
-        )
-        stats = store_stats(path)
-        assert stats["cache_hits"] == 3
-        assert stats["executed"] == 1
-        assert stats["cache_hit_ratio"] == pytest.approx(0.75)
 
 
 class TestBrokenSidecar:
